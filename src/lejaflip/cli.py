@@ -151,13 +151,12 @@ def _cmd_bounds(args) -> int:
                 print(f"bound violation at p={p}: {exc}", file=sys.stderr)
                 failed = True
                 continue
-            _, leb = circle_flip_stats(canonical_disk_leja(n_points), args.grid, args.refine)
-            rel = abs(leb.constant - n_points) / n_points
+            rel = abs(stats.lebesgue - n_points) / n_points
             rows.append(
                 {
                     "p": p,
                     "N": n_points,
-                    "lebesgue": leb.constant,
+                    "lebesgue": stats.lebesgue,
                     "lebesgue_target": n_points,
                     "lebesgue_relerr": rel,
                     "sum_sup": stats.sum_sup,

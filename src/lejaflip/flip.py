@@ -10,6 +10,11 @@ over the binary blocks of the section,
 with w0 the root of -1 attached to the section.  Sup norms are estimated on
 the unit circle only (the maximum modulus principle makes that exact) by a
 uniform angle scan followed by golden-section refinement.
+
+One scan engine serves every boundary curve t -> z(t): exp(it) here and
+Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the parameter grid in
+node-major tiles sized to stay in the L2 cache, keeping only per-node maxima
+and the Lebesgue maximum, so memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ class SpecialNStats:
     avg_sup: float
     max_sup: float
     min_over_k: float
+    lebesgue: float
 
 
 def default_grid(n_points: int) -> int:
@@ -196,40 +202,7 @@ def allones_block_flip_abs(p1: int, ell: int, z: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# circle-grid scans
-
-
-def _abs_flip_matrix(nodes: np.ndarray, bpts: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    """|l_k(b)| for every boundary point b (rows) and node k (columns).
-
-    Boundary points that coincide exactly with a node get their Kronecker row.
-    A fast linear-domain kernel is used when the node weights and distance
-    products stay inside double range; otherwise the log-domain kernel runs.
-    """
-    dx = bpts.real[:, None] - nodes.real[None, :]
-    dy = bpts.imag[:, None] - nodes.imag[None, :]
-    d2 = dx * dx + dy * dy
-    hit = d2 == 0.0
-    hit_rows = hit.any(axis=1)
-    out = None
-    if np.all(np.abs(log_w) < 280.0):
-        w2 = np.exp(2.0 * log_w)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            w_sq = np.prod(d2, axis=1)
-            out = np.sqrt(w_sq[:, None] / (d2 * w2[None, :]))
-        # rows whose distance product left double range lose accuracy silently
-        safe = (w_sq > 1e-280) & (w_sq < 1e280)
-        if not np.all((np.isfinite(out) & safe[:, None]) | hit_rows[:, None]):
-            out = None
-    if out is None:
-        with np.errstate(divide="ignore"):
-            log_d = 0.5 * np.log(d2)
-        log_d[hit] = 0.0
-        log_prod = log_d.sum(axis=1)
-        out = np.exp(log_prod[:, None] - log_d - log_w[None, :])
-    if hit_rows.any():
-        out[hit_rows] = hit[hit_rows].astype(float)
-    return out
+# boundary scans
 
 
 def _abs_flips_at_points(nodes: np.ndarray, zs: np.ndarray, ks: np.ndarray, log_w: np.ndarray) -> np.ndarray:
@@ -300,33 +273,165 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarra
     return np.maximum(fc, fd)
 
 
-_CHUNK = 4096
+#: Grid x node elements per scan tile.  A tile is N x max(64, _TILE // N);
+#: its three float64 work buffers (768 KiB) stay in L2.
+_TILE = 1 << 15
 
 
-def _scan_circle(nodes: np.ndarray, grid: int, log_w: np.ndarray):
-    """One pass over the uniform angle grid.
+def _unit_circle(t):
+    return np.exp(1j * t)
 
-    Returns per-node grid maxima with their angles, and the grid maximum of
-    the Lebesgue function with its angle.  Ties resolve toward smaller angles.
+
+def _scan(nodes: np.ndarray, curve, grid: int, log_w: np.ndarray, node_arg0: np.ndarray):
+    """One pass of |l_k(curve(t))| over the uniform grid t_j = 2*pi*j/grid.
+
+    Returns per-node grid maxima with their parameters (``node_arg0`` where a
+    node never exceeds 0), and the grid maximum of the Lebesgue function with
+    its parameter.  Ties resolve toward smaller parameters, and the result
+    does not depend on the tile width.
+
+    Each node-major tile uses the linear-domain kernel
+    |l_k(b)| = sqrt(prod_j |b - eta_j|**2 / |b - eta_k|**2) * exp(-log_w[k])
+    while the node weights and distance products stay inside double range;
+    otherwise it runs the log-domain kernel.  Boundary points that coincide
+    exactly with a node get their Kronecker column.
     """
     n_nodes = nodes.size
+    ang = 2.0 * np.pi * np.arange(grid) / grid
+    bpts = curve(ang)
+    bx, by = bpts.real, bpts.imag
+    xs, ys = nodes.real[:, None], nodes.imag[:, None]
+    linear = bool(np.all(np.abs(log_w) < 280.0))
+    scale = np.exp(-log_w) if linear else None
+    width = min(grid, max(64, _TILE // n_nodes))
+    buf_d2, buf_tmp, buf_r = (np.empty(n_nodes * width) for _ in range(3))
+    rows = np.arange(n_nodes)
     node_max = np.zeros(n_nodes)
-    node_arg = np.zeros(n_nodes)
+    node_arg = np.array(node_arg0, dtype=float)
     leb_max, leb_arg = 0.0, 0.0
-    for start in range(0, grid, _CHUNK):
-        ang = 2.0 * np.pi * np.arange(start, min(start + _CHUNK, grid)) / grid
-        mat = _abs_flip_matrix(nodes, np.exp(1j * ang), log_w)
-        cmax = mat.max(axis=0)
-        upd = cmax > node_max
-        if upd.any():
-            rows = mat.argmax(axis=0)
-            node_arg[upd] = ang[rows[upd]]
-            node_max[upd] = cmax[upd]
-        sums = mat.sum(axis=1)
+    for start in range(0, grid, width):
+        cols = min(width, grid - start)
+        d2, tmp, r = (buf[: n_nodes * cols].reshape(n_nodes, cols) for buf in (buf_d2, buf_tmp, buf_r))
+        np.subtract(bx[start : start + cols], xs, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(by[start : start + cols], ys, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        d2 += tmp
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            w_sq = np.prod(d2, axis=0)
+        # a node hit makes the product 0, or nan once it also overflowed
+        maybe = np.flatnonzero(~(w_sq > 0.0))
+        hit_k, hit_j = np.nonzero(d2[:, maybe] == 0.0)
+        hit_j = maybe[hit_j]
+        vals = None
+        safe = (w_sq > 1e-280) & (w_sq < 1e280)
+        safe[hit_j] = True
+        if linear and safe.all():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(w_sq, d2, out=r)
+            np.sqrt(r, out=r)
+            r[:, hit_j] = 0.0
+            sums = scale @ r
+            if np.all(np.isfinite(sums)):
+                vals, val_scale = r, scale
+        if vals is None:
+            # log-domain kernel in the grid-major layout, where numpy sums
+            # each point's log distances pairwise: the exponent then carries
+            # O(log N) ulps of rounding, not O(N)
+            d2t = np.ascontiguousarray(d2.T)
+            with np.errstate(divide="ignore"):
+                log_d = 0.5 * np.log(d2t)
+            log_d[hit_j, hit_k] = 0.0
+            log_prod = log_d.sum(axis=1)
+            mat = np.exp(log_prod[:, None] - log_d - log_w[None, :])
+            mat[hit_j] = 0.0
+            sums = mat.sum(axis=1)
+            vals, val_scale = mat.T, 1.0
+        arg = vals.argmax(axis=1)
+        cand = vals[rows, arg] * val_scale
+        if hit_k.size:
+            # the FLIP is 1 at its own node and 0 at the others
+            first = (cand[hit_k] < 1.0) | ((cand[hit_k] == 1.0) & (hit_j < arg[hit_k]))
+            cand[hit_k[first]] = 1.0
+            arg[hit_k[first]] = hit_j[first]
+            sums[hit_j] = 1.0
+        upd = cand > node_max
+        node_max[upd] = cand[upd]
+        node_arg[upd] = ang[start + arg[upd]]
         i = int(np.argmax(sums))
         if sums[i] > leb_max:
-            leb_max, leb_arg = float(sums[i]), float(ang[i])
+            leb_max, leb_arg = float(sums[i]), float(ang[start + i])
     return node_max, node_arg, leb_max, leb_arg
+
+
+def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
+    """The scan size to use; refuses grids and refine counts that skip checking."""
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
+    if grid is None:
+        return default_grid(n_points)
+    if grid < 1:
+        raise ValueError(f"boundary grid must be positive, got {grid}")
+    return grid
+
+
+def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters: int) -> SupNormEstimate:
+    """Sup of |l_k(curve(t))|: grid scan, then golden refinement in t around
+    the best grid point or, failing one above 1, the node's own parameter."""
+    n_points = nodes.size
+    if not 1 <= k <= n_points:
+        raise ValueError(f"k must be in 1..{n_points}, got {k}")
+    grid = _checked_grid(n_points, grid, refine_iters)
+    log_w = _log_node_weights(nodes)
+    node_max, node_arg, _, _ = _scan(nodes, curve, grid, log_w, node_ts)
+    best_val, best_ang = 1.0, float(node_ts[k - 1])
+    if node_max[k - 1] > best_val:
+        best_val, best_ang = float(node_max[k - 1]), float(node_arg[k - 1])
+    refined = refine_iters > 0
+    if refined:
+        h = 2.0 * np.pi / grid
+        kk = np.array([k - 1])
+
+        def fn(t):
+            return _abs_flips_at_points(nodes, curve(np.array([t])), kk, log_w)[0]
+
+        val, ang = _golden_max(fn, best_ang - h, best_ang + h, refine_iters)
+        if val > best_val:
+            best_val, best_ang = float(val), float(ang)
+    return SupNormEstimate(best_val, wrap_angle(best_ang), grid, refined)
+
+
+def _boundary_stats(
+    nodes, curve, node_ts, grid: int | None, refine_iters: int, per_node_refine: bool
+) -> tuple[np.ndarray, LebesgueReport]:
+    """Per-node sups and the Lebesgue constant on curve(t) from one shared scan.
+
+    ``node_ts`` holds the nodes' own parameters, curve(node_ts) == nodes.
+    """
+    n_points = nodes.size
+    grid = _checked_grid(n_points, grid, refine_iters)
+    log_w = _log_node_weights(nodes)
+    node_max, node_arg, leb_max, leb_arg = _scan(nodes, curve, grid, log_w, node_ts)
+    h = 2.0 * np.pi / grid
+    if per_node_refine and refine_iters > 0:
+        ks = np.arange(n_points)
+
+        def fn_vec(ts):
+            return _abs_flips_at_points(nodes, curve(ts), ks, log_w)
+
+        node_max = np.maximum(node_max, _golden_max_vec(fn_vec, node_arg - h, node_arg + h, refine_iters))
+    # value at the node itself is exactly 1
+    node_max = np.maximum(node_max, 1.0)
+    if refine_iters > 0:
+
+        def leb_fn(t):
+            return _lebesgue_at(nodes, complex(curve(t)), log_w)
+
+        val, ang = _golden_max(leb_fn, leb_arg - h, leb_arg + h, refine_iters)
+        if val > leb_max:
+            leb_max, leb_arg = float(val), float(ang)
+    report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
+    return node_max, report
 
 
 def sup_norm_on_circle(points, k: int, coarse_grid: int | None = None, refine_iters: int = 40) -> SupNormEstimate:
@@ -336,30 +441,7 @@ def sup_norm_on_circle(points, k: int, coarse_grid: int | None = None, refine_it
     the estimate is a true lower bound of the sup and never drops below 1.
     """
     nodes = _as_nodes(points)
-    n_points = nodes.size
-    if not 1 <= k <= n_points:
-        raise ValueError(f"k must be in 1..{n_points}, got {k}")
-    log_w = _log_node_weights(nodes)
-    grid = coarse_grid if coarse_grid else default_grid(n_points)
-    best_val, best_ang = 1.0, wrap_angle(float(np.angle(nodes[k - 1])))
-    kk = np.array([k - 1])
-    for start in range(0, grid, _CHUNK):
-        ang = 2.0 * np.pi * np.arange(start, min(start + _CHUNK, grid)) / grid
-        vals = _abs_flips_at_points(nodes, np.exp(1j * ang), np.broadcast_to(kk, ang.shape).copy(), log_w)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_ang = float(vals[i]), float(ang[i])
-    refined = refine_iters > 0
-    if refined:
-        h = 2.0 * np.pi / grid
-
-        def fn(t):
-            return _abs_flips_at_points(nodes, np.exp(1j * np.array([t])), kk, log_w)[0]
-
-        val, ang = _golden_max(fn, best_ang - h, best_ang + h, refine_iters)
-        if val > best_val:
-            best_val, best_ang = float(val), float(ang)
-    return SupNormEstimate(best_val, wrap_angle(best_ang), grid, refined)
+    return _boundary_sup(nodes, _unit_circle, np.angle(nodes), k, coarse_grid, refine_iters)
 
 
 def circle_flip_stats(
@@ -375,31 +457,7 @@ def circle_flip_stats(
     ``refine_iters`` is positive.
     """
     nodes = _as_nodes(points)
-    n_points = nodes.size
-    log_w = _log_node_weights(nodes)
-    grid = coarse_grid if coarse_grid else default_grid(n_points)
-    node_max, node_arg, leb_max, leb_arg = _scan_circle(nodes, grid, log_w)
-    h = 2.0 * np.pi / grid
-    if per_node_refine and refine_iters > 0:
-        ks = np.arange(n_points)
-
-        def fn_vec(ts):
-            return _abs_flips_at_points(nodes, np.exp(1j * ts), ks, log_w)
-
-        refined = _golden_max_vec(fn_vec, node_arg - h, node_arg + h, refine_iters)
-        node_max = np.maximum(node_max, refined)
-    # value at the node itself is exactly 1
-    node_max = np.maximum(node_max, 1.0)
-    if refine_iters > 0:
-
-        def leb_fn(t):
-            return _lebesgue_at(nodes, complex(np.exp(1j * t)), log_w)
-
-        val, ang = _golden_max(leb_fn, leb_arg - h, leb_arg + h, refine_iters)
-        if val > leb_max:
-            leb_max, leb_arg = float(val), float(ang)
-    report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
-    return node_max, report
+    return _boundary_stats(nodes, _unit_circle, np.angle(nodes), coarse_grid, refine_iters, per_node_refine)
 
 
 def lebesgue_constant(points, coarse_grid: int | None = None, refine_iters: int = 40) -> LebesgueReport:
@@ -411,19 +469,21 @@ def lebesgue_constant(points, coarse_grid: int | None = None, refine_iters: int 
 def special_n_statistics(p: int, coarse_grid: int | None = None, refine_iters: int = 40) -> SpecialNStats:
     """Sup-norm statistics of all FLIPs of the canonical section of length 2**p - 1.
 
-    Raises :class:`BoundViolation` unless the sum exceeds 2**p - 1, and the
-    maximum falls inside [4*cos(pi/8)/pi - 1e-6, 2 + 1e-6].
+    The same scan also gives the section's Lebesgue constant.  Raises
+    :class:`BoundViolation` unless the sum exceeds 2**p - 1, and the maximum
+    falls inside [4*cos(pi/8)/pi - 1e-6, 2 + 1e-6].
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     n_points = 2**p - 1
     section = canonical_disk_leja(n_points)
-    sups, _ = circle_flip_stats(section, coarse_grid, refine_iters, per_node_refine=True)
+    sups, report = circle_flip_stats(section, coarse_grid, refine_iters, per_node_refine=True)
     stats = SpecialNStats(
         sum_sup=float(np.sum(sups)),
         avg_sup=float(np.mean(sups)),
         max_sup=float(np.max(sups)),
         min_over_k=float(np.min(sups)),
+        lebesgue=report.constant,
     )
     if not stats.sum_sup > n_points:
         raise BoundViolation(f"sum of sups {stats.sum_sup} must exceed {n_points}")

@@ -5,6 +5,10 @@ c2 = (a-b)/2 maps the unit circle onto the ellipse with semi-axes a >= b > 0
 (and the exterior onto the exterior).  Its boundary is smooth, so the kernel
 difference Phi'(e^it)/(Phi(e^it) - Phi(w)) - 1/(e^it - w) stays bounded and
 the distortion constant A is a plain sup of trapezoid integrals.
+
+Sup norms and Lebesgue constants on the image boundary run the tiled scan
+engine of :mod:`lejaflip.flip` on the curve t -> Phi(e^it), with golden
+refinement in the circle parameter t.
 """
 
 from __future__ import annotations
@@ -13,21 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import wrap_angle
 from .disk import UNIT_DISK, BoundarySamples, LejaSection
-from .flip import (
-    LebesgueReport,
-    SupNormEstimate,
-    _abs_flip_matrix,
-    _abs_flips_at_points,
-    _golden_max,
-    _golden_max_vec,
-    _lebesgue_at,
-    _log_node_weights,
-    default_grid,
-)
-
-_CHUNK = 4096
+from .flip import LebesgueReport, SupNormEstimate, _boundary_stats, _boundary_sup
 
 
 @dataclass(frozen=True)
@@ -44,6 +35,10 @@ class ExteriorMap:
         z = np.asarray(z, dtype=complex)
         out = self.c1 * z + self.c2 / z
         return complex(out) if out.ndim == 0 else out
+
+    def on_circle(self, t):
+        """Phi(e^{it}), the boundary curve in the circle parameter t."""
+        return self(np.exp(1j * t))
 
     def derivative(self, z):
         z = np.asarray(z, dtype=complex)
@@ -90,7 +85,7 @@ def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
         raise ValueError("need a >= b > 0")
     mp = ExteriorMap("ellipse", float(a), float(b), (a + b) / 2.0, (a - b) / 2.0)
     t = 2.0 * np.pi * np.arange(256) / 256
-    img = mp(np.exp(1j * t))
+    img = mp.on_circle(t)
     resid = (img.real / a) ** 2 + (img.imag / b) ** 2 - 1.0
     if np.max(np.abs(resid)) > 1e-12:
         raise AssertionError("ellipse parametrization self-check failed")
@@ -111,7 +106,7 @@ def transport_sequence(mp: ExteriorMap, section: LejaSection) -> TransportedSect
 def boundary_samples(mp: ExteriorMap, count: int) -> BoundarySamples:
     """Images of ``count`` equispaced circle points; feeds the greedy builder."""
     t = 2.0 * np.pi * np.arange(count) / count
-    return BoundarySamples(mp(np.exp(1j * t)), f"ellipse a={mp.a} b={mp.b}, {count} samples")
+    return BoundarySamples(mp.on_circle(t), f"ellipse a={mp.a} b={mp.b}, {count} samples")
 
 
 def chord_ratio(mp: ExteriorMap, z, w):
@@ -132,34 +127,8 @@ def flip_sup_on_compact(
     The scan runs over Phi(uniform circle grid) with golden refinement in the
     circle parameter; the node's own parameter is always a candidate.
     """
-    nodes = ts.images
-    n_points = nodes.size
-    if not 1 <= p <= n_points:
-        raise ValueError(f"p must be in 1..{n_points}, got {p}")
-    log_w = _log_node_weights(nodes)
-    grid = boundary_grid if boundary_grid else default_grid(n_points)
-    mp = ts.map
-    node_t = float(np.angle(ts.source.points[p - 1]))
-    best_val, best_ang = 1.0, node_t
-    kk = np.array([p - 1])
-    for start in range(0, grid, _CHUNK):
-        ang = 2.0 * np.pi * np.arange(start, min(start + _CHUNK, grid)) / grid
-        bpts = mp(np.exp(1j * ang))
-        vals = _abs_flips_at_points(nodes, bpts, np.broadcast_to(kk, ang.shape).copy(), log_w)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_ang = float(vals[i]), float(ang[i])
-    refined = refine_iters > 0
-    if refined:
-        h = 2.0 * np.pi / grid
-
-        def fn(t):
-            return _abs_flips_at_points(nodes, np.atleast_1d(mp(np.exp(1j * t))), kk, log_w)[0]
-
-        val, ang = _golden_max(fn, best_ang - h, best_ang + h, refine_iters)
-        if val > best_val:
-            best_val, best_ang = float(val), float(ang)
-    return SupNormEstimate(best_val, wrap_angle(best_ang), grid, refined)
+    node_ts = np.angle(ts.source.points)
+    return _boundary_sup(ts.images, ts.map.on_circle, node_ts, p, boundary_grid, refine_iters)
 
 
 def compact_flip_stats(
@@ -169,46 +138,8 @@ def compact_flip_stats(
     per_node_refine: bool = False,
 ) -> tuple[np.ndarray, LebesgueReport]:
     """Per-node sups and Lebesgue constant over the image boundary."""
-    nodes = ts.images
-    n_points = nodes.size
-    log_w = _log_node_weights(nodes)
-    grid = boundary_grid if boundary_grid else default_grid(n_points)
-    mp = ts.map
-    node_max = np.zeros(n_points)
-    node_arg = np.array([float(np.angle(z)) for z in ts.source.points])
-    leb_max, leb_arg = 0.0, 0.0
-    for start in range(0, grid, _CHUNK):
-        ang = 2.0 * np.pi * np.arange(start, min(start + _CHUNK, grid)) / grid
-        mat = _abs_flip_matrix(nodes, mp(np.exp(1j * ang)), log_w)
-        cmax = mat.max(axis=0)
-        upd = cmax > node_max
-        if upd.any():
-            rows = mat.argmax(axis=0)
-            node_arg[upd] = ang[rows[upd]]
-            node_max[upd] = cmax[upd]
-        sums = mat.sum(axis=1)
-        i = int(np.argmax(sums))
-        if sums[i] > leb_max:
-            leb_max, leb_arg = float(sums[i]), float(ang[i])
-    h = 2.0 * np.pi / grid
-    if per_node_refine and refine_iters > 0:
-        ks = np.arange(n_points)
-
-        def fn_vec(ts_ang):
-            return _abs_flips_at_points(nodes, mp(np.exp(1j * ts_ang)), ks, log_w)
-
-        node_max = np.maximum(node_max, _golden_max_vec(fn_vec, node_arg - h, node_arg + h, refine_iters))
-    node_max = np.maximum(node_max, 1.0)
-    if refine_iters > 0:
-
-        def leb_fn(t):
-            return _lebesgue_at(nodes, complex(mp(np.exp(1j * t))), log_w)
-
-        val, ang = _golden_max(leb_fn, leb_arg - h, leb_arg + h, refine_iters)
-        if val > leb_max:
-            leb_max, leb_arg = float(val), float(ang)
-    report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
-    return node_max, report
+    node_ts = np.angle(ts.source.points)
+    return _boundary_stats(ts.images, ts.map.on_circle, node_ts, boundary_grid, refine_iters, per_node_refine)
 
 
 def lebesgue_on_compact(

@@ -90,6 +90,17 @@ class TestBoundsCommand:
         assert code == 1
         assert "error" in err
 
+    def test_rejects_grids_and_refines_that_skip_the_check(self, capsys):
+        for argv in (
+            ["--max-n", "6", "--grid", "-3"],
+            ["--max-n", "6", "--grid", "0"],
+            ["--max-n", "6", "--refine", "-5"],
+            ["--special-n", "--p", "2..3", "--grid", "-3"],
+        ):
+            code, out, err = run(capsys, "bounds", *argv)
+            assert code == 1, argv
+            assert "error" in err and out == ""
+
 
 class TestBivariateCommand:
     def test_delta(self, capsys):
@@ -145,6 +156,12 @@ class TestTransportCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert [int(r["N"]) for r in rows] == [2, 4, 8, 16]
         assert "slope" in err
+
+    def test_rejects_grids_and_refines_that_skip_the_check(self, capsys):
+        for extra in (["--grid", "-1"], ["--grid", "0"], ["--refine", "-2"]):
+            code, out, err = run(capsys, "transport", "--ellipse", "1.2", "0.8", "--max-n", "8", *extra)
+            assert code == 1, extra
+            assert "error" in err and out == ""
 
     def test_rejects_bad_axes(self, capsys):
         code, _, err = run(capsys, "transport", "--alper", "--ellipse", "0.5", "1.0")

@@ -10,6 +10,7 @@ from lejaflip import (
     canonical_disk_leja,
     circle_flip_stats,
     circle_samples,
+    ellipse_exterior_map,
     flip_direct,
     flip_structured_abs,
     greedy_leja,
@@ -18,9 +19,12 @@ from lejaflip import (
     roots_of_unity_flip_abs,
     special_n_statistics,
     sup_norm_on_circle,
+    transport_sequence,
     validate_leja,
 )
+from lejaflip import flip as flip_module
 from lejaflip.core import binary_decompose
+from lejaflip.flip import _log_node_weights, _scan, _unit_circle, default_grid
 
 
 def unit_rng_points(rng, count):
@@ -267,6 +271,63 @@ class TestSpecialN:
         with pytest.raises(ValueError):
             special_n_statistics(1)
 
+    def test_lebesgue_matches_plain_scan(self):
+        # per-node refinement does not touch the Lebesgue maximum
+        _, report = circle_flip_stats(canonical_disk_leja(15))
+        assert special_n_statistics(4).lebesgue == report.constant
+
+
+class TestRefusesVacuousScans:
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one(self, grid):
+        section = canonical_disk_leja(6)
+        with pytest.raises(ValueError):
+            circle_flip_stats(section, coarse_grid=grid)
+        with pytest.raises(ValueError):
+            sup_norm_on_circle(section, 1, coarse_grid=grid)
+
+    def test_negative_refine(self):
+        section = canonical_disk_leja(6)
+        with pytest.raises(ValueError):
+            circle_flip_stats(section, refine_iters=-5)
+        with pytest.raises(ValueError):
+            sup_norm_on_circle(section, 1, refine_iters=-1)
+
+
+def _scan_case(name):
+    if name == "canonical-256":  # every node lies on the grid
+        nodes = canonical_disk_leja(256).points
+        return nodes, _unit_circle, np.angle(nodes)
+    if name == "single-node":  # |l_1| = 1: every grid point ties
+        nodes = np.exp(1j * np.array([0.3]))
+        return nodes, _unit_circle, np.angle(nodes)
+    if name == "random-100":
+        nodes = unit_rng_points(np.random.default_rng(9), 100)
+        return nodes, _unit_circle, np.angle(nodes)
+    mp = ellipse_exterior_map(30.0, 1.0)  # distance products overflow: log-domain tiles
+    ts = transport_sequence(mp, canonical_disk_leja(128))
+    return ts.images, mp.on_circle, np.angle(ts.source.points)
+
+
+class TestScanEngine:
+    @pytest.mark.parametrize("name", ["canonical-256", "single-node", "random-100", "ellipse-30x1-128"])
+    def test_independent_of_tile_width(self, name, monkeypatch):
+        nodes, curve, node_ts = _scan_case(name)
+        grid = default_grid(nodes.size)
+        log_w = _log_node_weights(nodes)
+        base = _scan(nodes, curve, grid, log_w, node_ts)
+        for tile in (64, grid * nodes.size):  # 64-point tiles; one tile for the whole grid
+            monkeypatch.setattr(flip_module, "_TILE", tile)
+            got = _scan(nodes, curve, grid, log_w, node_ts)
+            for want, have in zip(base, got):
+                assert np.array_equal(want, have)
+        if name == "canonical-256":
+            # roots of unity: each FLIP peaks at its own node, a hit column
+            assert np.all(base[0] == 1.0)
+            assert np.allclose(np.exp(1j * base[1]), nodes, atol=1e-12)
+        if name == "single-node":  # ties go to the smallest angle
+            assert base[1][0] == 0.0 and base[3] == 0.0
+
 
 class TestBatchStats:
     def test_matches_single_sup(self):
@@ -280,13 +341,17 @@ class TestBatchStats:
         rng = np.random.default_rng(6)
         pts = unit_rng_points(rng, 40)
         section_vals, _ = circle_flip_stats(LejaSection(pts), coarse_grid=512, refine_iters=0)
-        from lejaflip.flip import _abs_flip_matrix, _log_node_weights
-
+        logw = _log_node_weights(pts)
+        node_max, node_arg, leb_max, leb_arg = _scan(pts, _unit_circle, 512, logw, np.angle(pts))
         ang = 2 * np.pi * np.arange(512) / 512
-        mat = _abs_flip_matrix(pts, np.exp(1j * ang), _log_node_weights(pts))
         with np.errstate(divide="ignore"):
             logd = np.log(np.abs(np.exp(1j * ang)[:, None] - pts[None, :]))
-        logw = _log_node_weights(pts)
         ref = np.exp(logd.sum(axis=1)[:, None] - logd - logw[None, :])
-        assert np.max(np.abs(mat - ref)) <= 1e-9 * max(1.0, ref.max())
-        assert np.allclose(section_vals, np.maximum(mat.max(axis=0), 1.0), rtol=1e-12)
+        tol = 1e-9 * max(1.0, ref.max())
+        assert np.max(np.abs(node_max - ref.max(axis=0))) <= tol
+        assert abs(leb_max - ref.sum(axis=1).max()) <= tol
+        # each reported angle is a grid point where the reference attains the maximum
+        at_arg = ref[np.rint(node_arg / (2 * np.pi) * 512).astype(int), np.arange(40)]
+        assert np.max(np.abs(at_arg - ref.max(axis=0))) <= tol
+        assert ref.sum(axis=1)[int(np.rint(leb_arg / (2 * np.pi) * 512))] >= ref.sum(axis=1).max() - tol
+        assert np.allclose(section_vals, np.maximum(node_max, 1.0), rtol=1e-12)

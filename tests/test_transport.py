@@ -109,6 +109,14 @@ class TestSupOnCompact:
         for p in (1, 9):
             assert flip_sup_on_compact(ts, p).value == pytest.approx(1.0, abs=1e-9)
 
+    def test_refuses_vacuous_scans(self):
+        ts = transport_sequence(ellipse_exterior_map(1.2, 0.8), canonical_disk_leja(8))
+        for kwargs in ({"boundary_grid": 0}, {"boundary_grid": -1}, {"refine_iters": -1}):
+            with pytest.raises(ValueError):
+                flip_sup_on_compact(ts, 1, **kwargs)
+            with pytest.raises(ValueError):
+                compact_flip_stats(ts, **kwargs)
+
     def test_own_node_floor(self):
         ts = transport_sequence(ellipse_exterior_map(1.3, 0.7), canonical_disk_leja(9))
         for p in (1, 4, 9):
