@@ -54,6 +54,10 @@ from .bivariate import (
     bivariate_flip,
     bivariate_lebesgue,
     build_array,
+    check_delta,
+    check_factorization,
+    check_oracle,
+    check_product_formula,
     flip_case,
     flip_via_vdm_ratio,
     interpolate,

@@ -5,15 +5,19 @@ graded lexicographic rule on exponent pairs: (k1,l1) before (k2,l2) when
 k1+l1 < k2+l2, or the sums tie and k1 > k2.  The first N nodes form the array
 Omega_{n,m} with N_{n-1} < N <= N_n, N_n = (n+1)(n+2)/2, m = N - N_{n-1} - 1.
 Each basis polynomial evaluates through one of seven closed forms selected by
-the position of (p, q) relative to the diagonal p+q = n and the split q vs m;
-a dense generalized Vandermonde determinant provides the independent oracle.
+the position of (p, q) relative to the diagonal p+q = n and the split q vs m.
+A closed form is a signed sum of (z factor) * (w factor) terms, held as two
+per-term tables: their contraction gives the FLIP on a tensor grid (one
+matrix product) or at a list of points.  A dense generalized Vandermonde
+determinant provides the independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +41,10 @@ __all__ = [
     "schiffer_siciak",
     "verify_2d_leja",
     "TwoDLejaReport",
+    "check_delta",
+    "check_oracle",
+    "check_factorization",
+    "check_product_formula",
     "jackson_decay_experiment",
     "DEFAULT_ORACLE_CAP",
 ]
@@ -187,32 +195,40 @@ def _flip_terms(n: int, m: int, p: int, q: int) -> list[tuple[int, int, int]]:
     return terms
 
 
-def _ratio_prefix_table(points: np.ndarray, skip: int, ubs: Sequence[int], x: np.ndarray) -> dict[int, np.ndarray]:
-    """Vectors prod_{j<=ub, j!=skip} (x - pts[j]) / (pts[skip] - pts[j]) for each ub."""
-    table: dict[int, np.ndarray] = {}
-    cur = np.ones_like(x)
-    j = 0
-    for ub in sorted(set(ubs)):
-        if ub < 0:
-            table[ub] = cur.copy()
-            continue
-        while j <= ub:
-            if j != skip:
-                cur = cur * (x - points[j]) / (points[skip] - points[j])
-            j += 1
-        table[ub] = cur
-    return table
+def _ratio_prefix_table(points: np.ndarray, skip: int, ubs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows prod_{j<=ub, j!=skip} (x - points[j]) / (points[skip] - points[j]), one per entry of ubs."""
+    top = int(ubs.max())
+    j = np.arange(top + 1)
+    j = j[j != skip]
+    factors = np.ones((top + 2, x.size), dtype=complex)
+    factors[j + 1] = (x - points[j, None]) / (points[skip] - points[j])[:, None]
+    return np.cumprod(factors, axis=0)[ubs + 1]
+
+
+def _term_tables(
+    arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tables Z (T x len(zs)) and W (T x len(ws)) of the FLIP at (eta_p, theta_q).
+
+    Row t holds the z and the w product of the t-th signed term of
+    :func:`_flip_terms`, the sign folded into Z, so the FLIP is sum_t Z[t] W[t].
+    """
+    sign, z_ub, w_ub = np.array(_flip_terms(arr.n, arr.m, p, q)).T
+    ztab = _ratio_prefix_table(arr.eta, p, z_ub, zs)
+    ztab *= sign[:, None]
+    return ztab, _ratio_prefix_table(arr.theta, q, w_ub, ws)
 
 
 def _flip_on_axes(arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """FLIP values on the tensor grid zs x ws, shape (len(zs), len(ws))."""
-    terms = _flip_terms(arr.n, arr.m, p, q)
-    ztab = _ratio_prefix_table(arr.eta, p, [t[1] for t in terms], zs)
-    wtab = _ratio_prefix_table(arr.theta, q, [t[2] for t in terms], ws)
-    acc = np.zeros((zs.size, ws.size), dtype=complex)
-    for sign, z_ub, w_ub in terms:
-        acc += sign * np.outer(ztab[z_ub], wtab[w_ub])
-    return acc
+    """FLIP values on the tensor grid zs x ws, shape (len(zs), len(ws)): one gemm."""
+    ztab, wtab = _term_tables(arr, p, q, zs, ws)
+    return ztab.T @ wtab
+
+
+def _flip_at_points(arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """FLIP values at the points (zs[i], ws[i])."""
+    ztab, wtab = _term_tables(arr, p, q, zs, ws)
+    return (ztab * wtab).sum(axis=0)
 
 
 def bivariate_flip(arr: IntertwiningArray, p: int, q: int, z: complex, w: complex) -> complex:
@@ -222,8 +238,8 @@ def bivariate_flip(arr: IntertwiningArray, p: int, q: int, z: complex, w: comple
     closed form is reported by :func:`flip_case`.
     """
     _require_member(arr, p, q)
-    val = _flip_on_axes(arr, p, q, np.array([z], dtype=complex), np.array([w], dtype=complex))
-    return complex(val[0, 0])
+    val = _flip_at_points(arr, p, q, np.array([z], dtype=complex), np.array([w], dtype=complex))
+    return complex(val[0])
 
 
 def interpolate(arr: IntertwiningArray, f: Callable[[complex, complex], complex], z: complex, w: complex) -> complex:
@@ -242,10 +258,20 @@ def _interp_grid(arr: IntertwiningArray, values: np.ndarray, zs: np.ndarray, ws:
     return acc
 
 
+def _require_resolving_grid(grid: int, degree: int) -> None:
+    # A trigonometric polynomial of degree d sampled at M > pi*d equispaced
+    # angles has its sup within a factor 1/(1 - pi*d/M) of the grid maximum
+    # (Bernstein); coarser grids can report a bound as met without showing it.
+    if grid < 2 or grid <= math.pi * degree:
+        raise ValueError(f"grid {grid} cannot resolve degree {degree}: it must be at least 2 and above pi*{degree}")
+
+
 def bivariate_lebesgue(arr: IntertwiningArray, grid: int) -> float:
-    """Max over the torus grid of sum_p |l_{H_p}(z, w)| (grid angles per axis)."""
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    """Max over the torus grid of sum_p |l_{H_p}(z, w)| (grid angles per axis).
+
+    Refuses grids of at most pi*n angles, which cannot resolve the degree-n FLIPs.
+    """
+    _require_resolving_grid(grid, arr.n)
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     total = np.zeros((grid, grid))
     for p, q in arr.pairs():
@@ -257,26 +283,43 @@ def bivariate_lebesgue(arr: IntertwiningArray, grid: int) -> float:
 # Vandermonde oracle
 
 
-def vdm_matrix(points: Sequence[tuple[complex, complex]]) -> np.ndarray:
-    """Generalized Vandermonde matrix [e_i(H_j)] in the graded monomial order."""
+@functools.lru_cache(maxsize=128)
+def _monomial_exponents(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exponent columns (k, l) of the first ``size`` graded monomials."""
+    kl = np.array([lex_to_pair(i) for i in range(1, size + 1)], dtype=np.int64).reshape(size, 2)
+    kl.setflags(write=False)
+    return kl[:, 0, None], kl[:, 1, None]
+
+
+def vdm_matrix(points) -> np.ndarray:
+    """Generalized Vandermonde matrix [e_i(H_j)] in the graded monomial order.
+
+    ``points`` has shape (..., n, 2); leading axes give a stack of matrices.
+    """
     pts = np.asarray(points, dtype=complex)
-    n_pts = pts.shape[0]
-    mat = np.empty((n_pts, n_pts), dtype=complex)
-    for i in range(1, n_pts + 1):
-        k, l = lex_to_pair(i)
-        mat[i - 1] = pts[:, 0] ** k * pts[:, 1] ** l
+    k, l = _monomial_exponents(pts.shape[-2])
+    mat = pts[..., None, :, 0] ** k
+    mat *= pts[..., None, :, 1] ** l
     return mat
 
 
-def vdm_determinant(points: Sequence[tuple[complex, complex]]) -> complex:
-    """Determinant of the generalized Vandermonde matrix (LU with partial pivoting)."""
-    return complex(np.linalg.det(vdm_matrix(points)))
+def vdm_determinant(points) -> complex | np.ndarray:
+    """Determinant of the generalized Vandermonde matrix (LU with partial pivoting).
+
+    A stack of point sets, shape (..., n, 2), gives an array of determinants.
+    """
+    det = np.linalg.det(vdm_matrix(points))
+    return complex(det) if det.ndim == 0 else det
 
 
 def flip_via_vdm_ratio(
-    arr: IntertwiningArray, p: int, z: complex, w: complex, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> complex:
-    """FLIP value as a ratio of two dense determinants (test oracle; p is 1-based)."""
+    arr: IntertwiningArray, p: int, z, w, oracle_cap: int = DEFAULT_ORACLE_CAP
+) -> complex | np.ndarray:
+    """FLIP value as a ratio of two dense determinants (test oracle; p is 1-based).
+
+    z and w may be arrays of one shape; the denominator is factored once and
+    the numerators as one stack.  A non-finite numerator gives 0.
+    """
     if arr.N > oracle_cap:
         raise ValueError(f"oracle capped at N={oracle_cap}, got N={arr.N}")
     if not 1 <= p <= arr.N:
@@ -284,27 +327,30 @@ def flip_via_vdm_ratio(
     sign_d, log_d = np.linalg.slogdet(vdm_matrix(arr.nodes))
     if not np.isfinite(log_d) or log_d < math.log(1e-250):
         raise ArithmeticError("denominator determinant is numerically degenerate")
-    shifted = arr.nodes.copy()
-    shifted[p - 1] = (z, w)
+    zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    shifted = np.broadcast_to(arr.nodes, zs.shape + arr.nodes.shape).copy()
+    shifted[..., p - 1, 0] = zs
+    shifted[..., p - 1, 1] = ws
     sign_n, log_n = np.linalg.slogdet(vdm_matrix(shifted))
-    if not np.isfinite(log_n):
-        return 0.0 + 0.0j
-    return complex(sign_n / sign_d * np.exp(log_n - log_d))
+    val = np.where(np.isfinite(log_n), sign_n / sign_d * np.exp(log_n - log_d), 0.0)
+    return complex(val) if val.ndim == 0 else val
 
 
-def vdm_extension_factor(arr: IntertwiningArray, z: complex, w: complex) -> complex:
+def vdm_extension_factor(arr: IntertwiningArray, z, w) -> complex | np.ndarray:
     """Predicted ratio VDM(H_1..H_N, (z,w)) / VDM(H_1..H_N).
 
     Full triangular arrays (m = n) give prod_{j<=n} (z - eta_j); otherwise
     prod_{j<=n-m-2} (z - eta_j) * prod_{i<=m} (w - theta_i), the z part being
-    empty when m = n - 1.
+    empty when m = n - 1.  z and w may be arrays of one shape.
     """
     n, m = arr.n, arr.m
+    z = np.asarray(z, dtype=complex)[..., None]
+    w = np.asarray(w, dtype=complex)[..., None]
     if m == n:
-        return complex(np.prod(z - arr.eta[: n + 1]))
-    zpart = complex(np.prod(z - arr.eta[: n - m - 1])) if n - m - 2 >= 0 else 1.0 + 0.0j
-    wpart = complex(np.prod(w - arr.theta[: m + 1]))
-    return zpart * wpart
+        val = np.prod(z - arr.eta[: n + 1], axis=-1)
+    else:
+        val = np.prod(z - arr.eta[: max(n - m - 1, 0)], axis=-1) * np.prod(w - arr.theta[: m + 1], axis=-1)
+    return complex(val) if val.ndim == 0 else val
 
 
 def _vdm_1d(points: np.ndarray) -> complex:
@@ -334,6 +380,78 @@ def schiffer_siciak(eta, theta, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# checks shared by the CLI and the tests
+
+
+def _require_points(points: int) -> None:
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
+
+
+def _max_rel_gap(value, ref) -> float:
+    return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+def check_delta(arr: IntertwiningArray) -> tuple[float, set[str]]:
+    """Largest |l_{H_p}(H_j) - delta_pj| over all node pairs, and the closed forms used.
+
+    Each FLIP is evaluated once on the source axes eta[:n+1] x theta[:n+1],
+    whose entries at the nodes' index pairs are its node values.
+    """
+    zs, ws = arr.eta[: arr.n + 1], arr.theta[: arr.n + 1]
+    ks, ls = np.array(arr.pairs()).T
+    worst, cases = 0.0, set()
+    for p, q in zip(ks.tolist(), ls.tolist()):
+        cases.add(flip_case(arr, p, q))
+        vals = _flip_on_axes(arr, p, q, zs, ws)[ks, ls]
+        want = (ks == p) & (ls == q)
+        worst = max(worst, float(np.max(np.abs(vals - want))))
+    return worst, cases
+
+
+def check_oracle(arr: IntertwiningArray, rng: np.random.Generator, points: int) -> float:
+    """Largest relative gap between each FLIP and its determinant-ratio oracle.
+
+    Each FLIP is compared at ``points`` random points of the torus, drawn as
+    rng.random((points, 2)) angle fractions (z, w) per FLIP in node order.
+    """
+    _require_points(points)
+    angles = np.exp(2j * np.pi * rng.random((arr.N, points, 2)))
+    worst = 0.0
+    for jp, (p, q) in enumerate(arr.pairs(), start=1):
+        zs, ws = angles[jp - 1, :, 0], angles[jp - 1, :, 1]
+        direct = _flip_at_points(arr, p, q, zs, ws)
+        oracle = flip_via_vdm_ratio(arr, jp, zs, ws)
+        worst = max(worst, _max_rel_gap(oracle, direct))
+    return worst
+
+
+def check_factorization(arr: IntertwiningArray, rng: np.random.Generator, points: int) -> float:
+    """Largest relative gap between the extension ratio and :func:`vdm_extension_factor`.
+
+    The ratio VDM(H_1..H_N, (z,w)) / VDM(H_1..H_N) is taken at ``points``
+    standard complex normal (z, w), drawn as rng.normal(size=(points, 4)) rows
+    (Re z, Im z, Re w, Im w); the extended determinants form one stack.
+    """
+    _require_points(points)
+    draws = rng.normal(size=(points, 4))
+    zs, ws = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    extended = np.empty((points, arr.N + 1, 2), dtype=complex)
+    extended[:, :-1] = arr.nodes
+    extended[:, -1, 0], extended[:, -1, 1] = zs, ws
+    oracle = vdm_determinant(extended) / vdm_determinant(arr.nodes)
+    predicted = vdm_extension_factor(arr, zs, ws)
+    return _max_rel_gap(oracle, predicted)
+
+
+def check_product_formula(arr: IntertwiningArray) -> float:
+    """Relative gap between VDM(Omega_{N_n}) and :func:`schiffer_siciak` on a full triangular array."""
+    if arr.m != arr.n:
+        raise ValueError(f"the product formula needs a full triangular array, got N={arr.N}")
+    return _max_rel_gap(vdm_determinant(arr.nodes), schiffer_siciak(arr.eta, arr.theta, arr.n))
+
+
+# ---------------------------------------------------------------------------
 # sequence-level experiments
 
 
@@ -347,38 +465,38 @@ class TwoDLejaReport:
         return self.max_shortfall <= rel_tol
 
 
+def _prefix_grid_maxima(src: np.ndarray, count: int, circle: np.ndarray) -> list[float]:
+    """Entry c is the circle-grid max of prod_{j<c} |t - src_j|, for c = 0..count."""
+    prods = np.cumprod(np.abs(circle - src[:count, None]), axis=0)
+    return [1.0] + prods.max(axis=1).tolist()
+
+
 def verify_2d_leja(eta, theta, n_max: int, grid: int = 512) -> TwoDLejaReport:
     """Check the greedy optimality of each intertwining node H_{N+1}, N < n_max.
 
     The extension determinant factors into one-dimensional distance products,
     so the sup over the product compact splits into two circle-grid maxima;
-    the value at H_{N+1} is compared against their product.
+    the value at H_{N+1} is compared against their product.  Refuses grids of
+    at most pi*(n+1) angles, n the degree of the largest array checked, which
+    cannot resolve the distance products.
     """
     eta = np.asarray(eta, dtype=complex)
     theta = np.asarray(theta, dtype=complex)
     need = shape_of(n_max)[0] + 2
     if eta.size < need or theta.size < need:
         raise ValueError(f"need at least {need} source points per sequence")
+    top = shape_of(max(n_max - 1, 1))[0] + 1
+    _require_resolving_grid(grid, top)
     circle = np.exp(2j * np.pi * np.arange(grid) / grid)
+    gz = _prefix_grid_maxima(eta, top, circle)
+    gw = _prefix_grid_maxima(theta, top, circle)
     worst, worst_n = 0.0, 0
     for n_nodes in range(1, n_max):
         n, m = shape_of(n_nodes)
         nk, nl = lex_to_pair(n_nodes + 1)
-        next_z, next_w = eta[nk], theta[nl]
-        if m == n:
-            val = float(np.prod(np.abs(next_z - eta[: n + 1])))
-            gmax = float(np.max(np.prod(np.abs(circle[:, None] - eta[None, : n + 1]), axis=1)))
-        else:
-            z_cnt = n - m - 1
-            vz = float(np.prod(np.abs(next_z - eta[:z_cnt]))) if z_cnt > 0 else 1.0
-            gz = (
-                float(np.max(np.prod(np.abs(circle[:, None] - eta[None, :z_cnt]), axis=1)))
-                if z_cnt > 0
-                else 1.0
-            )
-            vw = float(np.prod(np.abs(next_w - theta[: m + 1])))
-            gw = float(np.max(np.prod(np.abs(circle[:, None] - theta[None, : m + 1]), axis=1)))
-            val, gmax = vz * vw, gz * gw
+        z_cnt, w_cnt = (n + 1, 0) if m == n else (max(n - m - 1, 0), m + 1)
+        val = float(np.prod(np.abs(eta[nk] - eta[:z_cnt]))) * float(np.prod(np.abs(theta[nl] - theta[:w_cnt])))
+        gmax = gz[z_cnt] * gw[w_cnt]
         if gmax > val:
             short = 1.0 - val / gmax
             if short > worst:

@@ -204,57 +204,30 @@ def _cmd_bivariate(args) -> int:
         eta = canonical_disk_leja(n + 2).points
         return eta, eta
 
+    def array(n_nodes: int) -> bv.IntertwiningArray:
+        return bv.build_array(*sources(bv.shape_of(n_nodes)[0]), n_nodes)
+
     if mode == "delta":
         cases: set[str] = set()
         overall = 0.0
         for n_nodes in range(1, max_n_nodes + 1):
-            eta, theta = sources(bv.shape_of(n_nodes)[0])
-            arr = bv.build_array(eta, theta, n_nodes)
-            pairs = arr.pairs()
-            worst = 0.0
-            for p, q in pairs:
-                cases.add(bv.flip_case(arr, p, q))
-                for j, (k, l) in enumerate(pairs, start=1):
-                    val = bv.bivariate_flip(arr, p, q, *arr.node(j))
-                    want = 1.0 if (k, l) == (p, q) else 0.0
-                    worst = max(worst, abs(val - want))
+            worst, seen = bv.check_delta(array(n_nodes))
+            cases |= seen
             overall = max(overall, worst)
             rows.append({"N": n_nodes, "max_delta_err": worst, "cases_seen": len(cases)})
         failed = overall > 1e-10 or len(cases) < 7
     elif mode == "oracle":
         for n_nodes in range(1, min(max_n_nodes, bv.DEFAULT_ORACLE_CAP) + 1):
-            eta, theta = sources(bv.shape_of(n_nodes)[0])
-            arr = bv.build_array(eta, theta, n_nodes)
-            worst = 0.0
-            for jp, (p, q) in enumerate(arr.pairs(), start=1):
-                for _ in range(args.points):
-                    z = complex(np.exp(2j * np.pi * rng.random()))
-                    w = complex(np.exp(2j * np.pi * rng.random()))
-                    a_val = bv.bivariate_flip(arr, p, q, z, w)
-                    b_val = bv.flip_via_vdm_ratio(arr, jp, z, w)
-                    worst = max(worst, abs(a_val - b_val) / max(1.0, abs(a_val)))
+            worst = bv.check_oracle(array(n_nodes), rng, args.points)
             rows.append({"N": n_nodes, "max_rel_err": worst})
             failed = failed or worst > 1e-8
     elif mode == "factorization":
         for n_nodes in range(1, max_n_nodes + 1):
-            eta, theta = sources(bv.shape_of(n_nodes)[0])
-            arr = bv.build_array(eta, theta, n_nodes)
-            base = bv.vdm_determinant(arr.nodes)
-            worst = 0.0
-            for _ in range(args.points):
-                z = complex(rng.normal(), rng.normal())
-                w = complex(rng.normal(), rng.normal())
-                oracle = bv.vdm_determinant(list(map(tuple, arr.nodes)) + [(z, w)]) / base
-                predicted = bv.vdm_extension_factor(arr, z, w)
-                worst = max(worst, abs(oracle - predicted) / max(1.0, abs(predicted)))
+            worst = bv.check_factorization(array(n_nodes), rng, args.points)
             rows.append({"check": "extension", "size": n_nodes, "max_rel_err": worst})
             failed = failed or worst > 1e-8
         for n in range(5):
-            eta, theta = sources(n)
-            arr = bv.build_array(eta, theta, bv.triangular_number(n))
-            oracle = bv.vdm_determinant(arr.nodes)
-            product = bv.schiffer_siciak(eta, theta, n)
-            err = abs(oracle - product) / max(1.0, abs(product))
+            err = bv.check_product_formula(array(bv.triangular_number(n)))
             rows.append({"check": "product-formula", "size": n, "max_rel_err": err})
             failed = failed or err > 1e-8
     elif mode == "verify-2d-leja":

@@ -11,30 +11,28 @@ from lejaflip import (
     UNIFORM_FLIP_BOUND_2D,
     LejaSection,
     allones_block_flip_abs,
-    bivariate_flip,
     bivariate_lebesgue,
     build_array,
     canonical_disk_leja,
+    check_delta,
+    check_factorization,
+    check_oracle,
+    check_product_formula,
     chord_ratio,
     circle_flip_stats,
     ellipse_exterior_map,
     estimate_alper_constant,
-    flip_case,
     flip_direct,
     flip_structured_abs,
-    flip_via_vdm_ratio,
     interpolate,
     lebesgue_constant,
     lebesgue_on_compact,
     lex_to_pair,
     omega0_of_section,
-    schiffer_siciak,
     special_n_statistics,
     sup_norm_on_circle,
     transport_sequence,
     triangular_number,
-    vdm_determinant,
-    vdm_extension_factor,
     verify_2d_leja,
 )
 from lejaflip.bivariate import _flip_on_axes
@@ -173,18 +171,14 @@ def test_c07_bivariate_delta_and_membership(bivariate_sources):
     worst_coeff = 0.0
     for n_nodes in range(1, 16):
         arr = build_array(eta, theta, n_nodes)
-        pairs = arr.pairs()
-        for p, q in pairs:
-            cases.add(flip_case(arr, p, q))
-            for j, (k, l) in enumerate(pairs, start=1):
-                val = bivariate_flip(arr, p, q, *arr.node(j))
-                want = 1.0 if (k, l) == (p, q) else 0.0
-                worst_delta = max(worst_delta, abs(val - want))
+        delta_err, seen = check_delta(arr)
+        worst_delta = max(worst_delta, delta_err)
+        cases |= seen
         # coefficient support via inverse FFT on a roots-of-unity tensor grid
         n, m = arr.n, arr.m
         g = n + 2
         axis = np.exp(2j * np.pi * np.arange(g) / g)
-        for p, q in pairs:
+        for p, q in arr.pairs():
             coeff = np.fft.fft2(_flip_on_axes(arr, p, q, axis, axis)) / g**2
             for a in range(g):
                 for b in range(g):
@@ -201,13 +195,7 @@ def test_c08_determinant_oracle_equivalence(bivariate_sources):
     rng = np.random.default_rng(1)
     worst = 0.0
     for n_nodes in range(1, 22):
-        arr = build_array(eta, theta, n_nodes)
-        points = np.exp(2j * np.pi * rng.random((16, 2)))
-        for jp, (p, q) in enumerate(arr.pairs(), start=1):
-            for z, w in points:
-                direct = bivariate_flip(arr, p, q, complex(z), complex(w))
-                oracle = flip_via_vdm_ratio(arr, jp, complex(z), complex(w))
-                worst = max(worst, abs(direct - oracle) / max(1.0, abs(direct)))
+        worst = max(worst, check_oracle(build_array(eta, theta, n_nodes), rng, 16))
     print(f"criterion 8: worst relative deviation from VDM ratio = {worst:.2e}")
     assert worst <= 1e-8
 
@@ -215,22 +203,8 @@ def test_c08_determinant_oracle_equivalence(bivariate_sources):
 def test_c09_factorization_and_schiffer_siciak(bivariate_sources):
     eta, theta = bivariate_sources
     rng = np.random.default_rng(2)
-    worst_ext = 0.0
-    for n_nodes in range(1, 16):
-        arr = build_array(eta, theta, n_nodes)
-        base = vdm_determinant(arr.nodes)
-        for _ in range(16):
-            z = complex(rng.normal(), rng.normal())
-            w = complex(rng.normal(), rng.normal())
-            oracle = vdm_determinant(list(map(tuple, arr.nodes)) + [(z, w)]) / base
-            predicted = vdm_extension_factor(arr, z, w)
-            worst_ext = max(worst_ext, abs(oracle - predicted) / max(1.0, abs(predicted)))
-    worst_ss = 0.0
-    for n in range(5):
-        arr = build_array(eta, theta, triangular_number(n))
-        oracle = vdm_determinant(arr.nodes)
-        product = schiffer_siciak(eta, theta, n)
-        worst_ss = max(worst_ss, abs(oracle - product) / max(1.0, abs(product)))
+    worst_ext = max(check_factorization(build_array(eta, theta, n_nodes), rng, 16) for n_nodes in range(1, 16))
+    worst_ss = max(check_product_formula(build_array(eta, theta, triangular_number(n))) for n in range(5))
     print(f"criterion 9: extension-factor err={worst_ext:.2e}; product-formula err={worst_ss:.2e}")
     assert worst_ext <= 1e-8
     assert worst_ss <= 1e-8

@@ -8,6 +8,10 @@ from lejaflip import (
     bivariate_lebesgue,
     build_array,
     canonical_disk_leja,
+    check_delta,
+    check_factorization,
+    check_oracle,
+    check_product_formula,
     flip_case,
     flip_via_vdm_ratio,
     interpolate,
@@ -19,8 +23,11 @@ from lejaflip import (
     triangular_number,
     vdm_determinant,
     vdm_extension_factor,
+    vdm_matrix,
     verify_2d_leja,
 )
+from lejaflip import bivariate
+from lejaflip.bivariate import _flip_at_points, _flip_on_axes, _flip_terms
 
 
 def leja_sources(n_entries, rotate=0.0):
@@ -30,6 +37,31 @@ def leja_sources(n_entries, rotate=0.0):
 
 def random_unit(rng):
     return complex(np.exp(2j * np.pi * rng.random()))
+
+
+ALL_CASES = {"top", "edge-qm", "edge-qlt", "low-left", "low-right", "low-qm", "low-qgt"}
+
+
+def outer_sum_flip(arr, p, q, zs, ws):
+    """Reference: the FLIP on zs x ws as a sum of one np.outer per signed term."""
+
+    def prefix(points, skip, ubs, x):
+        table, cur, j = {}, np.ones_like(x), 0
+        for ub in sorted(set(ubs)):
+            while j <= ub:
+                if j != skip:
+                    cur = cur * (x - points[j]) / (points[skip] - points[j])
+                j += 1
+            table[ub] = cur.copy()
+        return table
+
+    terms = _flip_terms(arr.n, arr.m, p, q)
+    ztab = prefix(arr.eta, p, [t[1] for t in terms], zs)
+    wtab = prefix(arr.theta, q, [t[2] for t in terms], ws)
+    acc = np.zeros((zs.size, ws.size), dtype=complex)
+    for sign, z_ub, w_ub in terms:
+        acc += sign * np.outer(ztab[z_ub], wtab[w_ub])
+    return acc
 
 
 class TestIndexing:
@@ -136,6 +168,114 @@ class TestDeltaProperty:
                         if a + b > 2 * g - 2:
                             continue
                         assert abs(coeff[a, b]) <= 1e-9, (n_nodes, p, q, a, b)
+
+
+class TestContractionKernels:
+    def test_gemm_and_point_forms_match_outer_sum(self):
+        eta, theta = leja_sources(8), leja_sources(8, 0.37)
+        rng = np.random.default_rng(7)
+        zs = 1.5 * rng.random(9) * np.exp(2j * np.pi * rng.random(9))
+        ws = 1.5 * rng.random(9) * np.exp(2j * np.pi * rng.random(9))
+        cases = set()
+        for n_nodes in range(1, 22):
+            arr = build_array(eta, theta, n_nodes)
+            for p, q in arr.pairs():
+                cases.add(flip_case(arr, p, q))
+                want = outer_sum_flip(arr, p, q, zs, ws)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(_flip_on_axes(arr, p, q, zs, ws) - want)) <= 1e-13 * scale
+                assert np.max(np.abs(_flip_at_points(arr, p, q, zs, ws) - np.diag(want))) <= 1e-13 * scale
+        assert cases == ALL_CASES
+
+    def test_check_delta_matches_scalar_loop(self):
+        eta, theta = leja_sources(6), leja_sources(6, 0.37)
+        cases_seen = set()
+        for n_nodes in range(1, 12):
+            arr = build_array(eta, theta, n_nodes)
+            worst, cases = 0.0, set()
+            pairs = arr.pairs()
+            for p, q in pairs:
+                cases.add(flip_case(arr, p, q))
+                for j, (k, l) in enumerate(pairs, start=1):
+                    want = 1.0 if (k, l) == (p, q) else 0.0
+                    worst = max(worst, abs(bivariate_flip(arr, p, q, *arr.node(j)) - want))
+            got, got_cases = check_delta(arr)
+            assert got_cases == cases
+            assert abs(got - worst) <= 1e-13
+            cases_seen |= cases
+        assert cases_seen == ALL_CASES
+
+    def test_check_delta_sees_a_wrong_closed_form(self, monkeypatch):
+        arr = build_array(leja_sources(6), leja_sources(6, 0.37), 12)
+        monkeypatch.setattr(bivariate, "_flip_terms", lambda n, m, p, q: _flip_terms(n, m, p, q)[:1])
+        assert check_delta(arr)[0] > 1e-3
+
+    def test_check_oracle_matches_scalar_loop(self):
+        eta, theta = leja_sources(6), leja_sources(6, 0.37)
+        rng_batch, rng_loop = np.random.default_rng(11), np.random.default_rng(11)
+        for n_nodes in range(1, 11):
+            arr = build_array(eta, theta, n_nodes)
+            worst = 0.0
+            for jp, (p, q) in enumerate(arr.pairs(), start=1):
+                for _ in range(3):
+                    z, w = random_unit(rng_loop), random_unit(rng_loop)
+                    direct = bivariate_flip(arr, p, q, z, w)
+                    worst = max(worst, abs(direct - flip_via_vdm_ratio(arr, jp, z, w)) / max(1.0, abs(direct)))
+            assert abs(check_oracle(arr, rng_batch, 3) - worst) <= 1e-12
+        assert rng_batch.random() == rng_loop.random()
+
+    def test_check_factorization_matches_scalar_loop(self):
+        eta, theta = leja_sources(6), leja_sources(6, 0.37)
+        rng_batch, rng_loop = np.random.default_rng(12), np.random.default_rng(12)
+        for n_nodes in range(1, 11):
+            arr = build_array(eta, theta, n_nodes)
+            base = vdm_determinant(arr.nodes)
+            worst = 0.0
+            for _ in range(4):
+                z = complex(rng_loop.normal(), rng_loop.normal())
+                w = complex(rng_loop.normal(), rng_loop.normal())
+                oracle = vdm_determinant(list(map(tuple, arr.nodes)) + [(z, w)]) / base
+                predicted = vdm_extension_factor(arr, z, w)
+                worst = max(worst, abs(oracle - predicted) / max(1.0, abs(predicted)))
+            assert abs(check_factorization(arr, rng_batch, 4) - worst) <= 1e-12
+        assert rng_batch.random() == rng_loop.random()
+
+    def test_vdm_matrix_matches_row_formula(self):
+        rng = np.random.default_rng(13)
+        pts = rng.normal(size=(3, 10, 2)) + 1j * rng.normal(size=(3, 10, 2))
+        stack = vdm_matrix(pts)
+        assert stack.shape == (3, 10, 10)
+        for s in range(3):
+            rows = np.array([pts[s, :, 0] ** k * pts[s, :, 1] ** l for k, l in map(lex_to_pair, range(1, 11))])
+            assert np.allclose(vdm_matrix(pts[s]), rows, rtol=1e-13, atol=0)
+            assert np.allclose(stack[s], rows, rtol=1e-13, atol=0)
+
+    def test_batched_oracle_matches_scalar_calls(self):
+        arr = build_array(leja_sources(6), leja_sources(6, 0.37), 9)
+        rng = np.random.default_rng(14)
+        zs, ws = np.exp(2j * np.pi * rng.random(5)), np.exp(2j * np.pi * rng.random(5))
+        got = flip_via_vdm_ratio(arr, 4, zs, ws)
+        assert got.shape == (5,)
+        for i in range(5):
+            assert got[i] == pytest.approx(flip_via_vdm_ratio(arr, 4, complex(zs[i]), complex(ws[i])), rel=1e-14)
+        # a point whose numerator overflows gives 0, as the scalar oracle does
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert flip_via_vdm_ratio(arr, 4, np.array([1e300, zs[0]]), ws[:2])[0] == 0
+
+    def test_refuses_checks_of_no_points(self):
+        arr = build_array(leja_sources(4), leja_sources(4, 0.37), 5)
+        rng = np.random.default_rng(0)
+        for points in (0, -3):
+            with pytest.raises(ValueError):
+                check_oracle(arr, rng, points)
+            with pytest.raises(ValueError):
+                check_factorization(arr, rng, points)
+
+    def test_product_formula_needs_full_triangle(self):
+        eta, theta = leja_sources(6), leja_sources(6, 0.37)
+        assert check_product_formula(build_array(eta, theta, 10)) <= 1e-8
+        with pytest.raises(ValueError):
+            check_product_formula(build_array(eta, theta, 9))
 
 
 class TestOracleEquivalence:
@@ -276,6 +416,13 @@ class TestBivariateLebesgue:
         arr = build_array(leja_sources(2), leja_sources(2, 0.37), 1)
         assert bivariate_lebesgue(arr, 16) == pytest.approx(1.0, abs=1e-12)
 
+    def test_refuses_grids_that_cannot_resolve_the_flips(self):
+        arr = build_array(leja_sources(5), leja_sources(5, 0.37), 10)  # n = 3: needs grid > 3 pi
+        for grid in (-1, 1, 2, 9):
+            with pytest.raises(ValueError):
+                bivariate_lebesgue(arr, grid)
+        assert bivariate_lebesgue(arr, 10) >= 1.0
+
     def test_matches_bruteforce_n3(self):
         eta, theta = leja_sources(3), leja_sources(3, 0.37)
         arr = build_array(eta, theta, 3)
@@ -302,6 +449,37 @@ class TestTwoDLeja:
         eta[1], eta[2] = eta[2], eta[1]
         report = verify_2d_leja(eta, leja_sources(10), 20, grid=512)
         assert not report.passed(1e-6)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("n_max,grid", [(20, 512), (40, 97)])
+    def test_matches_per_size_products(self, swap, n_max, grid):
+        eta, theta = leja_sources(10).copy(), leja_sources(10, 0.37)
+        if swap:
+            eta[1], eta[2] = eta[2], eta[1]
+        circle = np.exp(2j * np.pi * np.arange(grid) / grid)
+
+        def grid_max(src, count):
+            return float(np.max(np.prod(np.abs(circle[:, None] - src[None, :count]), axis=1))) if count else 1.0
+
+        worst, worst_n = 0.0, 0
+        for n_nodes in range(1, n_max):
+            n, m = shape_of(n_nodes)
+            nk, nl = lex_to_pair(n_nodes + 1)
+            z_cnt, w_cnt = (n + 1, 0) if m == n else (max(n - m - 1, 0), m + 1)
+            val = np.prod(np.abs(eta[nk] - eta[:z_cnt])) * np.prod(np.abs(theta[nl] - theta[:w_cnt]))
+            gmax = grid_max(eta, z_cnt) * grid_max(theta, w_cnt)
+            if gmax > val and 1.0 - val / gmax > worst:
+                worst, worst_n = 1.0 - val / gmax, n_nodes
+        report = verify_2d_leja(eta, theta, n_max, grid=grid)
+        assert report.worst_size == worst_n and report.checked == n_max - 1
+        assert abs(report.max_shortfall - worst) <= 1e-15
+
+    def test_refuses_grids_that_cannot_resolve_the_products(self):
+        eta = leja_sources(10)
+        for grid in (1, 18):  # arrays up to N = 19 have n = 5: products of degree 6 need grid > 6 pi
+            with pytest.raises(ValueError):
+                verify_2d_leja(eta, eta, 20, grid=grid)
+        assert verify_2d_leja(eta, eta, 20, grid=19).checked == 19
 
     def test_single_node_vacuous(self):
         eta = leja_sources(4)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lejaflip.cli import main
 
@@ -141,6 +145,44 @@ class TestBivariateCommand:
         rows = list(csv.DictReader(out.splitlines()))
         errs = [float(r["sup_error"]) for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+    def test_rejects_checks_of_no_points(self, capsys):
+        for argv in (
+            ["--oracle", "--points", "0"],
+            ["--oracle", "--points", "-3"],
+            ["--factorization", "--points", "0"],
+        ):
+            code, out, err = run(capsys, "bivariate", *argv, "--n-max", "4")
+            assert code == 1, argv
+            assert "error" in err and out == ""
+
+    def test_rejects_grids_that_cannot_resolve_the_polynomials(self, capsys):
+        for argv in (
+            ["--verify-2d-leja", "--grid", "1"],
+            ["--verify-2d-leja", "--n-max", "12", "--grid", "15"],  # degree 5 needs grid > 5 pi
+            ["--lebesgue", "--grid", "2"],
+            ["--lebesgue", "--n", "2..5", "--grid", "15"],  # degree 5 needs grid > 5 pi
+        ):
+            code, out, err = run(capsys, "bivariate", *argv)
+            assert code == 1, argv
+            assert "error" in err and out == ""
+
+
+_SMALL = st.integers(min_value=-2, max_value=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mode=st.sampled_from([None, "--delta", "--oracle", "--factorization", "--verify-2d-leja", "--lebesgue", "--decay"]),
+    n_max=_SMALL,
+    n_range=st.one_of(_SMALL.map(str), st.tuples(_SMALL, _SMALL).map(lambda lh: f"{lh[0]}..{lh[1]}")),
+    grid=st.integers(min_value=-2, max_value=64),
+    points=st.integers(min_value=-2, max_value=4),
+)
+def test_bivariate_fuzz_exits_with_a_code(mode, n_max, n_range, grid, points):
+    argv = ["bivariate", *([mode] if mode else []), "--n-max", str(n_max), "--n", n_range]
+    argv += ["--grid", str(grid), "--points", str(points), "-o", os.devnull]
+    assert main(argv) in (0, 1, 2)
 
 
 class TestTransportCommand:
