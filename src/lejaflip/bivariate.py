@@ -515,12 +515,15 @@ def jackson_decay_experiment(
 
     Returns rows (n, N_n, torus-grid sup error).  With ``require_decay`` the
     rows must decrease strictly, which holds for entire functions such as
-    exp(z + w); the decay rate itself is not asserted.
+    exp(z + w); the decay rate itself is not asserted.  Refuses grids of at
+    most pi*n_max angles per axis, which cannot resolve the degree-n_max
+    interpolants.
     """
     from .disk import canonical_disk_leja
 
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    _require_resolving_grid(grid, n_max)
     rows: list[tuple[int, int, float]] = []
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     zg, wg = np.meshgrid(axis, axis, indexing="ij")

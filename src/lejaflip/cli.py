@@ -208,6 +208,9 @@ def _cmd_bivariate(args) -> int:
         return bv.build_array(*sources(bv.shape_of(n_nodes)[0]), n_nodes)
 
     if mode == "delta":
+        if max_n_nodes < 7:
+            print("error: --delta needs --n-max >= 7, where all seven closed forms have occurred", file=sys.stderr)
+            return USAGE_ERROR
         cases: set[str] = set()
         overall = 0.0
         for n_nodes in range(1, max_n_nodes + 1):

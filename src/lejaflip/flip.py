@@ -14,7 +14,10 @@ uniform angle scan followed by golden-section refinement.
 One scan engine serves every boundary curve t -> z(t): exp(it) here and
 Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the parameter grid in
 node-major tiles sized to stay in the L2 cache, keeping only per-node maxima
-and the Lebesgue maximum, so memory does not grow with the grid.
+and the Lebesgue maximum, so memory does not grow with the grid.  The same
+tile kernel serves the refinement probes, so one linear-domain formula gives
+every |l_k| on a boundary; the log domain is its guard for node sets whose
+weights leave double range.  Grids of at most pi*(N-1) angles are refused.
 """
 
 from __future__ import annotations
@@ -205,31 +208,6 @@ def allones_block_flip_abs(p1: int, ell: int, z: complex) -> float:
 # boundary scans
 
 
-def _abs_flips_at_points(nodes: np.ndarray, zs: np.ndarray, ks: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    """|l_{ks[i]}(zs[i])| for paired evaluation points and 0-based node indices."""
-    d = np.abs(zs[:, None] - nodes[None, :])
-    hit = d == 0.0
-    with np.errstate(divide="ignore"):
-        log_d = np.log(d)
-    log_d[hit] = 0.0
-    log_prod = log_d.sum(axis=1)
-    rows = np.arange(zs.size)
-    vals = np.exp(log_prod - log_d[rows, ks] - log_w[ks])
-    bad = hit.any(axis=1)
-    if bad.any():
-        vals[bad] = hit[bad, ks[bad]].astype(float)
-    return vals
-
-
-def _lebesgue_at(nodes: np.ndarray, z: complex, log_w: np.ndarray) -> float:
-    """sum_k |l_k(z)| at a single point, O(N)."""
-    d = np.abs(z - nodes)
-    if np.any(d == 0.0):
-        return 1.0
-    logs = np.log(d)
-    return float(np.sum(np.exp(logs.sum() - logs - log_w)))
-
-
 def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     """Golden-section maximum of a scalar function on [lo, hi]."""
     a, b = lo, hi
@@ -274,93 +252,131 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarra
 
 
 #: Grid x node elements per scan tile.  A tile is N x max(64, _TILE // N);
-#: its three float64 work buffers (768 KiB) stay in L2.
+#: its three float64 work planes (768 KiB) stay in L2.
 _TILE = 1 << 15
+
+_NO_HITS = np.zeros(0, dtype=np.intp)
 
 
 def _unit_circle(t):
     return np.exp(1j * t)
 
 
-def _scan(nodes: np.ndarray, curve, grid: int, log_w: np.ndarray, node_arg0: np.ndarray):
+class _Flips:
+    """The one kernel for |l_k(b)| (:meth:`tile`), with what it needs of a node set hoisted.
+
+    Scans and refinement probes all go through it; run it under ``np.errstate(all="ignore")``.
+    """
+
+    def __init__(self, nodes: np.ndarray):
+        n = self.n = nodes.size
+        self.planes = np.array((nodes.real, nodes.imag))[:, :, None]
+        self.log_w = _log_node_weights(nodes)
+        # None when the weights leave double range: only the log domain takes those nodes
+        self.inv_w = np.exp(-self.log_w) if np.all(np.abs(self.log_w) < 280.0) else None
+        self.width = max(64, _TILE // n)
+        self._d = np.empty(2 * n * self.width)
+        self._d2 = np.empty(n * self.width)
+        self._views: dict[int, tuple] = {}
+        self._point = np.empty((2, 1, 1))
+
+    def tile(self, bxy: np.ndarray):
+        """``(vals, scale, sums, hit_k, hit_j)`` at the points with planes ``bxy`` (2, 1, cols <= width).
+
+        |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|, except
+        that vals is 0 where b_j is exactly node hit_k (l_k is 1 there).  The
+        linear form sqrt(prod_j |b - eta_j|**2 / |b - eta_k|**2) / w_k runs while
+        it stays inside double range, the log-domain form otherwise.
+        """
+        cols = bxy.shape[2]
+        views = self._views.get(cols)
+        if views is None:
+            d = self._d[: 2 * self.n * cols].reshape(2, self.n, cols)
+            views = self._views[cols] = (d, d[0], d[1], self._d2[: self.n * cols].reshape(self.n, cols))
+        d, dx, dy, d2 = views
+        np.subtract(bxy, self.planes, out=d)
+        np.multiply(d, d, out=d)
+        np.add(dx, dy, out=d2)
+        w_sq = np.prod(d2, axis=0)
+        low = w_sq.min()
+        hit_k = hit_j = _NO_HITS
+        if not low > 0.0:
+            # a node hit makes the product 0, or nan once it also overflowed;
+            # its column is set aside here and made a Kronecker column below
+            maybe = np.flatnonzero(~(w_sq > 0.0))
+            hit_k, hit_j = np.nonzero(d2[:, maybe] == 0.0)
+            hit_j = maybe[hit_j]
+            d2[:, hit_j] = w_sq[hit_j] = 1.0
+            low = w_sq.min()
+        vals = None
+        if self.inv_w is not None and low > 1e-280:
+            np.divide(w_sq, d2, out=dx)  # the x plane is free again
+            np.sqrt(dx, out=dx)
+            sums = self.inv_w @ dx
+            if math.isfinite(sums.sum()):  # else a distance product overflowed
+                vals, scale = dx, self.inv_w
+        if vals is None:
+            # log-domain form in the grid-major layout, where numpy sums each
+            # point's log distances pairwise: the exponent then carries
+            # O(log N) ulps of rounding, not O(N)
+            log_d = 0.5 * np.log(np.ascontiguousarray(d2.T))
+            mat = np.exp(log_d.sum(axis=1)[:, None] - log_d - self.log_w)
+            vals, scale, sums = mat.T, np.ones(self.n), mat.sum(axis=1)
+        if hit_j.size:
+            vals[:, hit_j] = 0.0
+            sums[hit_j] = 1.0
+        return vals, scale, sums, hit_k, hit_j
+
+    def tiles(self, bpts):
+        """``(start, tile)`` over the points ``bpts`` in runs of ``width``."""
+        bpts = np.asarray(bpts)
+        bxy = np.array((bpts.real, bpts.imag)).reshape(2, 1, -1)
+        for start in range(0, bxy.shape[2], self.width):
+            yield start, self.tile(bxy[:, :, start : start + self.width])
+
+    def own(self, bpts, ks: np.ndarray) -> np.ndarray:
+        """|l_{ks[i]}(bpts[i])| for paired points and 0-based node indices."""
+        out = np.empty(ks.size)
+        for start, (vals, scale, _, hit_k, hit_j) in self.tiles(bpts):
+            k = ks[start : start + self.width]
+            out[start : start + k.size] = vals[k, np.arange(k.size)] * scale[k]
+            out[start + hit_j[hit_k == k[hit_j]]] = 1.0
+        return out
+
+    def lebesgue_at(self, z: complex) -> float:
+        """sum_k |l_k(z)| at one point, O(N)."""
+        self._point[:, 0, 0] = z.real, z.imag
+        return float(self.tile(self._point)[2][0])
+
+
+def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray):
     """One pass of |l_k(curve(t))| over the uniform grid t_j = 2*pi*j/grid.
 
     Returns per-node grid maxima with their parameters (``node_arg0`` where a
     node never exceeds 0), and the grid maximum of the Lebesgue function with
     its parameter.  Ties resolve toward smaller parameters, and the result
     does not depend on the tile width.
-
-    Each node-major tile uses the linear-domain kernel
-    |l_k(b)| = sqrt(prod_j |b - eta_j|**2 / |b - eta_k|**2) * exp(-log_w[k])
-    while the node weights and distance products stay inside double range;
-    otherwise it runs the log-domain kernel.  Boundary points that coincide
-    exactly with a node get their Kronecker column.
     """
-    n_nodes = nodes.size
     ang = 2.0 * np.pi * np.arange(grid) / grid
-    bpts = curve(ang)
-    bx, by = bpts.real, bpts.imag
-    xs, ys = nodes.real[:, None], nodes.imag[:, None]
-    linear = bool(np.all(np.abs(log_w) < 280.0))
-    scale = np.exp(-log_w) if linear else None
-    width = min(grid, max(64, _TILE // n_nodes))
-    buf_d2, buf_tmp, buf_r = (np.empty(n_nodes * width) for _ in range(3))
-    rows = np.arange(n_nodes)
-    node_max = np.zeros(n_nodes)
+    rows = np.arange(flips.n)
+    node_max = np.zeros(flips.n)
     node_arg = np.array(node_arg0, dtype=float)
     leb_max, leb_arg = 0.0, 0.0
-    for start in range(0, grid, width):
-        cols = min(width, grid - start)
-        d2, tmp, r = (buf[: n_nodes * cols].reshape(n_nodes, cols) for buf in (buf_d2, buf_tmp, buf_r))
-        np.subtract(bx[start : start + cols], xs, out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(by[start : start + cols], ys, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        d2 += tmp
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            w_sq = np.prod(d2, axis=0)
-        # a node hit makes the product 0, or nan once it also overflowed
-        maybe = np.flatnonzero(~(w_sq > 0.0))
-        hit_k, hit_j = np.nonzero(d2[:, maybe] == 0.0)
-        hit_j = maybe[hit_j]
-        vals = None
-        safe = (w_sq > 1e-280) & (w_sq < 1e280)
-        safe[hit_j] = True
-        if linear and safe.all():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(w_sq, d2, out=r)
-            np.sqrt(r, out=r)
-            r[:, hit_j] = 0.0
-            sums = scale @ r
-            if np.all(np.isfinite(sums)):
-                vals, val_scale = r, scale
-        if vals is None:
-            # log-domain kernel in the grid-major layout, where numpy sums
-            # each point's log distances pairwise: the exponent then carries
-            # O(log N) ulps of rounding, not O(N)
-            d2t = np.ascontiguousarray(d2.T)
-            with np.errstate(divide="ignore"):
-                log_d = 0.5 * np.log(d2t)
-            log_d[hit_j, hit_k] = 0.0
-            log_prod = log_d.sum(axis=1)
-            mat = np.exp(log_prod[:, None] - log_d - log_w[None, :])
-            mat[hit_j] = 0.0
-            sums = mat.sum(axis=1)
-            vals, val_scale = mat.T, 1.0
-        arg = vals.argmax(axis=1)
-        cand = vals[rows, arg] * val_scale
-        if hit_k.size:
-            # the FLIP is 1 at its own node and 0 at the others
-            first = (cand[hit_k] < 1.0) | ((cand[hit_k] == 1.0) & (hit_j < arg[hit_k]))
-            cand[hit_k[first]] = 1.0
-            arg[hit_k[first]] = hit_j[first]
-            sums[hit_j] = 1.0
-        upd = cand > node_max
-        node_max[upd] = cand[upd]
-        node_arg[upd] = ang[start + arg[upd]]
-        i = int(np.argmax(sums))
-        if sums[i] > leb_max:
-            leb_max, leb_arg = float(sums[i]), float(ang[start + i])
+    with np.errstate(all="ignore"):
+        for start, (vals, scale, sums, hit_k, hit_j) in flips.tiles(curve(ang)):
+            arg = vals.argmax(axis=1)
+            cand = vals[rows, arg] * scale
+            if hit_k.size:
+                # the FLIP is 1 at its own node and 0 at the others
+                first = (cand[hit_k] < 1.0) | ((cand[hit_k] == 1.0) & (hit_j < arg[hit_k]))
+                cand[hit_k[first]] = 1.0
+                arg[hit_k[first]] = hit_j[first]
+            upd = cand > node_max
+            node_max[upd] = cand[upd]
+            node_arg[upd] = ang[start + arg[upd]]
+            i = int(np.argmax(sums))
+            if sums[i] > leb_max:
+                leb_max, leb_arg = float(sums[i]), float(ang[start + i])
     return node_max, node_arg, leb_max, leb_arg
 
 
@@ -370,8 +386,11 @@ def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
         raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
     if grid is None:
         return default_grid(n_points)
-    if grid < 1:
-        raise ValueError(f"boundary grid must be positive, got {grid}")
+    # l_k on the boundary is a trigonometric polynomial of degree N-1, so M > pi*(N-1) angles
+    # see its sup within a factor 1/(1 - pi*(N-1)/M) (Bernstein); coarser grids show nothing
+    if grid < 1 or grid <= math.pi * (n_points - 1):
+        degree = n_points - 1
+        raise ValueError(f"boundary grid {grid} cannot resolve degree {degree}: it must be above pi*{degree}")
     return grid
 
 
@@ -382,8 +401,8 @@ def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters:
     if not 1 <= k <= n_points:
         raise ValueError(f"k must be in 1..{n_points}, got {k}")
     grid = _checked_grid(n_points, grid, refine_iters)
-    log_w = _log_node_weights(nodes)
-    node_max, node_arg, _, _ = _scan(nodes, curve, grid, log_w, node_ts)
+    flips = _Flips(nodes)
+    node_max, node_arg, _, _ = _scan(flips, curve, grid, node_ts)
     best_val, best_ang = 1.0, float(node_ts[k - 1])
     if node_max[k - 1] > best_val:
         best_val, best_ang = float(node_max[k - 1]), float(node_arg[k - 1])
@@ -391,11 +410,8 @@ def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters:
     if refined:
         h = 2.0 * np.pi / grid
         kk = np.array([k - 1])
-
-        def fn(t):
-            return _abs_flips_at_points(nodes, curve(np.array([t])), kk, log_w)[0]
-
-        val, ang = _golden_max(fn, best_ang - h, best_ang + h, refine_iters)
+        with np.errstate(all="ignore"):
+            val, ang = _golden_max(lambda t: flips.own(curve(t), kk)[0], best_ang - h, best_ang + h, refine_iters)
         if val > best_val:
             best_val, best_ang = float(val), float(ang)
     return SupNormEstimate(best_val, wrap_angle(best_ang), grid, refined)
@@ -410,26 +426,20 @@ def _boundary_stats(
     """
     n_points = nodes.size
     grid = _checked_grid(n_points, grid, refine_iters)
-    log_w = _log_node_weights(nodes)
-    node_max, node_arg, leb_max, leb_arg = _scan(nodes, curve, grid, log_w, node_ts)
+    flips = _Flips(nodes)
+    node_max, node_arg, leb_max, leb_arg = _scan(flips, curve, grid, node_ts)
     h = 2.0 * np.pi / grid
-    if per_node_refine and refine_iters > 0:
-        ks = np.arange(n_points)
-
-        def fn_vec(ts):
-            return _abs_flips_at_points(nodes, curve(ts), ks, log_w)
-
-        node_max = np.maximum(node_max, _golden_max_vec(fn_vec, node_arg - h, node_arg + h, refine_iters))
+    with np.errstate(all="ignore"):
+        if per_node_refine and refine_iters > 0:
+            ks = np.arange(n_points)
+            refined = _golden_max_vec(lambda ts: flips.own(curve(ts), ks), node_arg - h, node_arg + h, refine_iters)
+            node_max = np.maximum(node_max, refined)
+        if refine_iters > 0:
+            val, ang = _golden_max(lambda t: flips.lebesgue_at(curve(t)), leb_arg - h, leb_arg + h, refine_iters)
+            if val > leb_max:
+                leb_max, leb_arg = float(val), float(ang)
     # value at the node itself is exactly 1
     node_max = np.maximum(node_max, 1.0)
-    if refine_iters > 0:
-
-        def leb_fn(t):
-            return _lebesgue_at(nodes, complex(curve(t)), log_w)
-
-        val, ang = _golden_max(leb_fn, leb_arg - h, leb_arg + h, refine_iters)
-        if val > leb_max:
-            leb_max, leb_arg = float(val), float(ang)
     report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
     return node_max, report
 

@@ -100,6 +100,8 @@ class TestBoundsCommand:
             ["--max-n", "6", "--grid", "0"],
             ["--max-n", "6", "--refine", "-5"],
             ["--special-n", "--p", "2..3", "--grid", "-3"],
+            ["--max-n", "40", "--grid", "8", "--refine", "0"],  # N=4 already needs grid > 3 pi
+            ["--special-n", "--p", "2..3", "--grid", "18"],  # N=7 needs grid > 6 pi
         ):
             code, out, err = run(capsys, "bounds", *argv)
             assert code == 1, argv
@@ -162,10 +164,21 @@ class TestBivariateCommand:
             ["--verify-2d-leja", "--n-max", "12", "--grid", "15"],  # degree 5 needs grid > 5 pi
             ["--lebesgue", "--grid", "2"],
             ["--lebesgue", "--n", "2..5", "--grid", "15"],  # degree 5 needs grid > 5 pi
+            ["--decay", "--n", "2..3", "--grid", "4"],
+            ["--decay", "--n", "2..6", "--grid", "18"],  # degree 6 needs grid > 6 pi
         ):
             code, out, err = run(capsys, "bivariate", *argv)
             assert code == 1, argv
             assert "error" in err and out == ""
+
+    def test_delta_refuses_sizes_short_of_the_seven_closed_forms(self, capsys):
+        for n_max in ("1", "6"):
+            code, out, err = run(capsys, "bivariate", "--delta", "--n-max", n_max)
+            assert code == 1 and out == ""
+            assert "--n-max >= 7" in err
+        code, out, _ = run(capsys, "bivariate", "--delta", "--n-max", "7")
+        assert code == 0
+        assert int(list(csv.DictReader(out.splitlines()))[-1]["cases_seen"]) == 7
 
 
 _SMALL = st.integers(min_value=-2, max_value=8)
@@ -200,15 +213,66 @@ class TestTransportCommand:
         assert "slope" in err
 
     def test_rejects_grids_and_refines_that_skip_the_check(self, capsys):
-        for extra in (["--grid", "-1"], ["--grid", "0"], ["--refine", "-2"]):
+        for extra in (["--grid", "-1"], ["--grid", "0"], ["--refine", "-2"], ["--grid", "21"]):  # N=8: grid > 7 pi
             code, out, err = run(capsys, "transport", "--ellipse", "1.2", "0.8", "--max-n", "8", *extra)
             assert code == 1, extra
             assert "error" in err and out == ""
 
     def test_rejects_bad_axes(self, capsys):
-        code, _, err = run(capsys, "transport", "--alper", "--ellipse", "0.5", "1.0")
-        assert code == 1
-        assert "error" in err
+        for axes in (["0.5", "1.0"], ["1", "5e-324"], ["1e308", "1e308"]):  # b < a; b lost against a; a + b overflows
+            code, _, err = run(capsys, "transport", "--alper", "--ellipse", *axes)
+            assert code == 1, axes
+            assert "error" in err
+
+
+_AXIS = st.one_of(st.floats(min_value=-1.0, max_value=40.0), st.sampled_from([0.0, 5e-324, 1e-300, 1e308]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    special=st.booleans(),
+    max_n=_SMALL,
+    p_range=st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda lh: f"{lh[0]}..{lh[1]}"),
+    grid=st.one_of(st.none(), st.integers(min_value=-2, max_value=64)),
+    refine=st.integers(min_value=-2, max_value=3),
+    threads=st.integers(min_value=0, max_value=2),
+)
+def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, grid, refine, threads):
+    argv = ["bounds", *(["--special-n", "--p", p_range, "--avg"] if special else ["--max-n", str(max_n)])]
+    argv += [*(["--grid", str(grid)] if grid is not None else []), "--refine", str(refine)]
+    assert main(argv + ["--threads", str(threads), "-o", os.devnull]) in (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    axes=st.one_of(st.none(), st.tuples(_AXIS, _AXIS)),
+    n_points=st.integers(min_value=-2, max_value=24),
+    samples=st.integers(min_value=-2, max_value=300),
+    greedy=st.booleans(),
+    seed_index=st.integers(min_value=-2, max_value=300),
+    tol=st.one_of(st.none(), st.floats(min_value=-1.0, max_value=1.0)),
+)
+def test_leja_fuzz_exits_with_a_code(axes, n_points, samples, greedy, seed_index, tol):
+    argv = ["leja", *(["--ellipse", repr(axes[0]), repr(axes[1])] if axes else ["--disk"])]
+    argv += ["-N", str(n_points), "--samples", str(samples), "--seed-index", str(seed_index)]
+    argv += [*(["--greedy"] if greedy else []), *(["--tol", repr(tol)] if tol is not None else [])]
+    assert main(argv + ["-o", os.devnull]) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axes=st.tuples(_AXIS, _AXIS),
+    alper=st.booleans(),
+    max_n=st.integers(min_value=-2, max_value=16),
+    grid=st.one_of(st.none(), st.integers(min_value=-2, max_value=96)),
+    refine=st.integers(min_value=-2, max_value=3),
+    w_grid=st.sampled_from([-1, 0, 255, 256]),
+)
+def test_transport_fuzz_exits_with_a_code(axes, alper, max_n, grid, refine, w_grid):
+    argv = ["transport", "--ellipse", repr(axes[0]), repr(axes[1]), *(["--alper"] if alper else [])]
+    argv += ["--max-n", str(max_n), "--refine", str(refine), "--w-grid", str(w_grid), "--t-grid", "256"]
+    argv += ["--grid", str(grid)] if grid is not None else []
+    assert main(argv + ["-o", os.devnull]) in (0, 1, 2)
 
 
 def test_unknown_command_is_usage_error():

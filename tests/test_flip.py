@@ -24,7 +24,8 @@ from lejaflip import (
 )
 from lejaflip import flip as flip_module
 from lejaflip.core import binary_decompose
-from lejaflip.flip import _log_node_weights, _scan, _unit_circle, default_grid
+from lejaflip.flip import _Flips, _log_node_weights, _scan, _unit_circle, default_grid
+from lejaflip.transport import _scaled_boundary
 
 
 def unit_rng_points(rng, count):
@@ -295,38 +296,102 @@ class TestRefusesVacuousScans:
 
 
 def _scan_case(name):
+    """Nodes, boundary curve, node parameters and scan grid of a named case."""
     if name == "canonical-256":  # every node lies on the grid
         nodes = canonical_disk_leja(256).points
-        return nodes, _unit_circle, np.angle(nodes)
+        return nodes, _unit_circle, np.angle(nodes), default_grid(256)
     if name == "single-node":  # |l_1| = 1: every grid point ties
         nodes = np.exp(1j * np.array([0.3]))
-        return nodes, _unit_circle, np.angle(nodes)
+        return nodes, _unit_circle, np.angle(nodes), default_grid(1)
     if name == "random-100":
         nodes = unit_rng_points(np.random.default_rng(9), 100)
-        return nodes, _unit_circle, np.angle(nodes)
-    mp = ellipse_exterior_map(30.0, 1.0)  # distance products overflow: log-domain tiles
-    ts = transport_sequence(mp, canonical_disk_leja(128))
-    return ts.images, mp.on_circle, np.angle(ts.source.points)
+        return nodes, _unit_circle, np.angle(nodes), default_grid(100)
+    if name == "ellipse-30x1-128":  # unscaled: the node weights overflow, log-domain tiles
+        ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(128))
+        return ts.images, ts.map.on_circle, np.angle(ts.source.points), default_grid(128)
+    # scaled to capacity about 1: linear-domain tiles; a grid above pi*(N-1)
+    # keeps the one-tile scan small
+    return (*_scaled_boundary(transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(1024))), 4096)
 
 
 class TestScanEngine:
-    @pytest.mark.parametrize("name", ["canonical-256", "single-node", "random-100", "ellipse-30x1-128"])
+    @pytest.mark.parametrize(
+        "name", ["canonical-256", "single-node", "random-100", "ellipse-30x1-128", "scaled-ellipse-30x1-1024"]
+    )
     def test_independent_of_tile_width(self, name, monkeypatch):
-        nodes, curve, node_ts = _scan_case(name)
-        grid = default_grid(nodes.size)
-        log_w = _log_node_weights(nodes)
-        base = _scan(nodes, curve, grid, log_w, node_ts)
+        nodes, curve, node_ts, grid = _scan_case(name)
+        base = _scan(_Flips(nodes), curve, grid, node_ts)
         for tile in (64, grid * nodes.size):  # 64-point tiles; one tile for the whole grid
             monkeypatch.setattr(flip_module, "_TILE", tile)
-            got = _scan(nodes, curve, grid, log_w, node_ts)
+            got = _scan(_Flips(nodes), curve, grid, node_ts)
             for want, have in zip(base, got):
                 assert np.array_equal(want, have)
+        assert (_Flips(nodes).inv_w is None) == (name == "ellipse-30x1-128")
         if name == "canonical-256":
             # roots of unity: each FLIP peaks at its own node, a hit column
             assert np.all(base[0] == 1.0)
             assert np.allclose(np.exp(1j * base[1]), nodes, atol=1e-12)
         if name == "single-node":  # ties go to the smallest angle
             assert base[1][0] == 0.0 and base[3] == 0.0
+
+    def test_scaled_scan_matches_log_domain_scan(self):
+        # the same FLIPs of the thin ellipse at N=1024, once unscaled (node
+        # weights up to e^2800, log-domain tiles) and once scaled by 1/16
+        ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(1024))
+        nodes, curve, node_ts = _scaled_boundary(ts)
+        unscaled = _Flips(ts.images)
+        assert unscaled.inv_w is None and np.max(unscaled.log_w) > 2000.0
+        want = _scan(unscaled, ts.map.on_circle, 4096, node_ts)
+        got = _scan(_Flips(nodes), curve, 4096, node_ts)
+        assert np.allclose(got[0], want[0], rtol=1e-11, atol=0.0)
+        assert got[2] == pytest.approx(want[2], rel=1e-11)
+
+
+def _abs_flips_at_points_log(nodes, zs, ks):
+    """The log-domain point kernel the scans used before the tile kernel served
+    the refinement probes: |l_{ks[i]}(zs[i])| for paired points and nodes."""
+    log_w = _log_node_weights(nodes)
+    d = np.abs(zs[:, None] - nodes[None, :])
+    hit = d == 0.0
+    with np.errstate(divide="ignore"):
+        log_d = np.log(d)
+    log_d[hit] = 0.0
+    log_prod = log_d.sum(axis=1)
+    rows = np.arange(zs.size)
+    vals = np.exp(log_prod - log_d[rows, ks] - log_w[ks])
+    bad = hit.any(axis=1)
+    if bad.any():
+        vals[bad] = hit[bad, ks[bad]].astype(float)
+    return vals
+
+
+class TestProbes:
+    @pytest.mark.parametrize("name", ["random-7", "random-100", "random-700", "ellipse-30x1-128"])
+    def test_tiled_probe_matches_log_domain_points(self, name):
+        # 700 nodes take eleven 64-point tiles; the unscaled ellipse takes log-domain tiles
+        rng = np.random.default_rng(len(name))
+        if name == "ellipse-30x1-128":
+            nodes = _scan_case(name)[0]
+        else:
+            nodes = unit_rng_points(rng, int(name.split("-")[1]))
+        n = nodes.size
+        zs = unit_rng_points(rng, n) * (1.0 + 0.05 * rng.standard_normal(n))
+        zs[1], zs[2] = nodes[1], nodes[5]  # hits on the probed node and on another one
+        ks = rng.permutation(n)
+        ks[1], ks[2] = 1, 2
+        got = _Flips(nodes).own(zs, ks)
+        want = _abs_flips_at_points_log(nodes, zs, ks)
+        assert got[1] == 1.0 and got[2] == 0.0
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_single_point_lebesgue_matches_log_domain_sum(self):
+        nodes = canonical_disk_leja(37).points
+        flips = _Flips(nodes)
+        z = np.exp(0.123j)
+        want = _abs_flips_at_points_log(nodes, np.full(37, z), np.arange(37)).sum()
+        with np.errstate(all="ignore"):
+            assert flips.lebesgue_at(z) == pytest.approx(want, rel=1e-12)
+            assert flips.lebesgue_at(nodes[4]) == 1.0
 
 
 class TestBatchStats:
@@ -342,7 +407,7 @@ class TestBatchStats:
         pts = unit_rng_points(rng, 40)
         section_vals, _ = circle_flip_stats(LejaSection(pts), coarse_grid=512, refine_iters=0)
         logw = _log_node_weights(pts)
-        node_max, node_arg, leb_max, leb_arg = _scan(pts, _unit_circle, 512, logw, np.angle(pts))
+        node_max, node_arg, leb_max, leb_arg = _scan(_Flips(pts), _unit_circle, 512, np.angle(pts))
         ang = 2 * np.pi * np.arange(512) / 512
         with np.errstate(divide="ignore"):
             logd = np.log(np.abs(np.exp(1j * ang)[:, None] - pts[None, :]))

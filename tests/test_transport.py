@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ellipk
@@ -17,6 +18,7 @@ from lejaflip import (
     sup_norm_on_circle,
     transport_sequence,
 )
+from lejaflip.transport import _scaled_boundary
 
 
 def alper_closed_form(a, b):
@@ -133,6 +135,35 @@ class TestSupOnCompact:
             worst.append(sups.max())
         slope = np.polyfit(np.log(sizes), np.log(worst), 1)[0]
         assert slope < 1.0
+
+
+class TestCapacityScaling:
+    @pytest.mark.parametrize("a, b, e", [(30.0, 1.0, 4), (3.0, 0.2, 1), (1.2, 0.8, 0), (1.0, 1.0, 0), (0.3, 0.1, -2)])
+    def test_power_of_two_keeps_every_bit(self, a, b, e):
+        # s = 2**-e with e = round(log2 c1): mantissas stay, exponents drop by e
+        ts = transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(64))
+        nodes, curve, node_ts = _scaled_boundary(ts)
+        t = 2 * np.pi * np.arange(97) / 97
+        for want, got in ((ts.images, nodes), (ts.map.on_circle(t), curve(t)), (ts.map.on_circle(0.7), curve(0.7))):
+            for part in ("real", "imag"):
+                m0, e0 = np.frexp(getattr(np.asarray(want), part))
+                m1, e1 = np.frexp(getattr(np.asarray(got), part))
+                assert np.array_equal(m1, m0)
+                assert np.array_equal(e1[m0 != 0], e0[m0 != 0] - e)
+        assert np.array_equal(node_ts, np.angle(ts.source.points))
+
+    def test_thin_ellipse_lebesgue_matches_mpmath(self):
+        mp = ellipse_exterior_map(30.0, 1.0)
+        ts = transport_sequence(mp, canonical_disk_leja(64))
+        report = lebesgue_on_compact(ts)
+        z = mp.on_circle(report.argmax_angle)
+        with mpmath.workdps(40):
+            nodes = [mpmath.mpc(c.real, c.imag) for c in ts.images]
+            at = mpmath.mpc(z.real, z.imag)
+            total = mpmath.fsum(
+                mpmath.fprod(abs(at - other) / abs(node - other) for other in nodes if other != node) for node in nodes
+            )
+        assert report.constant == pytest.approx(float(total), rel=1e-12)
 
 
 class TestLebesgueOnCompact:
