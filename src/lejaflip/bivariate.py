@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoundViolation
+from .core import BoundViolation, require_resolving_grid
 
 __all__ = [
     "IntertwiningArray",
@@ -258,20 +258,12 @@ def _interp_grid(arr: IntertwiningArray, values: np.ndarray, zs: np.ndarray, ws:
     return acc
 
 
-def _require_resolving_grid(grid: int, degree: int) -> None:
-    # A trigonometric polynomial of degree d sampled at M > pi*d equispaced
-    # angles has its sup within a factor 1/(1 - pi*d/M) of the grid maximum
-    # (Bernstein); coarser grids can report a bound as met without showing it.
-    if grid < 2 or grid <= math.pi * degree:
-        raise ValueError(f"grid {grid} cannot resolve degree {degree}: it must be at least 2 and above pi*{degree}")
-
-
 def bivariate_lebesgue(arr: IntertwiningArray, grid: int) -> float:
     """Max over the torus grid of sum_p |l_{H_p}(z, w)| (grid angles per axis).
 
     Refuses grids of at most pi*n angles, which cannot resolve the degree-n FLIPs.
     """
-    _require_resolving_grid(grid, arr.n)
+    require_resolving_grid(grid, arr.n)
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     total = np.zeros((grid, grid))
     for p, q in arr.pairs():
@@ -486,7 +478,7 @@ def verify_2d_leja(eta, theta, n_max: int, grid: int = 512) -> TwoDLejaReport:
     if eta.size < need or theta.size < need:
         raise ValueError(f"need at least {need} source points per sequence")
     top = shape_of(max(n_max - 1, 1))[0] + 1
-    _require_resolving_grid(grid, top)
+    require_resolving_grid(grid, top)
     circle = np.exp(2j * np.pi * np.arange(grid) / grid)
     gz = _prefix_grid_maxima(eta, top, circle)
     gw = _prefix_grid_maxima(theta, top, circle)
@@ -523,7 +515,7 @@ def jackson_decay_experiment(
 
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    _require_resolving_grid(grid, n_max)
+    require_resolving_grid(grid, n_max)
     rows: list[tuple[int, int, float]] = []
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     zg, wg = np.meshgrid(axis, axis, indexing="ij")

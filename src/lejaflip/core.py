@@ -71,6 +71,17 @@ def half_angle_cos_product(alpha: float, m: int) -> float:
     return prod
 
 
+def require_resolving_grid(grid: int, degree: int) -> None:
+    """Refuse a grid of at most pi*degree equispaced angles.
+
+    A trigonometric polynomial of degree d sampled at M > pi*d equispaced
+    angles has its sup within a factor 1/(1 - pi*d/M) of the grid maximum
+    (Bernstein); coarser grids can report a bound as met without showing it.
+    """
+    if grid < 1 or grid <= math.pi * degree:
+        raise ValueError(f"grid {grid} cannot resolve degree {degree}: it must be positive and above pi*{degree}")
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to (-pi, pi]."""
     w = math.remainder(theta, TAU)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundViolation, binary_decompose, stable_abs_product, wrap_angle
+from .core import BoundViolation, binary_decompose, require_resolving_grid, stable_abs_product, wrap_angle
 from .disk import LejaSection, canonical_disk_leja, omega0_of_section
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -386,11 +386,7 @@ def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
         raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
     if grid is None:
         return default_grid(n_points)
-    # l_k on the boundary is a trigonometric polynomial of degree N-1, so M > pi*(N-1) angles
-    # see its sup within a factor 1/(1 - pi*(N-1)/M) (Bernstein); coarser grids show nothing
-    if grid < 1 or grid <= math.pi * (n_points - 1):
-        degree = n_points - 1
-        raise ValueError(f"boundary grid {grid} cannot resolve degree {degree}: it must be above pi*{degree}")
+    require_resolving_grid(grid, n_points - 1)  # l_k on the boundary has degree N-1 in t
     return grid
 
 

@@ -125,8 +125,8 @@ def _scaled_boundary(ts: TransportedSection):
     """Nodes, boundary curve and node parameters, scaled by s = 2**-round(log2 c1).
 
     Scaled to capacity c1*s near 1, the nodes' weights stay in double range
-    (Reichel, BIT 30 (1990)).  |l_k| keeps its value (N-1 factors above and
-    below the line) and a power of two keeps every coordinate's bits.
+    (Reichel, BIT 30 (1990)).  |l_k| keeps its value, since its numerator and
+    denominator have N-1 factors each, and a power of two keeps every bit.
     """
     s = 2.0 ** -round(math.log2(ts.map.c1))
     return ts.images * s, lambda t: ts.map.on_circle(t) * s, np.angle(ts.source.points)

@@ -287,6 +287,15 @@ class TestRefusesVacuousScans:
         with pytest.raises(ValueError):
             sup_norm_on_circle(section, 1, coarse_grid=grid)
 
+    def test_grid_that_cannot_resolve_degree_n_minus_1(self):
+        # 6 nodes: degree 5 needs more than 5 pi angles; 16 is the first grid that passes
+        section = canonical_disk_leja(6)
+        with pytest.raises(ValueError, match="degree 5"):
+            circle_flip_stats(section, coarse_grid=15)
+        with pytest.raises(ValueError, match="degree 5"):
+            sup_norm_on_circle(section, 1, coarse_grid=15)
+        assert circle_flip_stats(section, coarse_grid=16)[1].constant >= 1.0
+
     def test_negative_refine(self):
         section = canonical_disk_leja(6)
         with pytest.raises(ValueError):

@@ -113,7 +113,8 @@ class TestSupOnCompact:
 
     def test_refuses_vacuous_scans(self):
         ts = transport_sequence(ellipse_exterior_map(1.2, 0.8), canonical_disk_leja(8))
-        for kwargs in ({"boundary_grid": 0}, {"boundary_grid": -1}, {"refine_iters": -1}):
+        # 8 nodes: degree 7 needs more than 7 pi angles
+        for kwargs in ({"boundary_grid": 0}, {"boundary_grid": -1}, {"boundary_grid": 21}, {"refine_iters": -1}):
             with pytest.raises(ValueError):
                 flip_sup_on_compact(ts, 1, **kwargs)
             with pytest.raises(ValueError):
