@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import binary_decompose
+from .core import binary_decompose, require_resolving_grid
 
 UNIT_TOL = 1e-12
 
@@ -181,12 +181,16 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
 
     For every k >= 2 the section value prod_{j<k} |eta_k - eta_j| is measured
     against max over samples of prod_{j<k} |z - eta_j|; the report carries the
-    largest relative shortfall and the k where it occurs.
+    largest relative shortfall and the k where it occurs.  Sample sets of at
+    most pi*(N-1) points are refused: the products are trigonometric
+    polynomials of degree up to N-1 in the boundary parameter, which fewer
+    samples cannot resolve.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     pts = section.points
     samples = boundary.samples
+    require_resolving_grid(samples.size, pts.size - 1)
     worst, worst_k = 0.0, 0
     logp = np.zeros(samples.size)
     with np.errstate(divide="ignore"):

@@ -18,6 +18,13 @@ and the Lebesgue maximum, so memory does not grow with the grid.  The same
 tile kernel serves the refinement probes, so one linear-domain formula gives
 every |l_k| on a boundary; the log domain is its guard for node sets whose
 weights leave double range.  Grids of at most pi*(N-1) angles are refused.
+
+The tile kernel has two front-ends for the distances |b - eta_k|.  When the
+nodes and the points all have modulus 1 to a few ulps, as canonical sections
+and exp(it) grids do, a distance is 2|sin((t - phi_k)/2)|: one product of
+half-angle values with no coordinate differences and no square roots.  Any
+other input, every ellipse included, takes coordinate differences.  The
+choice is made from the moduli alone, once per point set.
 """
 
 from __future__ import annotations
@@ -255,6 +262,10 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarra
 #: its three float64 work planes (768 KiB) stay in L2.
 _TILE = 1 << 15
 
+#: Largest ||z| - 1| of a point on the unit circle: a few ulps.  Canonical
+#: nodes and exp(it) grid points are within one.
+_UNIT_ULPS = 4.0 * np.finfo(float).eps
+
 _NO_HITS = np.zeros(0, dtype=np.intp)
 
 
@@ -262,56 +273,98 @@ def _unit_circle(t):
     return np.exp(1j * t)
 
 
+def _on_unit_circle(pts: np.ndarray) -> bool:
+    dev = np.abs(pts)
+    dev -= 1.0  # in place: a grid-sized temporary fewer, which peak memory shows
+    return bool(np.all(np.abs(dev, out=dev) <= _UNIT_ULPS))
+
+
 class _Flips:
     """The one kernel for |l_k(b)| (:meth:`tile`), with what it needs of a node set hoisted.
 
-    Scans and refinement probes all go through it; run it under ``np.errstate(all="ignore")``.
+    A tile gets its distances |b_j - eta_k| from one of two front-ends.  When
+    every node and every point of the call lies on the unit circle, within
+    ``_UNIT_ULPS`` of modulus 1, it takes the polar form: with eta_k = e^{i phi_k}
+    and b_j = e^{i t_j},
+
+        |b_j - eta_k| = |2 sin(t_j/2) cos(phi_k/2) - 2 cos(t_j/2) sin(phi_k/2)|,
+
+    one (N x 2)(2 x cols) product of the half-angle values that the principal
+    square root gives.  Any other node set or point set takes coordinate
+    differences and squared distances.  A point exactly equal to a node is a
+    hit, and its column becomes the Kronecker column.  The coordinate form
+    finds hits as zero distances.  The polar product leaves up to 1e-16 there,
+    so columns whose product falls below ``hit_w``, or overflows, are compared
+    with the nodes, and their equal entries become zero distances.  From the
+    distances on, everything is shared.  Scans and refinement probes all go
+    through it; run it under ``np.errstate(all="ignore")``.
     """
 
     def __init__(self, nodes: np.ndarray):
         n = self.n = nodes.size
+        self.nodes = nodes
         self.planes = np.array((nodes.real, nodes.imag))[:, :, None]
+        # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the circle
+        half = np.sqrt(nodes)
+        self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if _on_unit_circle(nodes) else None
         self.log_w = _log_node_weights(nodes)
         # None when the weights leave double range: only the log domain takes those nodes
         self.inv_w = np.exp(-self.log_w) if np.all(np.abs(self.log_w) < 280.0) else None
+        # a hit column's product is at most 1.1e-16 times its node's weight
+        self.hit_w = np.inf if self.inv_w is None else 1e-15 * np.exp(self.log_w.max())
         self.width = max(64, _TILE // n)
         self._d = np.empty(2 * n * self.width)
         self._d2 = np.empty(n * self.width)
         self._views: dict[int, tuple] = {}
-        self._point = np.empty((2, 1, 1))
 
-    def tile(self, bxy: np.ndarray):
-        """``(vals, scale, sums, hit_k, hit_j)`` at the points with planes ``bxy`` (2, 1, cols <= width).
+    def takes_polar(self, pts: np.ndarray) -> bool:
+        """Whether tiles at the points ``pts`` take the polar front-end."""
+        return self.polar is not None and _on_unit_circle(pts)
+
+    def tile(self, pts: np.ndarray, polar: bool):
+        """``(vals, scale, sums, hit_k, hit_j)`` at the points ``pts`` (cols <= width).
 
         |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|, except
         that vals is 0 where b_j is exactly node hit_k (l_k is 1 there).  The
-        linear form sqrt(prod_j |b - eta_j|**2 / |b - eta_k|**2) / w_k runs while
-        it stays inside double range, the log-domain form otherwise.
+        linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it stays
+        inside double range, the log-domain form otherwise.
         """
-        cols = bxy.shape[2]
+        cols = pts.size
         views = self._views.get(cols)
         if views is None:
             d = self._d[: 2 * self.n * cols].reshape(2, self.n, cols)
             views = self._views[cols] = (d, d[0], d[1], self._d2[: self.n * cols].reshape(self.n, cols))
-        d, dx, dy, d2 = views
-        np.subtract(bxy, self.planes, out=d)
-        np.multiply(d, d, out=d)
-        np.add(dx, dy, out=d2)
-        w_sq = np.prod(d2, axis=0)
-        low = w_sq.min()
+        d, dx, dy, dist = views
+        if polar:
+            half = np.sqrt(pts)
+            np.matmul(self.polar, np.array((half.real, half.imag)), out=dist)  # half: e^{it/2}
+            np.abs(dist, out=dist)
+            w = np.multiply.reduce(dist, axis=0)
+            if not self.hit_w < w.min() <= w.max() < np.inf:
+                # fused multiply-adds leave up to 1e-16, not 0, where b_j is exactly eta_k
+                near = np.flatnonzero(~((w > self.hit_w) & (w < np.inf)))
+                k, j = np.nonzero(self.nodes[:, None] == pts[near])
+                dist[k, near[j]] = w[near[j]] = 0.0
+        else:
+            np.subtract(np.array((pts.real, pts.imag))[:, None, :], self.planes, out=d)
+            np.multiply(d, d, out=d)
+            np.add(dx, dy, out=dist)
+            w = np.multiply.reduce(dist, axis=0)  # squared, like the distances
+        low = w.min()
         hit_k = hit_j = _NO_HITS
         if not low > 0.0:
             # a node hit makes the product 0, or nan once it also overflowed;
             # its column is set aside here and made a Kronecker column below
-            maybe = np.flatnonzero(~(w_sq > 0.0))
-            hit_k, hit_j = np.nonzero(d2[:, maybe] == 0.0)
+            maybe = np.flatnonzero(~(w > 0.0))
+            hit_k, hit_j = np.nonzero(dist[:, maybe] == 0.0)
             hit_j = maybe[hit_j]
-            d2[:, hit_j] = w_sq[hit_j] = 1.0
-            low = w_sq.min()
+            dist[:, hit_j] = w[hit_j] = 1.0
+            low = w.min()
         vals = None
         if self.inv_w is not None and low > 1e-280:
-            np.divide(w_sq, d2, out=dx)  # the x plane is free again
-            np.sqrt(dx, out=dx)
+            np.divide(w, dist, out=dx)  # the x plane is free again
+            if not polar:
+                np.sqrt(dx, out=dx)
             sums = self.inv_w @ dx
             if math.isfinite(sums.sum()):  # else a distance product overflowed
                 vals, scale = dx, self.inv_w
@@ -319,7 +372,9 @@ class _Flips:
             # log-domain form in the grid-major layout, where numpy sums each
             # point's log distances pairwise: the exponent then carries
             # O(log N) ulps of rounding, not O(N)
-            log_d = 0.5 * np.log(np.ascontiguousarray(d2.T))
+            log_d = np.log(np.ascontiguousarray(dist.T))
+            if not polar:
+                log_d *= 0.5
             mat = np.exp(log_d.sum(axis=1)[:, None] - log_d - self.log_w)
             vals, scale, sums = mat.T, np.ones(self.n), mat.sum(axis=1)
         if hit_j.size:
@@ -328,25 +383,33 @@ class _Flips:
         return vals, scale, sums, hit_k, hit_j
 
     def tiles(self, bpts):
-        """``(start, tile)`` over the points ``bpts`` in runs of ``width``."""
-        bpts = np.asarray(bpts)
-        bxy = np.array((bpts.real, bpts.imag)).reshape(2, 1, -1)
-        for start in range(0, bxy.shape[2], self.width):
-            yield start, self.tile(bxy[:, :, start : start + self.width])
+        """``(start, tile)`` over the points ``bpts`` in runs of at most ``width``.
+
+        The front-end is chosen once for all of ``bpts``, and no run after the
+        first has one point: numpy sends a one-column product to gemv, which
+        rounds unlike gemm.  So the result does not depend on the tile width.
+        """
+        bpts = np.asarray(bpts, dtype=complex).reshape(-1)
+        polar = self.takes_polar(bpts)
+        cuts = [*range(0, bpts.size, self.width), bpts.size]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            cuts[-2] -= 1
+        for start, stop in zip(cuts, cuts[1:]):
+            yield start, self.tile(bpts[start:stop], polar)
 
     def own(self, bpts, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[i]}(bpts[i])| for paired points and 0-based node indices."""
         out = np.empty(ks.size)
         for start, (vals, scale, _, hit_k, hit_j) in self.tiles(bpts):
-            k = ks[start : start + self.width]
+            k = ks[start : start + vals.shape[1]]
             out[start : start + k.size] = vals[k, np.arange(k.size)] * scale[k]
             out[start + hit_j[hit_k == k[hit_j]]] = 1.0
         return out
 
     def lebesgue_at(self, z: complex) -> float:
         """sum_k |l_k(z)| at one point, O(N)."""
-        self._point[:, 0, 0] = z.real, z.imag
-        return float(self.tile(self._point)[2][0])
+        polar = self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS  # takes_polar for one point
+        return float(self.tile(np.array([z], dtype=complex), polar)[2][0])
 
 
 def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray):

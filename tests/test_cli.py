@@ -52,6 +52,15 @@ class TestLejaCommand:
         assert code == 0
         assert out.splitlines()[0] == "index,re,im"
 
+    def test_refuses_samples_that_cannot_resolve_the_products(self, capsys):
+        # 4 samples passed -N 10 at the default tolerance 10/4 = 2.5 without checking anything
+        for argv in (["--disk"], ["--disk", "--greedy"], ["--ellipse", "1.2", "0.8", "--greedy"]):
+            code, _, err = run(capsys, "leja", *argv, "-N", "10", "--samples", "28")
+            assert code == 1 and "degree 9" in err
+        code, _, _ = run(capsys, "leja", "--disk", "-N", "10", "--samples", "4")
+        assert code == 1
+        assert run(capsys, "leja", "--disk", "-N", "10", "--samples", "29")[0] == 0
+
     def test_validation_failure_exits_two(self, capsys):
         # an unreachable tolerance turns rounding-level shortfalls into failures
         code, _, err = run(capsys, "leja", "--disk", "-N", "50", "--samples", "256", "--tol", "1e-18")

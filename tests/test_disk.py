@@ -107,6 +107,14 @@ class TestValidate:
         report = validate_leja(canonical_disk_leja(1), circle_samples(128), 1e-6)
         assert report.passed and report.max_violation == 0.0
 
+    def test_refuses_samples_that_cannot_resolve_degree_n_minus_1(self):
+        # 10 nodes: products of up to 9 factors need more than 9 pi samples; 29 is the first count that passes
+        section = canonical_disk_leja(10)
+        for count in (4, 28):
+            with pytest.raises(ValueError, match="degree 9"):
+                validate_leja(section, circle_samples(count), 2.5)
+        assert validate_leja(section, circle_samples(29), 1e-6).passed
+
 
 class TestSplit:
     def test_three_points(self):

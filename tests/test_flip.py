@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -354,6 +355,79 @@ class TestScanEngine:
         got = _scan(_Flips(nodes), curve, 4096, node_ts)
         assert np.allclose(got[0], want[0], rtol=1e-11, atol=0.0)
         assert got[2] == pytest.approx(want[2], rel=1e-11)
+
+
+def _coordinate_flips(nodes):
+    """``_Flips`` held to the coordinate front-end: the reference for the polar one."""
+    flips = _Flips(nodes)
+    flips.polar = None
+    return flips
+
+
+class TestFrontEnds:
+    def test_unit_nodes_and_points_take_the_polar_form(self):
+        grid = _unit_circle(2 * np.pi * np.arange(4096) / 4096)
+        rng = np.random.default_rng(10)
+        for nodes in (
+            canonical_disk_leja(37).points,
+            canonical_disk_leja(256, np.exp(0.3j)).points,
+            unit_rng_points(rng, 100),
+        ):
+            assert _Flips(nodes).takes_polar(grid)
+
+    def test_other_nodes_and_points_take_coordinates(self):
+        t = 2 * np.pi * np.arange(4096) / 4096
+        grid = _unit_circle(t)
+        rng = np.random.default_rng(11)
+        unit = canonical_disk_leja(37).points
+        for nodes in (0.9 * rng.random(50) * unit_rng_points(rng, 50), unit * (1.0 + 1e-9)):
+            assert not _Flips(nodes).takes_polar(grid)
+        assert not _Flips(unit).takes_polar(grid * (1.0 + 1e-9))
+        for a, b, n in ((1.2, 0.8, 64), (30.0, 1.0, 128), (30.0, 1.0, 1024)):
+            ts = transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(n))
+            nodes, curve, _ = _scaled_boundary(ts)
+            assert not _Flips(nodes).takes_polar(curve(t))
+            assert not _Flips(ts.images).takes_polar(ts.map.on_circle(t))
+
+    @pytest.mark.parametrize("turn", [0.0, 0.1234])  # the default grid, and one rotated off the nodes
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 64, 255, 256])
+    def test_polar_scan_matches_coordinate_scan(self, n, turn):
+        nodes = canonical_disk_leja(n).points
+        curve = lambda t: _unit_circle(t + turn)  # noqa: E731
+        want = _scan(_coordinate_flips(nodes), curve, default_grid(n), np.angle(nodes))
+        got = _scan(_Flips(nodes), curve, default_grid(n), np.angle(nodes))
+        assert np.allclose(got[0], want[0], rtol=1e-13, atol=0.0)
+        assert got[2] == pytest.approx(want[2], rel=1e-13)
+
+    def test_one_point_runs_round_like_the_rest(self, monkeypatch):
+        # 6401 points in 64-point tiles would leave a one-point run, which numpy
+        # would hand to gemv instead of gemm
+        nodes = canonical_disk_leja(100).points
+        pts = _unit_circle(2 * np.pi * np.arange(6401) / 6401)
+        ks = np.arange(6401) % 100
+        with np.errstate(all="ignore"):
+            base = _Flips(nodes).own(pts, ks)
+            for tile in (64 * 100, 6401 * 100):
+                monkeypatch.setattr(flip_module, "_TILE", tile)
+                assert np.array_equal(_Flips(nodes).own(pts, ks), base)
+
+    def test_canonical_255_matches_mpmath(self):
+        nodes = canonical_disk_leja(255).points
+        report = lebesgue_constant(nodes)  # refined, so the argmax lies off the grid
+        z = np.exp(1j * report.argmax_angle)
+        flips = _Flips(nodes)
+        assert flips.takes_polar(np.array([z]))
+        with np.errstate(all="ignore"):
+            l_100 = flips.own(z, np.array([100]))[0]
+        with mpmath.workdps(40):
+            mp_nodes = [mpmath.mpc(c.real, c.imag) for c in nodes]
+            at = mpmath.mpc(z.real, z.imag)
+            moduli = [
+                mpmath.fprod(abs(at - other) / abs(node - other) for other in mp_nodes if other != node)
+                for node in mp_nodes
+            ]
+        assert report.constant == pytest.approx(float(mpmath.fsum(moduli)), rel=1e-12)
+        assert l_100 == pytest.approx(float(moduli[100]), rel=1e-12)
 
 
 def _abs_flips_at_points_log(nodes, zs, ks):
