@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,7 +44,8 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
+def _emit(rows: list[dict] | dict, fmt: str, out_path: str | None) -> None:
+    """Write ``rows`` (for JSON, any JSON value) as CSV or JSON to ``out_path`` or stdout."""
     if fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
@@ -61,15 +60,6 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _thread_count(args) -> int:
-    env = os.environ.get("LEJAFLIP_THREADS")
-    if args.threads is not None:
-        return max(1, args.threads)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +88,8 @@ def _cmd_leja(args) -> int:
             section = canonical_disk_leja(args.n_points, origin)
     tol = args.tol if args.tol is not None else 10.0 / samples
     report = validate_leja(section, boundary, tol)
-    if args.output:
-        if args.format == "json":
-            with open(args.output, "w") as fh:
-                json.dump(section.to_json(), fh, indent=2)
-        else:
-            section.to_csv(args.output)
-    else:
-        _emit(
-            [
-                {"index": i, "re": float(z.real), "im": float(z.imag)}
-                for i, z in enumerate(section.points, start=1)
-            ],
-            args.format,
-            None,
-        )
+    rows = [{"index": i, "re": float(z.real), "im": float(z.imag)} for i, z in enumerate(section.points, start=1)]
+    _emit(section.to_json() if args.format == "json" else rows, args.format, args.output)
     print(
         f"validated {len(section)} points: max_violation={report.max_violation:.3e} "
         f"worst_k={report.worst_k} tol={tol:.3e} -> {'pass' if report.passed else 'FAIL'}",
@@ -174,13 +151,7 @@ def _cmd_bounds(args) -> int:
                     failed = True
                 prev_avg = stats.avg_sup
     else:
-        n_values = list(range(1, args.max_n + 1))
-        workers = _thread_count(args)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda nn: _bounds_row(nn, args.grid, args.refine), n_values))
-        else:
-            rows = [_bounds_row(nn, args.grid, args.refine) for nn in n_values]
+        rows = [_bounds_row(nn, args.grid, args.refine) for nn in range(1, args.max_n + 1)]
         for row in rows:
             if row["max_sup"] > UNIFORM_FLIP_BOUND + 1e-6:
                 failed = True
@@ -326,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="write the table here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized evaluation points")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (or LEJAFLIP_THREADS)")
 
     p = sub.add_parser(
         "leja",

@@ -233,8 +233,8 @@ def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return (fc, c) if fc >= fd else (fd, d)
 
 
-def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
-    """Vectorized golden-section maxima over per-element brackets."""
+def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized golden-section maxima over per-element brackets, with their arguments."""
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
@@ -255,7 +255,8 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarra
         fp = fn(probe)
         fc = np.where(left, fp, fc)
         fd = np.where(right, fp, fd)
-    return np.maximum(fc, fd)
+    take_c = fc >= fd
+    return np.where(take_c, fc, fd), np.where(take_c, c, d)
 
 
 #: Grid x node elements per scan tile.  A tile is N x max(64, _TILE // N);
@@ -453,27 +454,34 @@ def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
     return grid
 
 
+def _node_sups(flips: _Flips, curve, node_ts, grid: int, refine_iters: int, ks: np.ndarray):
+    """Per-node sups of |l_k(curve(t))| with their parameters, plus the scan's Lebesgue maximum.
+
+    One grid scan; then golden refinement in t, around the grid argmax, of the
+    nodes with 0-based indices ``ks``; then the floor of each node at its
+    value 1 at its own parameter ``node_ts[k]``.  Returns
+    ``(node_max, node_arg, leb_max, leb_arg)``.
+    """
+    node_max, node_arg, leb_max, leb_arg = _scan(flips, curve, grid, node_ts)
+    if refine_iters > 0 and ks.size:
+        h, mid = 2.0 * np.pi / grid, node_arg[ks]
+        with np.errstate(all="ignore"):
+            val, ang = _golden_max_vec(lambda ts: flips.own(curve(ts), ks), mid - h, mid + h, refine_iters)
+        up = val > node_max[ks]
+        node_max[ks[up]], node_arg[ks[up]] = val[up], ang[up]
+    low = ~(node_max > 1.0)
+    node_max[low], node_arg[low] = 1.0, node_ts[low]
+    return node_max, node_arg, leb_max, leb_arg
+
+
 def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters: int) -> SupNormEstimate:
-    """Sup of |l_k(curve(t))|: grid scan, then golden refinement in t around
-    the best grid point or, failing one above 1, the node's own parameter."""
+    """Sup of |l_k(curve(t))| through the per-node path of :func:`_boundary_stats`."""
     n_points = nodes.size
     if not 1 <= k <= n_points:
         raise ValueError(f"k must be in 1..{n_points}, got {k}")
     grid = _checked_grid(n_points, grid, refine_iters)
-    flips = _Flips(nodes)
-    node_max, node_arg, _, _ = _scan(flips, curve, grid, node_ts)
-    best_val, best_ang = 1.0, float(node_ts[k - 1])
-    if node_max[k - 1] > best_val:
-        best_val, best_ang = float(node_max[k - 1]), float(node_arg[k - 1])
-    refined = refine_iters > 0
-    if refined:
-        h = 2.0 * np.pi / grid
-        kk = np.array([k - 1])
-        with np.errstate(all="ignore"):
-            val, ang = _golden_max(lambda t: flips.own(curve(t), kk)[0], best_ang - h, best_ang + h, refine_iters)
-        if val > best_val:
-            best_val, best_ang = float(val), float(ang)
-    return SupNormEstimate(best_val, wrap_angle(best_ang), grid, refined)
+    node_max, node_arg, _, _ = _node_sups(_Flips(nodes), curve, node_ts, grid, refine_iters, np.array([k - 1]))
+    return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])), grid, refine_iters > 0)
 
 
 def _boundary_stats(
@@ -486,19 +494,14 @@ def _boundary_stats(
     n_points = nodes.size
     grid = _checked_grid(n_points, grid, refine_iters)
     flips = _Flips(nodes)
-    node_max, node_arg, leb_max, leb_arg = _scan(flips, curve, grid, node_ts)
-    h = 2.0 * np.pi / grid
-    with np.errstate(all="ignore"):
-        if per_node_refine and refine_iters > 0:
-            ks = np.arange(n_points)
-            refined = _golden_max_vec(lambda ts: flips.own(curve(ts), ks), node_arg - h, node_arg + h, refine_iters)
-            node_max = np.maximum(node_max, refined)
-        if refine_iters > 0:
+    ks = np.arange(n_points if per_node_refine else 0)
+    node_max, _, leb_max, leb_arg = _node_sups(flips, curve, node_ts, grid, refine_iters, ks)
+    if refine_iters > 0:
+        h = 2.0 * np.pi / grid
+        with np.errstate(all="ignore"):
             val, ang = _golden_max(lambda t: flips.lebesgue_at(curve(t)), leb_arg - h, leb_arg + h, refine_iters)
-            if val > leb_max:
-                leb_max, leb_arg = float(val), float(ang)
-    # value at the node itself is exactly 1
-    node_max = np.maximum(node_max, 1.0)
+        if val > leb_max:
+            leb_max, leb_arg = float(val), float(ang)
     report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
     return node_max, report
 

@@ -8,9 +8,10 @@ the distortion constant A is a plain sup of trapezoid integrals.
 
 Sup norms and Lebesgue constants on the image boundary run the tiled scan
 engine of :mod:`lejaflip.flip` on the curve t -> Phi(e^it), with golden
-refinement in the circle parameter t.  Nodes and curve are first scaled by the
-power of two nearest 1/c1, c1 the capacity, which keeps the node weights of
-thin ellipses in the linear-domain kernel's range.
+refinement in the circle parameter t.  Scans and the distortion constant run
+on the map scaled by the power of two nearest 1/c1, c1 the capacity, which
+keeps the node weights of thin ellipses in the linear-domain kernel's range
+and the kernel quotients of tiny ellipses in double range.
 """
 
 from __future__ import annotations
@@ -121,15 +122,25 @@ def chord_ratio(mp: ExteriorMap, z, w):
     return np.abs(mp(z) - mp(w)) / np.abs(z - w)
 
 
-def _scaled_boundary(ts: TransportedSection):
-    """Nodes, boundary curve and node parameters, scaled by s = 2**-round(log2 c1).
+def _capacity_scaled(mp: ExteriorMap) -> ExteriorMap:
+    """s*Phi for s = 2**-round(log2 c1), whose capacity c1*s is near 1.
 
-    Scaled to capacity c1*s near 1, the nodes' weights stay in double range
-    (Reichel, BIT 30 (1990)).  |l_k| keeps its value, since its numerator and
-    denominator have N-1 factors each, and a power of two keeps every bit.
+    A power of two keeps every bit, and ``math.ldexp`` also reaches the scales
+    of tiny axes, where ``2.0 ** -round(log2 c1)`` overflows.
     """
-    s = 2.0 ** -round(math.log2(ts.map.c1))
-    return ts.images * s, lambda t: ts.map.on_circle(t) * s, np.angle(ts.source.points)
+    e = -round(math.log2(mp.c1))
+    return ExteriorMap(mp.kind, *(math.ldexp(v, e) for v in (mp.a, mp.b, mp.c1, mp.c2)))
+
+
+def _scaled_boundary(ts: TransportedSection):
+    """Nodes, boundary curve and node parameters on the capacity-scaled map.
+
+    Scaled to capacity near 1, the nodes' weights stay in double range
+    (Reichel, BIT 30 (1990)).  |l_k| keeps its value, since its numerator and
+    denominator have N-1 factors each.
+    """
+    mp = _capacity_scaled(ts.map)
+    return mp(ts.source.points), mp.on_circle, np.angle(ts.source.points)
 
 
 def flip_sup_on_compact(
@@ -169,10 +180,12 @@ def estimate_alper_constant(mp: ExteriorMap, w_grid: int = 512, t_grid: int = 51
     The inner integral is a periodic trapezoid rule; at the single t node
     nearest arg(w) the integrand is replaced by its limit Phi''(w)/(2 Phi'(w)),
     estimated from second-order central differences of Phi along the circle,
-    which keeps trapezoid order for the one substituted node.
+    which keeps trapezoid order for the one substituted node.  A does not
+    change under Phi -> s*Phi, so it is computed on the capacity-scaled map.
     """
     if w_grid < 256 or t_grid < 256:
         raise ValueError("grids must be at least 256")
+    mp = _capacity_scaled(mp)
     t = 2.0 * np.pi * np.arange(t_grid) / t_grid
     zt = np.exp(1j * t)
     phi_t = mp(zt)

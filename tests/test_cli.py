@@ -1,8 +1,9 @@
 import csv
 import json
 import os
+import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lejaflip.cli import main
@@ -61,6 +62,15 @@ class TestLejaCommand:
         assert code == 1
         assert run(capsys, "leja", "--disk", "-N", "10", "--samples", "29")[0] == 0
 
+    def test_stdout_matches_output_file(self, capsys, tmp_path):
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"out.{fmt}"
+            code, out, _ = run(capsys, "leja", "--disk", "-N", "6", "--format", fmt)
+            assert code == 0
+            assert run(capsys, "leja", "--disk", "-N", "6", "--format", fmt, "-o", str(path))[0] == 0
+            assert out.encode() == path.read_bytes()
+        assert set(json.loads(out)) == {"n", "points", "compact_tag"}
+
     def test_validation_failure_exits_two(self, capsys):
         # an unreachable tolerance turns rounding-level shortfalls into failures
         code, _, err = run(capsys, "leja", "--disk", "-N", "50", "--samples", "256", "--tol", "1e-18")
@@ -87,11 +97,10 @@ class TestBoundsCommand:
         code, _, _ = run(capsys, "bounds", "--special-n", "--p", "2..4", "--avg")
         assert code == 0
 
-    def test_threads_do_not_change_output(self, capsys):
-        code1, out1, _ = run(capsys, "bounds", "--max-n", "10")
-        code2, out2, _ = run(capsys, "bounds", "--max-n", "10", "--threads", "4")
-        assert code1 == code2 == 0
-        assert out1 == out2
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = run(capsys, "bounds", "--max-n", "3", "--threads", "2")
+        assert code == 1 and out == ""
+        assert "--threads" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "bounds", "--max-n", "3", "--format", "json")
@@ -233,6 +242,20 @@ class TestTransportCommand:
             assert code == 1, axes
             assert "error" in err
 
+    def test_tiny_axes(self, capsys):
+        # capacity scaling by 2.0 ** -round(log2 c1) overflowed here, and the
+        # unscaled kernel quotients overflowed to alper=inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "transport", "--alper", "--ellipse", "1e-310", "1e-310")
+            assert code == 0
+            assert float(next(csv.DictReader(out.splitlines()))["alper"]) <= 1e-6
+            code, out, _ = run(capsys, "transport", "--ellipse", "1e-310", "1e-310", "--max-n", "16")
+            assert code == 0
+            rows = list(csv.DictReader(out.splitlines()))
+        assert [int(r["N"]) for r in rows] == [2, 4, 8, 16]
+        assert all(1.0 <= float(r["max_sup"]) < 2.0 for r in rows)
+
 
 _AXIS = st.one_of(st.floats(min_value=-1.0, max_value=40.0), st.sampled_from([0.0, 5e-324, 1e-300, 1e308]))
 
@@ -244,12 +267,11 @@ _AXIS = st.one_of(st.floats(min_value=-1.0, max_value=40.0), st.sampled_from([0.
     p_range=st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda lh: f"{lh[0]}..{lh[1]}"),
     grid=st.one_of(st.none(), st.integers(min_value=-2, max_value=64)),
     refine=st.integers(min_value=-2, max_value=3),
-    threads=st.integers(min_value=0, max_value=2),
 )
-def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, grid, refine, threads):
+def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, grid, refine):
     argv = ["bounds", *(["--special-n", "--p", p_range, "--avg"] if special else ["--max-n", str(max_n)])]
     argv += [*(["--grid", str(grid)] if grid is not None else []), "--refine", str(refine)]
-    assert main(argv + ["--threads", str(threads), "-o", os.devnull]) in (0, 1, 2)
+    assert main(argv + ["-o", os.devnull]) in (0, 1, 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -277,6 +299,8 @@ def test_leja_fuzz_exits_with_a_code(axes, n_points, samples, greedy, seed_index
     refine=st.integers(min_value=-2, max_value=3),
     w_grid=st.sampled_from([-1, 0, 255, 256]),
 )
+@example(axes=(1e-310, 1e-310), alper=True, max_n=16, grid=None, refine=3, w_grid=256)
+@example(axes=(1e-310, 1e-310), alper=False, max_n=16, grid=None, refine=3, w_grid=256)
 def test_transport_fuzz_exits_with_a_code(axes, alper, max_n, grid, refine, w_grid):
     argv = ["transport", "--ellipse", repr(axes[0]), repr(axes[1]), *(["--alper"] if alper else [])]
     argv += ["--max-n", str(max_n), "--refine", str(refine), "--w-grid", str(w_grid), "--t-grid", "256"]

@@ -11,8 +11,10 @@ from lejaflip import (
     canonical_disk_leja,
     circle_flip_stats,
     circle_samples,
+    compact_flip_stats,
     ellipse_exterior_map,
     flip_direct,
+    flip_sup_on_compact,
     flip_structured_abs,
     greedy_leja,
     lebesgue_constant,
@@ -479,11 +481,15 @@ class TestProbes:
 
 class TestBatchStats:
     def test_matches_single_sup(self):
-        section = canonical_disk_leja(11)
-        sups, _ = circle_flip_stats(section, per_node_refine=True)
-        for k in (1, 5, 11):
-            single = sup_norm_on_circle(section, k)
-            assert sups[k - 1] == pytest.approx(single.value, rel=1e-9)
+        for n in (11, 65, 129):
+            section = canonical_disk_leja(n)
+            sups, _ = circle_flip_stats(section, per_node_refine=True)
+            singles = [sup_norm_on_circle(section, k).value for k in range(1, n + 1)]
+            np.testing.assert_allclose(singles, sups, rtol=1e-12, atol=0.0)
+        ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(65))
+        sups, _ = compact_flip_stats(ts, per_node_refine=True)
+        singles = [flip_sup_on_compact(ts, k).value for k in range(1, 66)]
+        np.testing.assert_allclose(singles, sups, rtol=1e-12, atol=0.0)
 
     def test_grid_matrix_matches_log_reference(self):
         rng = np.random.default_rng(6)
