@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,13 @@ UNIT_TOL = 1e-12
 
 UNIT_DISK = "unit_disk"
 SAMPLED_COMPACT = "sampled_compact"
+
+#: Nodes per block of :func:`validate_leja`.  In the unit disk a distance is
+#: below 2, so a block's product of squared distances stays below 4**16.
+_BLOCK = 16
+
+#: A product below this may have passed through subnormals and lost bits.
+_TINY = 1e-280
 
 
 @dataclass(frozen=True)
@@ -164,13 +172,15 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
         raise ValueError("seed_index out of range")
     chosen = np.empty(n_points, dtype=np.int64)
     chosen[0] = seed_index
+    diff, term = np.empty_like(samples), np.empty(samples.size)
     # running log of prod_{j<k} |s - eta_j|; chosen samples drop to -inf
     with np.errstate(divide="ignore"):
         logp = np.log(np.abs(samples - samples[seed_index]))
         for k in range(1, n_points):
             idx = int(np.argmax(logp))
             chosen[k] = idx
-            logp = logp + np.log(np.abs(samples - samples[idx]))
+            np.subtract(samples, samples[idx], out=diff)
+            logp += np.log(np.abs(diff, out=term), out=term)
     on_circle = np.max(np.abs(np.abs(samples[chosen]) - 1.0)) <= UNIT_TOL
     tag = UNIT_DISK if on_circle else SAMPLED_COMPACT
     return LejaSection(samples[chosen], compact_tag=tag)
@@ -185,23 +195,57 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
     most pi*(N-1) points are refused: the products are trigonometric
     polynomials of degree up to N-1 in the boundary parameter, which fewer
     samples cannot resolve.
+
+    The sample products run in the linear domain.  All points are first
+    scaled by one power of two into the unit disk, which is exact and leaves
+    every shortfall as it is, since both of its products have k - 1 factors.
+    Over a block of ``_BLOCK`` nodes each sample then carries
+    q = exp(logp - m) * prod_{block} |s - eta_j|**2, with logp its log
+    product before the block and m the largest logp, so the k-th maximum is
+    m + log max q: no logarithm per sample and node, and one per sample per
+    block to carry logp on.  A sample on a node drops to -inf.  A block
+    where some other sample's q, or some maximum, falls below ``_TINY``
+    (it may have lost bits to underflow) runs in the log domain instead.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     pts = section.points
     samples = boundary.samples
     require_resolving_grid(samples.size, pts.size - 1)
+    e = math.frexp(max(float(np.abs(samples).max()), float(np.abs(pts).max())))[1]
+    sx, sy, px, py = (np.ldexp(v, -e) for v in (samples.real, samples.imag, pts.real, pts.imag))
+    logp = np.zeros(samples.size)  # log prod |s - eta_j|**2 over the nodes before the block
+    q, dx, dy = np.empty(samples.size), np.empty(samples.size), np.empty(samples.size)
     worst, worst_k = 0.0, 0
-    logp = np.zeros(samples.size)
     with np.errstate(divide="ignore"):
-        for k in range(2, pts.size + 1):
-            logp = logp + np.log(np.abs(samples - pts[k - 2]))
-            own = float(np.sum(np.log(np.abs(pts[k - 1] - pts[: k - 1]))))
-            best = float(np.max(logp))
-            if best > own:
-                shortfall = 1.0 - float(np.exp(own - best))
-                if shortfall > worst:
-                    worst, worst_k = shortfall, k
+        for j0 in range(0, pts.size - 1, _BLOCK):
+            block = range(j0, min(j0 + _BLOCK, pts.size - 1))
+            m = float(logp.max())
+            np.exp(np.subtract(logp, m, out=q), out=q)
+            rows = []
+            for j in block:
+                np.subtract(sx, px[j], out=dx)
+                np.multiply(dx, dx, out=dx)
+                np.subtract(sy, py[j], out=dy)
+                np.multiply(dy, dy, out=dy)
+                q *= np.add(dx, dy, out=dx)
+                rows.append(float(q.max()))
+            low = np.flatnonzero(q <= _TINY)
+            low = low[logp[low] > -np.inf]
+            if min(rows) > _TINY and (samples[low, None] == pts[None, j0 : block.stop]).any(axis=1).all():
+                best = [(m + math.log(r)) / 2.0 for r in rows]
+                np.add(np.log(q, out=q), m, out=logp)
+            else:
+                best = []
+                for j in block:
+                    logp += 2.0 * np.log(np.hypot(sx - px[j], sy - py[j]))
+                    best.append(float(logp.max()) / 2.0)
+            for k, b in zip(range(j0 + 2, block.stop + 2), best):
+                own = float(np.sum(np.log(np.hypot(px[k - 1] - px[: k - 1], py[k - 1] - py[: k - 1]))))
+                if b > own:
+                    shortfall = 1.0 - math.exp(own - b)
+                    if shortfall > worst:
+                        worst, worst_k = shortfall, k
     return LejaValidation(worst, worst_k, rel_tol)
 
 

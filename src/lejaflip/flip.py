@@ -15,9 +15,10 @@ One scan engine serves every boundary curve t -> z(t): exp(it) here and
 Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the parameter grid in
 node-major tiles sized to stay in the L2 cache, keeping only per-node maxima
 and the Lebesgue maximum, so memory does not grow with the grid.  The same
-tile kernel serves the refinement probes, so one linear-domain formula gives
-every |l_k| on a boundary; the log domain is its guard for node sets whose
-weights leave double range.  Grids of at most pi*(N-1) angles are refused.
+tile kernel serves the refinement probes, which compute only the entries
+they keep, so one linear-domain formula gives every |l_k| on a boundary; the
+log domain is its guard for node sets whose weights leave double range.
+Grids of at most pi*(N-1) angles are refused.
 
 The tile kernel has two front-ends for the distances |b - eta_k|.  When the
 nodes and the points all have modulus 1 to a few ulps, as canonical sections
@@ -281,7 +282,12 @@ def _on_unit_circle(pts: np.ndarray) -> bool:
 
 
 class _Flips:
-    """The one kernel for |l_k(b)| (:meth:`tile`), with what it needs of a node set hoisted.
+    """The one kernel for |l_k(b)|, with what it needs of a node set hoisted.
+
+    A tile is one front half (:meth:`_front`) and one of two back halves: the
+    full one (:meth:`tile`) gives every |l_k| and their sums and serves the
+    scans and the Lebesgue probe; the own one (:meth:`_own_tile`) gives one
+    entry per point and serves the per-node refinement probes.
 
     A tile gets its distances |b_j - eta_k| from one of two front-ends.  When
     every node and every point of the call lies on the unit circle, within
@@ -297,8 +303,8 @@ class _Flips:
     finds hits as zero distances.  The polar product leaves up to 1e-16 there,
     so columns whose product falls below ``hit_w``, or overflows, are compared
     with the nodes, and their equal entries become zero distances.  From the
-    distances on, everything is shared.  Scans and refinement probes all go
-    through it; run it under ``np.errstate(all="ignore")``.
+    distances on, everything is shared.  Run it under
+    ``np.errstate(all="ignore")``.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -322,13 +328,15 @@ class _Flips:
         """Whether tiles at the points ``pts`` take the polar front-end."""
         return self.polar is not None and _on_unit_circle(pts)
 
-    def tile(self, pts: np.ndarray, polar: bool):
-        """``(vals, scale, sums, hit_k, hit_j)`` at the points ``pts`` (cols <= width).
+    def _front(self, pts: np.ndarray, polar: bool):
+        """The front half of a tile at the points ``pts`` (cols <= width), which both back halves share.
 
-        |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|, except
-        that vals is 0 where b_j is exactly node hit_k (l_k is 1 there).  The
-        linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it stays
-        inside double range, the log-domain form otherwise.
+        Returns ``(dist, free, w, hit_k, hit_j, linear)``: dist[k, j] is
+        |b_j - eta_k|, squared on coordinates, w[j] its product over the
+        nodes, and ``free`` a spare plane of dist's shape.  A column where b_j
+        is exactly node hit_k has its distances and its product set to 1.
+        ``linear`` says whether the linear form may run: the weights and the
+        products lie inside double range.
         """
         cols = pts.size
         views = self._views.get(cols)
@@ -361,51 +369,91 @@ class _Flips:
             hit_j = maybe[hit_j]
             dist[:, hit_j] = w[hit_j] = 1.0
             low = w.min()
+        return dist, dx, w, hit_k, hit_j, self.inv_w is not None and low > 1e-280
+
+    def _log_distances(self, dist: np.ndarray, polar: bool) -> tuple[np.ndarray, np.ndarray]:
+        """log |b_j - eta_k| in the grid-major layout (cols x N), and its sum over the nodes.
+
+        numpy sums each point's log distances pairwise there, so the exponent
+        of the log-domain form carries O(log N) ulps of rounding, not O(N).
+        """
+        log_d = np.log(np.ascontiguousarray(dist.T))
+        if not polar:
+            log_d *= 0.5
+        return log_d, log_d.sum(axis=1)
+
+    def tile(self, pts: np.ndarray, polar: bool):
+        """``(vals, scale, sums, hit_k, hit_j)`` at the points ``pts`` (cols <= width).
+
+        |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|, except
+        that vals is 0 where b_j is exactly node hit_k (l_k is 1 there).  The
+        linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it stays
+        inside double range, the log-domain form otherwise.
+        """
+        dist, free, w, hit_k, hit_j, linear = self._front(pts, polar)
         vals = None
-        if self.inv_w is not None and low > 1e-280:
-            np.divide(w, dist, out=dx)  # the x plane is free again
+        if linear:
+            np.divide(w, dist, out=free)
             if not polar:
-                np.sqrt(dx, out=dx)
-            sums = self.inv_w @ dx
+                np.sqrt(free, out=free)
+            sums = self.inv_w @ free
             if math.isfinite(sums.sum()):  # else a distance product overflowed
-                vals, scale = dx, self.inv_w
+                vals, scale = free, self.inv_w
         if vals is None:
-            # log-domain form in the grid-major layout, where numpy sums each
-            # point's log distances pairwise: the exponent then carries
-            # O(log N) ulps of rounding, not O(N)
-            log_d = np.log(np.ascontiguousarray(dist.T))
-            if not polar:
-                log_d *= 0.5
-            mat = np.exp(log_d.sum(axis=1)[:, None] - log_d - self.log_w)
+            log_d, total = self._log_distances(dist, polar)
+            mat = np.exp(total[:, None] - log_d - self.log_w)
             vals, scale, sums = mat.T, np.ones(self.n), mat.sum(axis=1)
         if hit_j.size:
             vals[:, hit_j] = 0.0
             sums[hit_j] = 1.0
         return vals, scale, sums, hit_k, hit_j
 
-    def tiles(self, bpts):
-        """``(start, tile)`` over the points ``bpts`` in runs of at most ``width``.
+    def _own_tile(self, pts: np.ndarray, polar: bool, ks: np.ndarray) -> np.ndarray:
+        """|l_{ks[j]}(b_j)| at the points ``pts``: :meth:`tile`'s entries (ks[j], j) and no others.
+
+        The same operations on the same operands as :meth:`tile`, so the
+        values agree bit for bit whenever both take the same form; the linear
+        form is kept while the entries computed stay finite.
+        """
+        dist, _, w, hit_k, hit_j, linear = self._front(pts, polar)
+        cols = np.arange(ks.size)
+        out = None
+        if linear:
+            out = w / dist[ks, cols]
+            if not polar:
+                np.sqrt(out, out=out)
+            out *= self.inv_w[ks]
+            if not math.isfinite(out.sum()):
+                out = None
+        if out is None:
+            log_d, total = self._log_distances(dist, polar)
+            out = np.exp(total - log_d[cols, ks] - self.log_w[ks])
+        out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
+        return out
+
+    def _runs(self, bpts):
+        """The points ``bpts`` flat, their front-end, and their runs ``(start, stop)`` of at most ``width``.
 
         The front-end is chosen once for all of ``bpts``, and no run after the
         first has one point: numpy sends a one-column product to gemv, which
         rounds unlike gemm.  So the result does not depend on the tile width.
         """
         bpts = np.asarray(bpts, dtype=complex).reshape(-1)
-        polar = self.takes_polar(bpts)
         cuts = [*range(0, bpts.size, self.width), bpts.size]
         if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
             cuts[-2] -= 1
-        for start, stop in zip(cuts, cuts[1:]):
+        return bpts, self.takes_polar(bpts), list(zip(cuts, cuts[1:]))
+
+    def tiles(self, bpts):
+        """``(start, tile)`` over the runs of the points ``bpts`` (:meth:`_runs`)."""
+        bpts, polar, runs = self._runs(bpts)
+        for start, stop in runs:
             yield start, self.tile(bpts[start:stop], polar)
 
     def own(self, bpts, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[i]}(bpts[i])| for paired points and 0-based node indices."""
-        out = np.empty(ks.size)
-        for start, (vals, scale, _, hit_k, hit_j) in self.tiles(bpts):
-            k = ks[start : start + vals.shape[1]]
-            out[start : start + k.size] = vals[k, np.arange(k.size)] * scale[k]
-            out[start + hit_j[hit_k == k[hit_j]]] = 1.0
-        return out
+        bpts, polar, runs = self._runs(bpts)
+        return np.concatenate([self._own_tile(bpts[start:stop], polar, ks[start:stop]) for start, stop in runs])
 
     def lebesgue_at(self, z: complex) -> float:
         """sum_k |l_k(z)| at one point, O(N)."""

@@ -68,16 +68,6 @@ class TransportedSection:
         data["points"] = [{"re": float(z.real), "im": float(z.imag)} for z in self.images]
         return data
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "re", "im", "map"])
-            tag = f"{self.map.kind} a={self.map.a} b={self.map.b}"
-            for i, z in enumerate(self.images, start=1):
-                w.writerow([i, repr(float(z.real)), repr(float(z.imag)), tag])
-
 
 def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
     """Exterior map for the ellipse x^2/a^2 + y^2/b^2 = 1, a >= b > 0.

@@ -283,6 +283,8 @@ def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, grid, refine):
     seed_index=st.integers(min_value=-2, max_value=300),
     tol=st.one_of(st.none(), st.floats(min_value=-1.0, max_value=1.0)),
 )
+@example(axes=(1e300, 1e299), n_points=24, samples=300, greedy=True, seed_index=0, tol=None)
+@example(axes=(1e-300, 1e-300), n_points=24, samples=300, greedy=True, seed_index=0, tol=None)
 def test_leja_fuzz_exits_with_a_code(axes, n_points, samples, greedy, seed_index, tol):
     argv = ["leja", *(["--ellipse", repr(axes[0]), repr(axes[1])] if axes else ["--disk"])]
     argv += ["-N", str(n_points), "--samples", str(samples), "--seed-index", str(seed_index)]

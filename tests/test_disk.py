@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lejaflip import (
     BoundarySamples,
     LejaSection,
+    boundary_samples,
     canonical_disk_leja,
     circle_samples,
+    ellipse_exterior_map,
     greedy_leja,
     omega0_of_section,
     split_section,
@@ -87,6 +91,17 @@ class TestGreedy:
         section = greedy_leja(boundary, 3, seed_index=0)
         assert section.points[2] == 1j
 
+    def test_picks_match_the_recorded_indices(self):
+        # sha256 of the int64 sample indices picked before the running log
+        # product was accumulated in place
+        boundary = boundary_samples(ellipse_exterior_map(1.2, 0.8), 8192)
+        section = greedy_leja(boundary, 256)
+        index = {z: i for i, z in enumerate(boundary.samples.tolist())}
+        picks = np.array([index[z] for z in section.points.tolist()], dtype=np.int64)
+        assert picks[:6].tolist() == [0, 4096, 6144, 2048, 5120, 967]
+        digest = "53a90d46af10addf53e7ade77d03423eb4bf6181efd395052f39b27bf326e341"
+        assert hashlib.sha256(picks.tobytes()).hexdigest() == digest
+
 
 class TestValidate:
     def test_canonical_passes(self):
@@ -114,6 +129,70 @@ class TestValidate:
             with pytest.raises(ValueError, match="degree 9"):
                 validate_leja(section, circle_samples(count), 2.5)
         assert validate_leja(section, circle_samples(29), 1e-6).passed
+
+
+def _log_domain_validation(section, boundary):
+    """The log-domain loop validate_leja ran before its linear form, verbatim: (max_violation, worst_k)."""
+    pts = section.points
+    samples = boundary.samples
+    worst, worst_k = 0.0, 0
+    logp = np.zeros(samples.size)
+    with np.errstate(divide="ignore"):
+        for k in range(2, pts.size + 1):
+            logp = logp + np.log(np.abs(samples - pts[k - 2]))
+            own = float(np.sum(np.log(np.abs(pts[k - 1] - pts[: k - 1]))))
+            best = float(np.max(logp))
+            if best > own:
+                shortfall = 1.0 - float(np.exp(own - best))
+                if shortfall > worst:
+                    worst, worst_k = shortfall, k
+    return worst, worst_k
+
+
+def _validation_case(name):
+    """Section and sample set of a named validation case."""
+    kind, _, arg = name.partition("-")
+    if kind == "canonical":
+        return canonical_disk_leja(int(arg)), circle_samples(4096)
+    if kind == "greedy":  # the nodes are samples, so some samples reach -inf
+        axes = {"1.2x0.8": (1.2, 0.8), "30x1": (30.0, 1.0), "1e300": (1e300, 1e299), "1e-300": (1e-300, 1e-300)}
+        boundary = circle_samples(2048) if arg == "circle" else boundary_samples(ellipse_exterior_map(*axes[arg]), 2048)
+        return greedy_leja(boundary, 200, seed_index=3), boundary
+    if kind == "pair":  # |i - 1| = sqrt(2), against max |z - 1| = 2
+        return LejaSection(np.array([1.0 + 0j, 1j])), circle_samples(2048)
+    pts = canonical_disk_leja(64).points.copy()
+    if kind == "swapped":
+        pts[[10, 40]] = pts[[40, 10]]
+    elif kind == "rotated":  # the tail of (L_32, rho L_32) with rho off the 32nd roots of -1
+        pts[32:] *= np.exp(0.3j)
+    else:  # near: nodes 1e-170 off the samples 1, -1, i and -i, whose squared distances underflow
+        pts *= 1.0 + 1e-170j
+    return LejaSection(pts), circle_samples(4096)
+
+
+class TestValidateAgainstLogDomainLoop:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            *(f"canonical-{n}" for n in (1, 2, 3, 64, 257)),
+            *(f"greedy-{b}" for b in ("circle", "1.2x0.8", "30x1", "1e300", "1e-300")),
+            "pair",
+            "swapped",
+            "rotated",
+            "near",
+        ],
+    )
+    def test_matches_the_log_domain_loop(self, name):
+        section, boundary = _validation_case(name)
+        want, want_k = _log_domain_validation(section, boundary)
+        report = validate_leja(section, boundary, 1e-6)
+        assert report.max_violation == pytest.approx(want, abs=1e-9)
+        if want > 1e-6:
+            assert report.worst_k == want_k
+        if name in ("pair", "swapped", "rotated"):
+            assert not report.passed
+        if name.startswith("canonical") or name.startswith("greedy-1"):
+            assert report.passed
 
 
 class TestSplit:

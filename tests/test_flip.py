@@ -450,7 +450,35 @@ def _abs_flips_at_points_log(nodes, zs, ks):
     return vals
 
 
+def _full_tile_entries(flips, bpts, ks):
+    """|l_{ks[i]}(bpts[i])| gathered from full tiles, as the probes read them
+    before they got a back half of their own."""
+    out = np.empty(ks.size)
+    for start, (vals, scale, _, hit_k, hit_j) in flips.tiles(bpts):
+        k = ks[start : start + vals.shape[1]]
+        out[start : start + k.size] = vals[k, np.arange(k.size)] * scale[k]
+        out[start + hit_j[hit_k == k[hit_j]]] = 1.0
+    return out
+
+
 class TestProbes:
+    @pytest.mark.parametrize("name", ["canonical-256", "scaled-ellipse-30x1-1024", "ellipse-30x1-128"])
+    def test_own_is_the_full_tile_entry_bit_for_bit(self, name):
+        # polar, coordinate and log-domain tiles, several tiles each
+        nodes, curve, _, _ = _scan_case(name)
+        flips = _Flips(nodes)
+        rng = np.random.default_rng(13)
+        pts = curve(rng.uniform(0.0, 2.0 * np.pi, 300))
+        ks = rng.integers(0, nodes.size, 300)
+        pts[:4], ks[:4] = nodes[[3, 4, 70, 71]], [3, 9, 70, 0]  # hits on the probed node and on others
+        with np.errstate(all="ignore"):
+            got = flips.own(pts, ks)
+            want = _full_tile_entries(flips, pts, ks)
+        assert np.array_equal(got, want)
+        assert got[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert flips.takes_polar(pts) == (name == "canonical-256")
+        assert (flips.inv_w is None) == (name == "ellipse-30x1-128")
+
     @pytest.mark.parametrize("name", ["random-7", "random-100", "random-700", "ellipse-30x1-128"])
     def test_tiled_probe_matches_log_domain_points(self, name):
         # 700 nodes take eleven 64-point tiles; the unscaled ellipse takes log-domain tiles
