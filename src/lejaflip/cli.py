@@ -10,8 +10,6 @@ bound or identity failed beyond tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import bivariate as bv
 from . import transport as tp
-from .core import UNIFORM_FLIP_BOUND, UNIFORM_FLIP_BOUND_2D, BoundViolation
+from .core import UNIFORM_FLIP_BOUND, UNIFORM_FLIP_BOUND_2D, BoundViolation, csv_text
 from .disk import canonical_disk_leja, circle_samples, greedy_leja, validate_leja
 from .flip import circle_flip_stats, special_n_statistics
 
@@ -46,15 +44,7 @@ def _parse_range(text: str) -> list[int]:
 
 def _emit(rows: list[dict] | dict, fmt: str, out_path: str | None) -> None:
     """Write ``rows`` (for JSON, any JSON value) as CSV or JSON to ``out_path`` or stdout."""
-    if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buf.getvalue()
+    text = json.dumps(rows, indent=2) + "\n" if fmt == "json" else csv_text(rows)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -67,17 +57,10 @@ def _emit(rows: list[dict] | dict, fmt: str, out_path: str | None) -> None:
 
 def _cmd_leja(args) -> int:
     if args.n_points < 1:
-        print("error: -N must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("-N must be positive")
     samples = args.samples
     if args.ellipse:
-        a, b = args.ellipse
-        try:
-            emap = tp.ellipse_exterior_map(a, b)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        boundary = tp.boundary_samples(emap, samples)
+        boundary = tp.boundary_samples(tp.ellipse_exterior_map(*args.ellipse), samples)
         section = greedy_leja(boundary, args.n_points, args.seed_index)
     else:
         boundary = circle_samples(samples)
@@ -88,8 +71,7 @@ def _cmd_leja(args) -> int:
             section = canonical_disk_leja(args.n_points, origin)
     tol = args.tol if args.tol is not None else 10.0 / samples
     report = validate_leja(section, boundary, tol)
-    rows = [{"index": i, "re": float(z.real), "im": float(z.imag)} for i, z in enumerate(section.points, start=1)]
-    _emit(section.to_json() if args.format == "json" else rows, args.format, args.output)
+    _emit(section.to_json() if args.format == "json" else section.rows(), args.format, args.output)
     print(
         f"validated {len(section)} points: max_violation={report.max_violation:.3e} "
         f"worst_k={report.worst_k} tol={tol:.3e} -> {'pass' if report.passed else 'FAIL'}",
@@ -113,8 +95,7 @@ def _bounds_row(n_points: int, grid: int | None, refine: int) -> dict:
 
 def _cmd_bounds(args) -> int:
     if not args.special_n and args.max_n < 1:
-        print("error: --max-n must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--max-n must be positive")
     rows: list[dict] = []
     failed = False
     if args.special_n:
@@ -163,8 +144,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_bivariate(args) -> int:
     if args.n_max < 1:
-        print("error: --n-max must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--n-max must be positive")
     rng = np.random.default_rng(args.seed)
     mode = args.mode or "delta"
     rows: list[dict] = []
@@ -180,8 +160,7 @@ def _cmd_bivariate(args) -> int:
 
     if mode == "delta":
         if max_n_nodes < 7:
-            print("error: --delta needs --n-max >= 7, where all seven closed forms have occurred", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--delta needs --n-max >= 7, where all seven closed forms have occurred")
         cases: set[str] = set()
         overall = 0.0
         for n_nodes in range(1, max_n_nodes + 1):
@@ -213,6 +192,8 @@ def _cmd_bivariate(args) -> int:
         failed = not rep.passed(1e-6)
     elif mode == "lebesgue":
         n_values = args.n_range or list(range(2, 11))
+        if min(n_values) < 1:
+            raise ValueError("--lebesgue needs n >= 1: at n = 0 the envelope C*n(n+1)(n+2) is 0 and Lambda is 1")
         sizes, lams = [], []
         for n in n_values:
             n_nodes = bv.triangular_number(n)
@@ -246,11 +227,9 @@ def _cmd_bivariate(args) -> int:
 
 def _cmd_transport(args) -> int:
     a, b = args.ellipse
-    try:
-        emap = tp.ellipse_exterior_map(a, b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    emap = tp.ellipse_exterior_map(a, b)
+    if not args.alper and args.max_n < 2:
+        raise ValueError("--max-n must be at least 2, the smallest N the sweep checks")
     rows: list[dict] = []
     failed = False
     if args.alper:

@@ -1,7 +1,9 @@
-"""Integer decompositions and stable complex products shared by the other modules."""
+"""Integer decompositions, stable complex products and the CSV writer shared by the other modules."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -17,6 +19,16 @@ UNIFORM_FLIP_BOUND_2D = math.pi**2 * math.exp(6.0 * math.pi)
 
 class BoundViolation(RuntimeError):
     """A numerically checked inequality or identity failed beyond its tolerance."""
+
+
+def csv_text(rows: list[dict]) -> str:
+    """``rows`` as CSV text, with the first row's keys as the header; empty for no rows."""
+    buf = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return buf.getvalue()
 
 
 def binary_decompose(n: int) -> list[int]:

@@ -9,7 +9,6 @@ maximize the distance product over a fixed sample set instead.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import binary_decompose, require_resolving_grid
+from .core import binary_decompose, csv_text, require_resolving_grid
 
 UNIT_TOL = 1e-12
 
@@ -69,12 +68,12 @@ class LejaSection:
             "compact_tag": self.compact_tag,
         }
 
+    def rows(self) -> list[dict]:
+        """The CSV layout of a section, which ``leja`` writes too: one row (index, re, im) per point."""
+        return [{"index": i, "re": float(z.real), "im": float(z.imag)} for i, z in enumerate(self.points, start=1)]
+
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "re", "im"])
-            for i, z in enumerate(self.points, start=1):
-                w.writerow([i, repr(float(z.real)), repr(float(z.imag))])
+        Path(path).write_text(csv_text(self.rows()))
 
 
 def section_from_json(data: dict | str | Path) -> LejaSection:

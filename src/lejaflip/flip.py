@@ -30,13 +30,12 @@ choice is made from the moduli alone, once per point set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundViolation, binary_decompose, require_resolving_grid, stable_abs_product, wrap_angle
+from .core import BoundViolation, binary_decompose, csv_text, require_resolving_grid, stable_abs_product, wrap_angle
 from .disk import LejaSection, canonical_disk_leja, omega0_of_section
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -84,11 +83,8 @@ class LebesgueReport:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "sup_k"])
-            for k, v in enumerate(self.per_node_sup, start=1):
-                w.writerow([k, repr(float(v))])
+        with open(path, "w") as fh:
+            fh.write(csv_text([{"k": k, "sup_k": float(v)} for k, v in enumerate(self.per_node_sup, start=1)]))
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,16 @@ def _as_nodes(points) -> np.ndarray:
 
 
 def _log_node_weights(nodes: np.ndarray) -> np.ndarray:
-    """log prod_{j != k} |eta_k - eta_j| per node; rejects duplicate nodes."""
-    d = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(d, 1.0)
-    if np.any(d == 0.0):
-        raise ValueError("nodes must be pairwise distinct")
-    return np.log(d).sum(axis=1)
+    """log prod_{j != k} |eta_k - eta_j| per node, in row blocks of ~_TILE entries; rejects duplicate nodes."""
+    rows = max(1, _TILE // nodes.size)
+    out = np.empty(nodes.size)
+    for lo in range(0, nodes.size, rows):
+        d = np.abs(nodes[lo : lo + rows, None] - nodes[None, :])
+        np.fill_diagonal(d[:, lo:], 1.0)
+        if np.any(d == 0.0):
+            raise ValueError("nodes must be pairwise distinct")
+        out[lo : lo + rows] = np.log(d).sum(axis=1)
+    return out
 
 
 def flip_direct(points, k: int, z: complex) -> complex:
@@ -261,14 +261,12 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> tuple[np.
 
 
 #: Grid x node elements per scan tile.  A tile is N x max(64, _TILE // N);
-#: its three float64 work planes (768 KiB) stay in L2.
-_TILE = 1 << 15
+#: its three float64 work planes (1.5 MiB) stay in a 2 MiB L2.
+_TILE = 1 << 16
 
 #: Largest ||z| - 1| of a point on the unit circle: a few ulps.  Canonical
 #: nodes and exp(it) grid points are within one.
 _UNIT_ULPS = 4.0 * np.finfo(float).eps
-
-_NO_HITS = np.zeros(0, dtype=np.intp)
 
 
 def _unit_circle(t):
@@ -279,6 +277,12 @@ def _on_unit_circle(pts: np.ndarray) -> bool:
     dev = np.abs(pts)
     dev -= 1.0  # in place: a grid-sized temporary fewer, which peak memory shows
     return bool(np.all(np.abs(dev, out=dev) <= _UNIT_ULPS))
+
+
+def _half_planes(pts: np.ndarray) -> np.ndarray:
+    """(cos(t/2), sin(t/2)) of the points e^{it} as a (2, size) array: the principal square root."""
+    half = np.sqrt(pts)
+    return np.array((half.real, half.imag))
 
 
 class _Flips:
@@ -299,10 +303,8 @@ class _Flips:
     one (N x 2)(2 x cols) product of the half-angle values that the principal
     square root gives.  Any other node set or point set takes coordinate
     differences and squared distances.  A point exactly equal to a node is a
-    hit, and its column becomes the Kronecker column.  The coordinate form
-    finds hits as zero distances.  The polar product leaves up to 1e-16 there,
-    so columns whose product falls below ``hit_w``, or overflows, are compared
-    with the nodes, and their equal entries become zero distances.  From the
+    hit, found for a whole point set by one lookup in the sorted nodes
+    (:meth:`_runs`); its column becomes the Kronecker column.  From the
     distances on, everything is shared.  Run it under
     ``np.errstate(all="ignore")``.
     """
@@ -310,6 +312,8 @@ class _Flips:
     def __init__(self, nodes: np.ndarray):
         n = self.n = nodes.size
         self.nodes = nodes
+        self.order = np.argsort(nodes)
+        self.sorted = nodes[self.order]
         self.planes = np.array((nodes.real, nodes.imag))[:, :, None]
         # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the circle
         half = np.sqrt(nodes)
@@ -317,8 +321,6 @@ class _Flips:
         self.log_w = _log_node_weights(nodes)
         # None when the weights leave double range: only the log domain takes those nodes
         self.inv_w = np.exp(-self.log_w) if np.all(np.abs(self.log_w) < 280.0) else None
-        # a hit column's product is at most 1.1e-16 times its node's weight
-        self.hit_w = np.inf if self.inv_w is None else 1e-15 * np.exp(self.log_w.max())
         self.width = max(64, _TILE // n)
         self._d = np.empty(2 * n * self.width)
         self._d2 = np.empty(n * self.width)
@@ -328,15 +330,16 @@ class _Flips:
         """Whether tiles at the points ``pts`` take the polar front-end."""
         return self.polar is not None and _on_unit_circle(pts)
 
-    def _front(self, pts: np.ndarray, polar: bool):
+    def _front(self, pts: np.ndarray, half, hit_j: np.ndarray):
         """The front half of a tile at the points ``pts`` (cols <= width), which both back halves share.
 
-        Returns ``(dist, free, w, hit_k, hit_j, linear)``: dist[k, j] is
-        |b_j - eta_k|, squared on coordinates, w[j] its product over the
-        nodes, and ``free`` a spare plane of dist's shape.  A column where b_j
-        is exactly node hit_k has its distances and its product set to 1.
-        ``linear`` says whether the linear form may run: the weights and the
-        products lie inside double range.
+        ``half`` is the points' :func:`_half_planes` for the polar front-end,
+        None for coordinates; pts[hit_j] are the points that are nodes.
+        Returns ``(dist, free, w, linear)``: dist[k, j] is |b_j - eta_k|,
+        squared on coordinates, w[j] its product over the nodes, and ``free``
+        a spare plane of dist's shape.  A hit column has its distances and
+        its product set to 1.  ``linear`` says whether the linear form may
+        run: the weights and the products lie inside double range.
         """
         cols = pts.size
         views = self._views.get(cols)
@@ -344,121 +347,120 @@ class _Flips:
             d = self._d[: 2 * self.n * cols].reshape(2, self.n, cols)
             views = self._views[cols] = (d, d[0], d[1], self._d2[: self.n * cols].reshape(self.n, cols))
         d, dx, dy, dist = views
-        if polar:
-            half = np.sqrt(pts)
-            np.matmul(self.polar, np.array((half.real, half.imag)), out=dist)  # half: e^{it/2}
+        if half is not None:
+            np.matmul(self.polar, half, out=dist)
             np.abs(dist, out=dist)
-            w = np.multiply.reduce(dist, axis=0)
-            if not self.hit_w < w.min() <= w.max() < np.inf:
-                # fused multiply-adds leave up to 1e-16, not 0, where b_j is exactly eta_k
-                near = np.flatnonzero(~((w > self.hit_w) & (w < np.inf)))
-                k, j = np.nonzero(self.nodes[:, None] == pts[near])
-                dist[k, near[j]] = w[near[j]] = 0.0
         else:
             np.subtract(np.array((pts.real, pts.imag))[:, None, :], self.planes, out=d)
             np.multiply(d, d, out=d)
             np.add(dx, dy, out=dist)
-            w = np.multiply.reduce(dist, axis=0)  # squared, like the distances
-        low = w.min()
-        hit_k = hit_j = _NO_HITS
-        if not low > 0.0:
-            # a node hit makes the product 0, or nan once it also overflowed;
-            # its column is set aside here and made a Kronecker column below
-            maybe = np.flatnonzero(~(w > 0.0))
-            hit_k, hit_j = np.nonzero(dist[:, maybe] == 0.0)
-            hit_j = maybe[hit_j]
-            dist[:, hit_j] = w[hit_j] = 1.0
-            low = w.min()
-        return dist, dx, w, hit_k, hit_j, self.inv_w is not None and low > 1e-280
+        if hit_j.size:
+            dist[:, hit_j] = 1.0  # the back halves write the Kronecker columns
+        w = np.multiply.reduce(dist, axis=0)  # squared on coordinates, like the distances
+        # a product of 0 is a distance that underflowed between distinct points: the log domain takes it
+        return dist, dx, w, self.inv_w is not None and w.min() > 1e-280
 
     def _log_distances(self, dist: np.ndarray, polar: bool) -> tuple[np.ndarray, np.ndarray]:
         """log |b_j - eta_k| in the grid-major layout (cols x N), and its sum over the nodes.
 
         numpy sums each point's log distances pairwise there, so the exponent
         of the log-domain form carries O(log N) ulps of rounding, not O(N).
+        A distance that underflowed to 0 counts as the smallest subnormal, so
+        l_k is about 1 at that node and about 0 at the others, as at a hit.
         """
-        log_d = np.log(np.ascontiguousarray(dist.T))
+        log_d = np.log(np.maximum(dist.T, 5e-324, order="C"))
         if not polar:
             log_d *= 0.5
         return log_d, log_d.sum(axis=1)
 
-    def tile(self, pts: np.ndarray, polar: bool):
-        """``(vals, scale, sums, hit_k, hit_j)`` at the points ``pts`` (cols <= width).
+    def tile(self, pts: np.ndarray, half, hit_j: np.ndarray):
+        """``(vals, scale, sums)`` at the points ``pts`` (cols <= width).
 
-        |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|, except
-        that vals is 0 where b_j is exactly node hit_k (l_k is 1 there).  The
-        linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it stays
-        inside double range, the log-domain form otherwise.
+        ``half`` and the hits pts[hit_j] are as :meth:`_runs` gives them.
+        |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|,
+        except that vals is 0 in the hit columns (l_k is 1 at its own node).
+        The linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it
+        stays inside double range, the log-domain form otherwise.
         """
-        dist, free, w, hit_k, hit_j, linear = self._front(pts, polar)
+        dist, free, w, linear = self._front(pts, half, hit_j)
         vals = None
         if linear:
             np.divide(w, dist, out=free)
-            if not polar:
+            if half is None:
                 np.sqrt(free, out=free)
             sums = self.inv_w @ free
             if math.isfinite(sums.sum()):  # else a distance product overflowed
                 vals, scale = free, self.inv_w
         if vals is None:
-            log_d, total = self._log_distances(dist, polar)
+            log_d, total = self._log_distances(dist, half is not None)
             mat = np.exp(total[:, None] - log_d - self.log_w)
             vals, scale, sums = mat.T, np.ones(self.n), mat.sum(axis=1)
         if hit_j.size:
             vals[:, hit_j] = 0.0
             sums[hit_j] = 1.0
-        return vals, scale, sums, hit_k, hit_j
+        return vals, scale, sums
 
-    def _own_tile(self, pts: np.ndarray, polar: bool, ks: np.ndarray) -> np.ndarray:
+    def _own_tile(self, pts: np.ndarray, half, hit_k: np.ndarray, hit_j: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[j]}(b_j)| at the points ``pts``: :meth:`tile`'s entries (ks[j], j) and no others.
 
         The same operations on the same operands as :meth:`tile`, so the
         values agree bit for bit whenever both take the same form; the linear
         form is kept while the entries computed stay finite.
         """
-        dist, _, w, hit_k, hit_j, linear = self._front(pts, polar)
+        dist, _, w, linear = self._front(pts, half, hit_j)
         cols = np.arange(ks.size)
         out = None
         if linear:
             out = w / dist[ks, cols]
-            if not polar:
+            if half is None:
                 np.sqrt(out, out=out)
             out *= self.inv_w[ks]
             if not math.isfinite(out.sum()):
                 out = None
         if out is None:
-            log_d, total = self._log_distances(dist, polar)
+            log_d, total = self._log_distances(dist, half is not None)
             out = np.exp(total - log_d[cols, ks] - self.log_w[ks])
         out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
         return out
 
     def _runs(self, bpts):
-        """The points ``bpts`` flat, their front-end, and their runs ``(start, stop)`` of at most ``width``.
+        """``(hit_k, hit_j, runs)``: the exact node hits bpts[hit_j] == nodes[hit_k], in increasing j, and the runs.
 
-        The front-end is chosen once for all of ``bpts``, and no run after the
-        first has one point: numpy sends a one-column product to gemv, which
-        rounds unlike gemm.  So the result does not depend on the tile width.
+        A run ``(start, pts, half, hit_k, hit_j)`` holds at most ``width``
+        points from ``start`` on, their :func:`_half_planes` (None for
+        coordinates) and their share of the hits, with j counted from
+        ``start``.  The front-end, the planes and the hits (one
+        ``searchsorted`` in the sorted nodes) are found once for all of
+        ``bpts``.  No run after the first has one point: numpy sends a
+        one-column product to gemv, which rounds unlike gemm.  So the result
+        does not depend on the tile width.
         """
         bpts = np.asarray(bpts, dtype=complex).reshape(-1)
         cuts = [*range(0, bpts.size, self.width), bpts.size]
         if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
             cuts[-2] -= 1
-        return bpts, self.takes_polar(bpts), list(zip(cuts, cuts[1:]))
-
-    def tiles(self, bpts):
-        """``(start, tile)`` over the runs of the points ``bpts`` (:meth:`_runs`)."""
-        bpts, polar, runs = self._runs(bpts)
-        for start, stop in runs:
-            yield start, self.tile(bpts[start:stop], polar)
+        half = _half_planes(bpts) if self.takes_polar(bpts) else None
+        at = np.minimum(np.searchsorted(self.sorted, bpts), self.n - 1)
+        hit_j = np.flatnonzero(self.sorted[at] == bpts)
+        hit_k = self.order[at[hit_j]]
+        edges = np.searchsorted(hit_j, cuts)
+        runs = [
+            (a, bpts[a:b], None if half is None else half[:, a:b], hit_k[i:j], hit_j[i:j] - a)
+            for a, b, i, j in zip(cuts, cuts[1:], edges, edges[1:])
+        ]
+        return hit_k, hit_j, runs
 
     def own(self, bpts, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[i]}(bpts[i])| for paired points and 0-based node indices."""
-        bpts, polar, runs = self._runs(bpts)
-        return np.concatenate([self._own_tile(bpts[start:stop], polar, ks[start:stop]) for start, stop in runs])
+        runs = self._runs(bpts)[2]
+        return np.concatenate([self._own_tile(*run, ks[start : start + run[0].size]) for start, *run in runs])
 
     def lebesgue_at(self, z: complex) -> float:
         """sum_k |l_k(z)| at one point, O(N)."""
-        polar = self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS  # takes_polar for one point
-        return float(self.tile(np.array([z], dtype=complex), polar)[2][0])
+        pts = np.array([z], dtype=complex)
+        half = _half_planes(pts) if self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS else None
+        hit_k = (self.nodes == z).nonzero()[0]  # one compare: the lookup of _runs for one point
+        return float(self.tile(pts, half, 0 * hit_k)[2][0])
 
 
 def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray):
@@ -474,21 +476,22 @@ def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray):
     node_max = np.zeros(flips.n)
     node_arg = np.array(node_arg0, dtype=float)
     leb_max, leb_arg = 0.0, 0.0
+    hit_k, hit_j, runs = flips._runs(curve(ang))
     with np.errstate(all="ignore"):
-        for start, (vals, scale, sums, hit_k, hit_j) in flips.tiles(curve(ang)):
+        for start, pts, half, _, run_hit_j in runs:
+            vals, scale, sums = flips.tile(pts, half, run_hit_j)
             arg = vals.argmax(axis=1)
             cand = vals[rows, arg] * scale
-            if hit_k.size:
-                # the FLIP is 1 at its own node and 0 at the others
-                first = (cand[hit_k] < 1.0) | ((cand[hit_k] == 1.0) & (hit_j < arg[hit_k]))
-                cand[hit_k[first]] = 1.0
-                arg[hit_k[first]] = hit_j[first]
             upd = cand > node_max
             node_max[upd] = cand[upd]
             node_arg[upd] = ang[start + arg[upd]]
             i = int(np.argmax(sums))
             if sums[i] > leb_max:
                 leb_max, leb_arg = float(sums[i]), float(ang[start + i])
+    # the FLIP is 1 at its own node, which the curve passes once; ties go to the smaller angle
+    first = (node_max[hit_k] < 1.0) | ((node_max[hit_k] == 1.0) & (ang[hit_j] < node_arg[hit_k]))
+    node_max[hit_k[first]] = 1.0
+    node_arg[hit_k[first]] = ang[hit_j[first]]
     return node_max, node_arg, leb_max, leb_arg
 
 

@@ -6,6 +6,7 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lejaflip import canonical_disk_leja
 from lejaflip.cli import main
 
 
@@ -70,6 +71,13 @@ class TestLejaCommand:
             assert run(capsys, "leja", "--disk", "-N", "6", "--format", fmt, "-o", str(path))[0] == 0
             assert out.encode() == path.read_bytes()
         assert set(json.loads(out)) == {"n", "points", "compact_tag"}
+
+    def test_csv_is_the_section_csv(self, capsys, tmp_path):
+        # one layout: the command writes what LejaSection.to_csv writes
+        out, ref = tmp_path / "f.csv", tmp_path / "ref.csv"
+        assert run(capsys, "leja", "--disk", "-N", "5", "-o", str(out))[0] == 0
+        canonical_disk_leja(5).to_csv(ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_validation_failure_exits_two(self, capsys):
         # an unreachable tolerance turns rounding-level shortfalls into failures
@@ -159,6 +167,16 @@ class TestBivariateCommand:
         assert "slope" in err
         assert len(list(csv.DictReader(out.splitlines()))) == 4
 
+    def test_lebesgue_refuses_n_below_one(self, capsys):
+        # at n = 0 the envelope C*n(n+1)(n+2) is 0 while Lambda is 1: a failure that checks nothing
+        for n_range in ("0..1", "0", "-1..3"):
+            code, out, err = run(capsys, "bivariate", "--lebesgue", f"--n={n_range}")
+            assert code == 1 and out == "", n_range
+            assert "n >= 1" in err
+        code, out, _ = run(capsys, "bivariate", "--lebesgue", "--n", "1..2")
+        assert code == 0
+        assert [int(r["n"]) for r in csv.DictReader(out.splitlines())] == [1, 2]
+
     def test_decay(self, capsys):
         code, out, _ = run(capsys, "bivariate", "--decay", "--n", "2..6", "--grid", "24")
         assert code == 0
@@ -235,6 +253,16 @@ class TestTransportCommand:
             code, out, err = run(capsys, "transport", "--ellipse", "1.2", "0.8", "--max-n", "8", *extra)
             assert code == 1, extra
             assert "error" in err and out == ""
+
+    def test_refuses_sweeps_of_no_size(self, capsys):
+        # the sweep checks N = 2, 4, 8, ...: below 2 it would print [] and pass
+        for max_n in ("1", "0", "-4"):
+            code, out, err = run(capsys, "transport", "--ellipse", "1.2", "0.8", "--max-n", max_n, "--format", "json")
+            assert code == 1 and out == "", max_n
+            assert "--max-n must be at least 2" in err
+        code, out, _ = run(capsys, "transport", "--alper", "--ellipse", "1.2", "0.8", "--max-n", "1")
+        assert code == 0  # --alper does not sweep N
+        assert len(list(csv.DictReader(out.splitlines()))) == 1
 
     def test_rejects_bad_axes(self, capsys):
         for axes in (["0.5", "1.0"], ["1", "5e-324"], ["1e308", "1e308"]):  # b < a; b lost against a; a + b overflows

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -315,6 +316,10 @@ def _scan_case(name):
     if name == "single-node":  # |l_1| = 1: every grid point ties
         nodes = np.exp(1j * np.array([0.3]))
         return nodes, _unit_circle, np.angle(nodes), default_grid(1)
+    if name == "single-node-on-grid":  # every grid point ties, the node's own one too
+        grid = default_grid(1)
+        nodes = _unit_circle(2.0 * np.pi * np.array([1000]) / grid)
+        return nodes, _unit_circle, np.angle(nodes), grid
     if name == "random-100":
         nodes = unit_rng_points(np.random.default_rng(9), 100)
         return nodes, _unit_circle, np.angle(nodes), default_grid(100)
@@ -328,12 +333,20 @@ def _scan_case(name):
 
 class TestScanEngine:
     @pytest.mark.parametrize(
-        "name", ["canonical-256", "single-node", "random-100", "ellipse-30x1-128", "scaled-ellipse-30x1-1024"]
+        "name",
+        [
+            "canonical-256",
+            "single-node",
+            "single-node-on-grid",
+            "random-100",
+            "ellipse-30x1-128",
+            "scaled-ellipse-30x1-1024",
+        ],
     )
     def test_independent_of_tile_width(self, name, monkeypatch):
         nodes, curve, node_ts, grid = _scan_case(name)
         base = _scan(_Flips(nodes), curve, grid, node_ts)
-        for tile in (64, grid * nodes.size):  # 64-point tiles; one tile for the whole grid
+        for tile in (64, 1 << 16, grid * nodes.size):  # 64-point tiles; the default; one tile for the whole grid
             monkeypatch.setattr(flip_module, "_TILE", tile)
             got = _scan(_Flips(nodes), curve, grid, node_ts)
             for want, have in zip(base, got):
@@ -343,8 +356,8 @@ class TestScanEngine:
             # roots of unity: each FLIP peaks at its own node, a hit column
             assert np.all(base[0] == 1.0)
             assert np.allclose(np.exp(1j * base[1]), nodes, atol=1e-12)
-        if name == "single-node":  # ties go to the smallest angle
-            assert base[1][0] == 0.0 and base[3] == 0.0
+        if name.startswith("single-node"):  # ties go to the smallest angle, even past the node's own
+            assert base[0][0] == 1.0 and base[1][0] == 0.0 and base[3] == 0.0
 
     def test_scaled_scan_matches_log_domain_scan(self):
         # the same FLIPs of the thin ellipse at N=1024, once unscaled (node
@@ -357,6 +370,88 @@ class TestScanEngine:
         got = _scan(_Flips(nodes), curve, 4096, node_ts)
         assert np.allclose(got[0], want[0], rtol=1e-11, atol=0.0)
         assert got[2] == pytest.approx(want[2], rel=1e-11)
+
+
+def _hit_cases():
+    """Node sets and their scan grids: canonical sections, random unit nodes, and the 30x1 ellipse."""
+    for n in (1, 3, 64, 255, 256):
+        yield f"canonical-{n}", canonical_disk_leja(n).points, _unit_circle, default_grid(n)
+    yield "random-100", *_scan_case("random-100")[:2], 4096
+    ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(128))
+    yield "ellipse-30x1-128", ts.images, ts.map.on_circle, default_grid(128)
+    nodes, curve, _ = _scaled_boundary(ts)
+    yield "scaled-ellipse-30x1-128", nodes, curve, default_grid(128)
+
+
+class TestHitLookup:
+    """Exact node hits come from one lookup per point set, and each run gets its slice."""
+
+    @staticmethod
+    def _check(flips, pts):
+        want_j, want_k = np.nonzero(pts[:, None] == flips.nodes[None, :])  # brute force, in increasing j
+        hit_k, hit_j, runs = flips._runs(pts)
+        assert np.array_equal(hit_j, want_j) and np.array_equal(hit_k, want_k)
+        run_k = np.concatenate([run_hit_k for _, _, _, run_hit_k, _ in runs])
+        run_j = np.concatenate([start + run_hit_j for start, _, _, _, run_hit_j in runs])
+        assert np.array_equal(run_j, want_j) and np.array_equal(run_k, want_k)
+        for _, run_pts, _, run_hit_k, run_hit_j in runs:
+            assert np.all(run_pts[run_hit_j] == flips.nodes[run_hit_k])
+        return hit_j.size
+
+    @pytest.mark.parametrize("case", list(_hit_cases()), ids=lambda case: case[0])
+    def test_hits_equal_brute_force(self, case, monkeypatch):
+        name, nodes, curve, grid = case
+        monkeypatch.setattr(flip_module, "_TILE", 64 * nodes.size)  # many tiles
+        flips = _Flips(nodes)
+        found = self._check(flips, curve(2.0 * np.pi * np.arange(grid) / grid))
+        if name in ("canonical-1", "canonical-64", "canonical-256"):  # roots of unity on the 64N grid
+            assert found == nodes.size
+        # probe sets: hits in the first and in later tiles, and one-point runs
+        rng = np.random.default_rng(nodes.size)
+        pts = curve(rng.uniform(0.0, 2.0 * np.pi, 300))
+        where = rng.choice(300, size=min(40, nodes.size), replace=False)
+        pts[where] = nodes[rng.choice(nodes.size, size=where.size, replace=False)]
+        pts[-1] = nodes[-1]
+        assert self._check(flips, pts) == where.size + (299 not in where)
+        for k in (0, nodes.size - 1):
+            assert self._check(flips, nodes[[k]]) == 1
+        assert self._check(flips, curve(np.array([0.1234]))) == 0
+
+    def test_underflowed_distance_acts_as_a_hit(self):
+        # |b - eta_1|^2 underflows to 0 although b != eta_1: the log domain takes
+        # the tile, and l_k is about 1 at that node and about 0 at the others
+        nodes = np.array([1e-200, 1.0, -1.0, 0.5j], dtype=complex)
+        b = np.full(4, 2e-200 + 0j)
+        flips = _Flips(nodes)
+        assert flips._runs(b)[1].size == 0
+        with np.errstate(all="ignore"):
+            got = flips.own(b, np.arange(4))
+            assert flips.lebesgue_at(b[0]) == pytest.approx(1.0, rel=1e-14)
+        assert got[0] == pytest.approx(1.0, rel=1e-14)
+        assert np.all(got[1:] < 1e-150)
+
+
+class TestNodeWeights:
+    @pytest.mark.parametrize("tile", [64, 1 << 16])
+    def test_row_blocks_match_the_whole_matrix(self, tile, monkeypatch):
+        monkeypatch.setattr(flip_module, "_TILE", tile)
+        canonical = canonical_disk_leja(700).points
+        for nodes in (canonical, _scan_case("random-100")[0]):
+            d = np.abs(nodes[:, None] - nodes[None, :])
+            np.fill_diagonal(d, 1.0)
+            assert np.array_equal(_log_node_weights(nodes), np.log(d).sum(axis=1))
+        with pytest.raises(ValueError, match="distinct"):
+            _log_node_weights(np.append(canonical, canonical[600]))  # the pair sits in two row blocks
+
+    def test_peak_memory_far_below_one_n_by_n_array(self):
+        nodes = canonical_disk_leja(2048).points  # one 2048 x 2048 complex array takes 67 MB
+        tracemalloc.start()
+        try:
+            _Flips(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _coordinate_flips(nodes):
@@ -454,7 +549,8 @@ def _full_tile_entries(flips, bpts, ks):
     """|l_{ks[i]}(bpts[i])| gathered from full tiles, as the probes read them
     before they got a back half of their own."""
     out = np.empty(ks.size)
-    for start, (vals, scale, _, hit_k, hit_j) in flips.tiles(bpts):
+    for start, pts, half, hit_k, hit_j in flips._runs(bpts)[2]:
+        vals, scale, _ = flips.tile(pts, half, hit_j)
         k = ks[start : start + vals.shape[1]]
         out[start : start + k.size] = vals[k, np.arange(k.size)] * scale[k]
         out[start + hit_j[hit_k == k[hit_j]]] = 1.0
