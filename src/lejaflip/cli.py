@@ -94,6 +94,8 @@ def _bounds_row(n_points: int, grid: int | None, refine: int) -> dict:
 
 
 def _cmd_bounds(args) -> int:
+    if not args.special_n and (args.p_range is not None or args.avg):
+        raise ValueError("--p and --avg check the special-n sweep; they need --special-n")
     if not args.special_n and args.max_n < 1:
         raise ValueError("--max-n must be positive")
     rows: list[dict] = []
@@ -208,7 +210,7 @@ def _cmd_bivariate(args) -> int:
         if len(sizes) > 1:
             slope = float(np.polyfit(np.log(sizes), np.log(lams), 1)[0])
             print(f"fitted log-log slope: {slope:.4f}", file=sys.stderr)
-    elif mode == "decay":
+    else:  # decay
         n_values = args.n_range or list(range(2, 13))
         try:
             table = bv.jackson_decay_experiment(
@@ -218,9 +220,6 @@ def _cmd_bivariate(args) -> int:
             print(f"decay violation: {exc}", file=sys.stderr)
             return CHECK_FAILED
         rows = [{"n": n, "N": size, "sup_error": err} for n, size, err in table if n in set(n_values)]
-    else:
-        print(f"error: unknown bivariate mode {mode!r}", file=sys.stderr)
-        return USAGE_ERROR
     _emit(rows, args.format, args.output)
     return CHECK_FAILED if failed else 0
 

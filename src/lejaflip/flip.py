@@ -20,12 +20,12 @@ they keep, so one linear-domain formula gives every |l_k| on a boundary; the
 log domain is its guard for node sets whose weights leave double range.
 Grids of at most pi*(N-1) angles are refused.
 
-The tile kernel has two front-ends for the distances |b - eta_k|.  When the
-nodes and the points all have modulus 1 to a few ulps, as canonical sections
-and exp(it) grids do, a distance is 2|sin((t - phi_k)/2)|: one product of
-half-angle values with no coordinate differences and no square roots.  Any
-other input, every ellipse included, takes coordinate differences.  The
-choice is made from the moduli alone, once per point set.
+The tile kernel takes the distances |b - eta_k| from one matmul of per-node
+coefficients with per-point planes.  When the nodes and the points all have
+modulus 1 to a few ulps, as canonical sections and exp(it) grids do, a
+distance is 2|sin((t - phi_k)/2)|, from half-angle values.  Any other input,
+every ellipse included, takes coordinate differences 1*x + (-x_k)*1, the bits
+of a subtraction.  The choice is made from the moduli alone, once per point set.
 """
 
 from __future__ import annotations
@@ -274,15 +274,8 @@ def _unit_circle(t):
 
 
 def _on_unit_circle(pts: np.ndarray) -> bool:
-    dev = np.abs(pts)
-    dev -= 1.0  # in place: a grid-sized temporary fewer, which peak memory shows
-    return bool(np.all(np.abs(dev, out=dev) <= _UNIT_ULPS))
-
-
-def _half_planes(pts: np.ndarray) -> np.ndarray:
-    """(cos(t/2), sin(t/2)) of the points e^{it} as a (2, size) array: the principal square root."""
-    half = np.sqrt(pts)
-    return np.array((half.real, half.imag))
+    mod = np.abs(pts)  # |mod - 1| <= _UNIT_ULPS, with one temporary and no elementwise pass after it
+    return bool(mod.min() >= 1.0 - _UNIT_ULPS and mod.max() <= 1.0 + _UNIT_ULPS)
 
 
 class _Flips:
@@ -293,20 +286,21 @@ class _Flips:
     scans and the Lebesgue probe; the own one (:meth:`_own_tile`) gives one
     entry per point and serves the per-node refinement probes.
 
-    A tile gets its distances |b_j - eta_k| from one of two front-ends.  When
-    every node and every point of the call lies on the unit circle, within
-    ``_UNIT_ULPS`` of modulus 1, it takes the polar form: with eta_k = e^{i phi_k}
-    and b_j = e^{i t_j},
+    A tile gets its distances |b_j - eta_k| from one matmul of per-node
+    coefficients with the per-point planes of :meth:`_planes`.  When every
+    node and point of the call lies on the unit circle, within ``_UNIT_ULPS``
+    of modulus 1, the polar form multiplies half-angle values,
 
         |b_j - eta_k| = |2 sin(t_j/2) cos(phi_k/2) - 2 cos(t_j/2) sin(phi_k/2)|,
 
-    one (N x 2)(2 x cols) product of the half-angle values that the principal
-    square root gives.  Any other node set or point set takes coordinate
-    differences and squared distances.  A point exactly equal to a node is a
-    hit, found for a whole point set by one lookup in the sorted nodes
-    (:meth:`_runs`); its column becomes the Kronecker column.  From the
-    distances on, everything is shared.  Run it under
-    ``np.errstate(all="ignore")``.
+    for eta_k = e^{i phi_k} and b_j = e^{i t_j}, and takes ``abs``.  Other
+    input takes coordinates: the coefficients (1, -x_k), (1, -y_k) times the
+    planes (x_j, 1), (y_j, 1) give x_j - x_k and y_j - y_k from two exact
+    products, rounded once as a subtraction is; they are squared and added.
+    A point exactly equal to a node is a hit, found for a whole point set by
+    one lookup in the sorted nodes (:meth:`_runs`); its column becomes the
+    Kronecker column.  From the distances on, everything is shared.  Run it
+    under ``np.errstate(all="ignore")``.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -314,7 +308,8 @@ class _Flips:
         self.nodes = nodes
         self.order = np.argsort(nodes)
         self.sorted = nodes[self.order]
-        self.planes = np.array((nodes.real, nodes.imag))[:, :, None]
+        self.node_set = frozenset(nodes.tolist())  # the hit lookup of a one-point probe, one hash away
+        self.coords = np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
         # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the circle
         half = np.sqrt(nodes)
         self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if _on_unit_circle(nodes) else None
@@ -322,36 +317,43 @@ class _Flips:
         # None when the weights leave double range: only the log domain takes those nodes
         self.inv_w = np.exp(-self.log_w) if np.all(np.abs(self.log_w) < 280.0) else None
         self.width = max(64, _TILE // n)
-        self._d = np.empty(2 * n * self.width)
-        self._d2 = np.empty(n * self.width)
+        self._d = np.empty(3 * n * self.width)
         self._views: dict[int, tuple] = {}
 
     def takes_polar(self, pts: np.ndarray) -> bool:
         """Whether tiles at the points ``pts`` take the polar front-end."""
         return self.polar is not None and _on_unit_circle(pts)
 
-    def _front(self, pts: np.ndarray, half, hit_j: np.ndarray):
-        """The front half of a tile at the points ``pts`` (cols <= width), which both back halves share.
+    def _planes(self, pts: np.ndarray, polar: bool) -> np.ndarray:
+        """(cos(t_j/2), sin(t_j/2)) as (2, size) for the polar form, else (x_j, 1), (y_j, 1) as (2, 2, size)."""
+        if polar:
+            half = np.sqrt(pts)  # e^{it/2}, the principal square root
+            return np.array((half.real, half.imag))
+        planes = np.ones((2, 2, pts.size))
+        planes[:, 0] = pts.real, pts.imag
+        return planes
 
-        ``half`` is the points' :func:`_half_planes` for the polar front-end,
-        None for coordinates; pts[hit_j] are the points that are nodes.
-        Returns ``(dist, free, w, linear)``: dist[k, j] is |b_j - eta_k|,
+    def _front(self, planes: np.ndarray, hit_j: np.ndarray):
+        """The front half of a tile at the points of ``planes`` (cols <= width), which both back halves share.
+
+        ``planes`` is a slice of :meth:`_planes`; the points in ``hit_j`` are
+        nodes.  Returns ``(dist, free, w, linear)``: dist[k, j] is |b_j - eta_k|,
         squared on coordinates, w[j] its product over the nodes, and ``free``
         a spare plane of dist's shape.  A hit column has its distances and
         its product set to 1.  ``linear`` says whether the linear form may
         run: the weights and the products lie inside double range.
         """
-        cols = pts.size
+        cols = planes.shape[-1]
         views = self._views.get(cols)
         if views is None:
-            d = self._d[: 2 * self.n * cols].reshape(2, self.n, cols)
-            views = self._views[cols] = (d, d[0], d[1], self._d2[: self.n * cols].reshape(self.n, cols))
+            d = self._d[: 3 * self.n * cols].reshape(3, self.n, cols)
+            views = self._views[cols] = (d[:2], d[0], d[1], d[2])
         d, dx, dy, dist = views
-        if half is not None:
-            np.matmul(self.polar, half, out=dist)
+        if planes.ndim == 2:
+            np.matmul(self.polar, planes, out=dist)
             np.abs(dist, out=dist)
         else:
-            np.subtract(np.array((pts.real, pts.imag))[:, None, :], self.planes, out=d)
+            np.matmul(self.coords, planes, out=d)
             np.multiply(d, d, out=d)
             np.add(dx, dy, out=dist)
         if hit_j.size:
@@ -373,26 +375,26 @@ class _Flips:
             log_d *= 0.5
         return log_d, log_d.sum(axis=1)
 
-    def tile(self, pts: np.ndarray, half, hit_j: np.ndarray):
-        """``(vals, scale, sums)`` at the points ``pts`` (cols <= width).
+    def tile(self, planes: np.ndarray, hit_j: np.ndarray):
+        """``(vals, scale, sums)`` at the points of ``planes`` (cols <= width).
 
-        ``half`` and the hits pts[hit_j] are as :meth:`_runs` gives them.
+        ``planes`` and the hits ``hit_j`` are as :meth:`_runs` gives them.
         |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|,
         except that vals is 0 in the hit columns (l_k is 1 at its own node).
         The linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it
         stays inside double range, the log-domain form otherwise.
         """
-        dist, free, w, linear = self._front(pts, half, hit_j)
+        dist, free, w, linear = self._front(planes, hit_j)
         vals = None
         if linear:
             np.divide(w, dist, out=free)
-            if half is None:
+            if planes.ndim == 3:
                 np.sqrt(free, out=free)
             sums = self.inv_w @ free
             if math.isfinite(sums.sum()):  # else a distance product overflowed
                 vals, scale = free, self.inv_w
         if vals is None:
-            log_d, total = self._log_distances(dist, half is not None)
+            log_d, total = self._log_distances(dist, planes.ndim == 2)
             mat = np.exp(total[:, None] - log_d - self.log_w)
             vals, scale, sums = mat.T, np.ones(self.n), mat.sum(axis=1)
         if hit_j.size:
@@ -400,25 +402,25 @@ class _Flips:
             sums[hit_j] = 1.0
         return vals, scale, sums
 
-    def _own_tile(self, pts: np.ndarray, half, hit_k: np.ndarray, hit_j: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """|l_{ks[j]}(b_j)| at the points ``pts``: :meth:`tile`'s entries (ks[j], j) and no others.
+    def _own_tile(self, planes: np.ndarray, hit_k: np.ndarray, hit_j: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """|l_{ks[j]}(b_j)| at the points of ``planes``: :meth:`tile`'s entries (ks[j], j) and no others.
 
         The same operations on the same operands as :meth:`tile`, so the
         values agree bit for bit whenever both take the same form; the linear
         form is kept while the entries computed stay finite.
         """
-        dist, _, w, linear = self._front(pts, half, hit_j)
+        dist, _, w, linear = self._front(planes, hit_j)
         cols = np.arange(ks.size)
         out = None
         if linear:
             out = w / dist[ks, cols]
-            if half is None:
+            if planes.ndim == 3:
                 np.sqrt(out, out=out)
             out *= self.inv_w[ks]
             if not math.isfinite(out.sum()):
                 out = None
         if out is None:
-            log_d, total = self._log_distances(dist, half is not None)
+            log_d, total = self._log_distances(dist, planes.ndim == 2)
             out = np.exp(total - log_d[cols, ks] - self.log_w[ks])
         out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
         return out
@@ -426,26 +428,25 @@ class _Flips:
     def _runs(self, bpts):
         """``(hit_k, hit_j, runs)``: the exact node hits bpts[hit_j] == nodes[hit_k], in increasing j, and the runs.
 
-        A run ``(start, pts, half, hit_k, hit_j)`` holds at most ``width``
-        points from ``start`` on, their :func:`_half_planes` (None for
-        coordinates) and their share of the hits, with j counted from
-        ``start``.  The front-end, the planes and the hits (one
-        ``searchsorted`` in the sorted nodes) are found once for all of
-        ``bpts``.  No run after the first has one point: numpy sends a
-        one-column product to gemv, which rounds unlike gemm.  So the result
-        does not depend on the tile width.
+        A run ``(start, pts, planes, hit_k, hit_j)`` holds at most ``width``
+        points from ``start`` on, their slice of :meth:`_planes` and their
+        share of the hits, with j counted from ``start``.  The front-end, the
+        planes and the hits (one ``searchsorted`` in the sorted nodes) are
+        found once for all of ``bpts``.  No run after the first has one point:
+        numpy sends a one-column product to gemv, which may round a polar
+        entry unlike gemm.  So the result does not depend on the tile width.
         """
         bpts = np.asarray(bpts, dtype=complex).reshape(-1)
         cuts = [*range(0, bpts.size, self.width), bpts.size]
         if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
             cuts[-2] -= 1
-        half = _half_planes(bpts) if self.takes_polar(bpts) else None
+        planes = self._planes(bpts, self.takes_polar(bpts))
         at = np.minimum(np.searchsorted(self.sorted, bpts), self.n - 1)
         hit_j = np.flatnonzero(self.sorted[at] == bpts)
         hit_k = self.order[at[hit_j]]
         edges = np.searchsorted(hit_j, cuts)
         runs = [
-            (a, bpts[a:b], None if half is None else half[:, a:b], hit_k[i:j], hit_j[i:j] - a)
+            (a, bpts[a:b], planes[..., a:b], hit_k[i:j], hit_j[i:j] - a)
             for a, b, i, j in zip(cuts, cuts[1:], edges, edges[1:])
         ]
         return hit_k, hit_j, runs
@@ -453,14 +454,14 @@ class _Flips:
     def own(self, bpts, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[i]}(bpts[i])| for paired points and 0-based node indices."""
         runs = self._runs(bpts)[2]
-        return np.concatenate([self._own_tile(*run, ks[start : start + run[0].size]) for start, *run in runs])
+        return np.concatenate([self._own_tile(*run, ks[start : start + pts.size]) for start, pts, *run in runs])
 
     def lebesgue_at(self, z: complex) -> float:
         """sum_k |l_k(z)| at one point, O(N)."""
-        pts = np.array([z], dtype=complex)
-        half = _half_planes(pts) if self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS else None
-        hit_k = (self.nodes == z).nonzero()[0]  # one compare: the lookup of _runs for one point
-        return float(self.tile(pts, half, 0 * hit_k)[2][0])
+        if z in self.node_set:  # a hit: the sum is l_k(eta_k) = 1
+            return 1.0
+        polar = self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS  # takes_polar on the scalar: no numpy calls
+        return float(self.tile(self._planes(np.array([z], dtype=complex), polar), self.order[:0])[2][0])
 
 
 def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray):
@@ -478,8 +479,8 @@ def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray):
     leb_max, leb_arg = 0.0, 0.0
     hit_k, hit_j, runs = flips._runs(curve(ang))
     with np.errstate(all="ignore"):
-        for start, pts, half, _, run_hit_j in runs:
-            vals, scale, sums = flips.tile(pts, half, run_hit_j)
+        for start, _, planes, _, run_hit_j in runs:
+            vals, scale, sums = flips.tile(planes, run_hit_j)
             arg = vals.argmax(axis=1)
             cand = vals[rows, arg] * scale
             upd = cand > node_max

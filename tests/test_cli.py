@@ -120,6 +120,13 @@ class TestBoundsCommand:
         assert code == 1
         assert "error" in err
 
+    def test_rejects_special_n_flags_without_special_n(self, capsys):
+        # the plain N-sweep would run and exit 0 without the check they ask for
+        for flags in (["--avg"], ["--p", "2..3"], ["--p", "2..3", "--avg"]):
+            code, out, err = run(capsys, "bounds", "--max-n", "3", *flags)
+            assert code == 1 and out == "", flags
+            assert "error" in err and "--special-n" in err
+
     def test_rejects_grids_and_refines_that_skip_the_check(self, capsys):
         for argv in (
             ["--max-n", "6", "--grid", "-3"],
@@ -292,12 +299,14 @@ _AXIS = st.one_of(st.floats(min_value=-1.0, max_value=40.0), st.sampled_from([0.
 @given(
     special=st.booleans(),
     max_n=_SMALL,
-    p_range=st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda lh: f"{lh[0]}..{lh[1]}"),
+    p_range=st.one_of(st.none(), st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda lh: f"{lh[0]}..{lh[1]}")),
+    avg=st.booleans(),
     grid=st.one_of(st.none(), st.integers(min_value=-2, max_value=64)),
     refine=st.integers(min_value=-2, max_value=3),
 )
-def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, grid, refine):
-    argv = ["bounds", *(["--special-n", "--p", p_range, "--avg"] if special else ["--max-n", str(max_n)])]
+def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, avg, grid, refine):
+    argv = ["bounds", *(["--special-n"] if special else ["--max-n", str(max_n)])]
+    argv += [*(["--p", p_range] if p_range is not None else []), *(["--avg"] if avg else [])]
     argv += [*(["--grid", str(grid)] if grid is not None else []), "--refine", str(refine)]
     assert main(argv + ["-o", os.devnull]) in (0, 1, 2)
 

@@ -549,8 +549,8 @@ def _full_tile_entries(flips, bpts, ks):
     """|l_{ks[i]}(bpts[i])| gathered from full tiles, as the probes read them
     before they got a back half of their own."""
     out = np.empty(ks.size)
-    for start, pts, half, hit_k, hit_j in flips._runs(bpts)[2]:
-        vals, scale, _ = flips.tile(pts, half, hit_j)
+    for start, _, planes, hit_k, hit_j in flips._runs(bpts)[2]:
+        vals, scale, _ = flips.tile(planes, hit_j)
         k = ks[start : start + vals.shape[1]]
         out[start : start + k.size] = vals[k, np.arange(k.size)] * scale[k]
         out[start + hit_j[hit_k == k[hit_j]]] = 1.0
@@ -601,6 +601,68 @@ class TestProbes:
         with np.errstate(all="ignore"):
             assert flips.lebesgue_at(z) == pytest.approx(want, rel=1e-12)
             assert flips.lebesgue_at(nodes[4]) == 1.0
+
+
+class _SubtractFlips(_Flips):
+    """``_Flips`` with the coordinate front it had before the matmul: the
+    broadcast subtract (x_j, y_j) - (x_k, y_k), squared and added."""
+
+    def _front(self, planes, hit_j):
+        if planes.ndim == 2:
+            return super()._front(planes, hit_j)
+        d = np.subtract(planes[:, :1], np.array((self.nodes.real, self.nodes.imag))[:, :, None])
+        np.multiply(d, d, out=d)
+        dist = d[0] + d[1]
+        if hit_j.size:
+            dist[:, hit_j] = 1.0
+        w = np.multiply.reduce(dist, axis=0)
+        return dist, d[0], w, self.inv_w is not None and w.min() > 1e-280
+
+
+def _coordinate_cases():
+    """Node sets and point sets off the unit circle, each with hits and one-point sets."""
+    rng = np.random.default_rng(17)
+    interior = 0.9 * rng.random(60) * unit_rng_points(rng, 60)
+    plane = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+    yield "random-interior", interior, plane
+    for name in ("scaled-ellipse-30x1-1024", "ellipse-30x1-128"):  # linear and log-domain tiles
+        nodes, curve, _, grid = _scan_case(name)
+        yield name, nodes, np.concatenate([curve(2 * np.pi * np.arange(grid) / grid), curve(rng.uniform(0, 7, 300))])
+    yield "near-1e300", 1e300 * interior, 1e300 * (plane / 4.0)  # differences stay finite, squares overflow
+    yield "subnormal", 1e-310 * interior, 1e-310 * plane  # exact differences, squares underflow to 0
+    yield "1e-160", 1e-160 * interior, 1e-160 * plane  # squares in the subnormal range
+    yield "1e150", 1e150 * interior, 1e150 * plane  # squares in range, products overflow
+
+
+class TestCoordinateFront:
+    """The matmul front gives the broadcast subtract's differences, so every tile and probe entry, bit for bit."""
+
+    @staticmethod
+    def _tiles(flips, pts):
+        out = []
+        for _, _, planes, _, hit_j in flips._runs(pts)[2]:
+            out.extend(a.copy() for a in flips.tile(planes, hit_j))  # vals may be a work plane
+        return out
+
+    @pytest.mark.parametrize("case", list(_coordinate_cases()), ids=lambda case: case[0])
+    def test_matches_the_broadcast_subtract(self, case):
+        name, nodes, pts = case
+        pts = pts.copy()
+        pts[[0, 5, -1]] = nodes[[0, 1, nodes.size - 1]]  # hits in the first and the last tile
+        flips, ref = _Flips(nodes), _SubtractFlips(nodes)
+        assert not flips.takes_polar(pts)
+        planes = flips._planes(pts, False)
+        diff = np.subtract(np.array((pts.real, pts.imag))[:, None, :], np.array((nodes.real, nodes.imag))[:, :, None])
+        assert np.array_equal(np.matmul(flips.coords, planes), diff)
+        ks = np.random.default_rng(nodes.size).integers(0, nodes.size, pts.size)
+        ks[[0, 5, -1]] = 0, 3, nodes.size - 1  # hits on the probed node and on another
+        with np.errstate(all="ignore"):
+            for lo, hi in ((0, pts.size), (0, 1), (5, 6), (7, 8)):  # one-point sets take gemv
+                got, want = self._tiles(flips, pts[lo:hi]), self._tiles(ref, pts[lo:hi])
+                assert len(got) == len(want) and all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+                assert np.array_equal(flips.own(pts[lo:hi], ks[lo:hi]), ref.own(pts[lo:hi], ks[lo:hi]), equal_nan=True)
+            assert np.array_equal(flips.lebesgue_at(pts[7]), ref.lebesgue_at(pts[7]), equal_nan=True)
+        assert (flips.inv_w is None) == (name not in ("random-interior", "scaled-ellipse-30x1-1024"))
 
 
 class TestBatchStats:
