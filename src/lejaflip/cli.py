@@ -196,7 +196,6 @@ def _cmd_bivariate(args) -> int:
         n_values = args.n_range or list(range(2, 11))
         if min(n_values) < 1:
             raise ValueError("--lebesgue needs n >= 1: at n = 0 the envelope C*n(n+1)(n+2) is 0 and Lambda is 1")
-        sizes, lams = [], []
         for n in n_values:
             n_nodes = bv.triangular_number(n)
             eta, theta = sources(n)
@@ -205,10 +204,8 @@ def _cmd_bivariate(args) -> int:
             envelope = UNIFORM_FLIP_BOUND_2D * n * (n + 1) * (n + 2)
             rows.append({"n": n, "N": n_nodes, "lebesgue": lam, "envelope": envelope})
             failed = failed or lam > envelope
-            sizes.append(n_nodes)
-            lams.append(lam)
-        if len(sizes) > 1:
-            slope = float(np.polyfit(np.log(sizes), np.log(lams), 1)[0])
+        if len(rows) > 1:
+            slope = float(np.polyfit(np.log([r["N"] for r in rows]), np.log([r["lebesgue"] for r in rows]), 1)[0])
             print(f"fitted log-log slope: {slope:.4f}", file=sys.stderr)
     else:  # decay
         n_values = args.n_range or list(range(2, 13))
@@ -247,7 +244,6 @@ def _cmd_transport(args) -> int:
             failed = True
     else:
         n_values = [n for n in (2**k for k in range(1, 30)) if n <= args.max_n]
-        sizes, sups = [], []
         for n_points in n_values:
             ts = tp.transport_sequence(emap, canonical_disk_leja(n_points))
             node_sups, leb = tp.compact_flip_stats(ts, args.grid, args.refine, per_node_refine=True)
@@ -255,10 +251,8 @@ def _cmd_transport(args) -> int:
             rows.append({"N": n_points, "max_sup": max_sup, "lebesgue": leb.constant})
             if not (np.isfinite(max_sup) and np.isfinite(leb.constant)):
                 failed = True
-            sizes.append(n_points)
-            sups.append(max_sup)
-        if len(sizes) > 2:
-            slope = float(np.polyfit(np.log(sizes), np.log(sups), 1)[0])
+        if len(rows) > 2:
+            slope = float(np.polyfit(np.log([r["N"] for r in rows]), np.log([r["max_sup"] for r in rows]), 1)[0])
             print(f"fitted log-log slope of max_sup vs N: {slope:.4f}", file=sys.stderr)
     _emit(rows, args.format, args.output)
     return CHECK_FAILED if failed else 0

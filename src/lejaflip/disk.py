@@ -107,7 +107,10 @@ class BoundarySamples:
         pts = np.array(self.samples, dtype=complex)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("boundary needs at least one sample")
-        if np.unique(pts).size != pts.size:
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("boundary samples must be finite")
+        ordered = np.sort(pts)  # equal samples sit side by side; a sort takes far less memory than np.unique
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("boundary samples must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "samples", pts)

@@ -131,6 +131,29 @@ class TestValidate:
         assert validate_leja(section, circle_samples(29), 1e-6).passed
 
 
+class TestBoundarySamples:
+    def test_rejects_non_finite_samples(self):
+        # one NaN among the samples made every maximum NaN, so validation passed vacuously
+        pts = canonical_disk_leja(8).points.copy()
+        pts[[2, 5]] = pts[[5, 2]]
+        section = LejaSection(pts)
+        samples = circle_samples(256).samples.copy()
+        assert validate_leja(section, BoundarySamples(samples), 1e-6).max_violation > 0.3
+        for bad in (np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.0)):
+            samples[17] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BoundarySamples(samples)
+
+    def test_rejects_duplicates_anywhere(self):
+        samples = circle_samples(256).samples.copy()  # conjugate pairs share a real part and stay distinct
+        assert len(BoundarySamples(samples)) == 256
+        for i, j in ((0, 1), (3, 200), (255, 128)):
+            dup = samples.copy()
+            dup[j] = dup[i]
+            with pytest.raises(ValueError, match="distinct"):
+                BoundarySamples(dup)
+
+
 def _log_domain_validation(section, boundary):
     """The log-domain loop validate_leja ran before its linear form, verbatim: (max_violation, worst_k)."""
     pts = section.points

@@ -300,6 +300,18 @@ class TestRefusesVacuousScans:
             sup_norm_on_circle(section, 1, coarse_grid=15)
         assert circle_flip_stats(section, coarse_grid=16)[1].constant >= 1.0
 
+    def test_nan_moduli_raise(self):
+        # 1e200 * disk points: the squared distances overflow and the log domain
+        # gives NaN, which the floor at 1 would report as a passing sup
+        disk = np.sqrt(np.random.default_rng(20).random(20)) * unit_rng_points(np.random.default_rng(21), 20)
+        for per_node_refine in (False, True):
+            with pytest.raises(ArithmeticError, match="NaN"):
+                circle_flip_stats(1e200 * disk, refine_iters=0, per_node_refine=per_node_refine)
+        with pytest.raises(ArithmeticError, match="NaN"):
+            sup_norm_on_circle(1e200 * disk, 3)
+        sups, report = circle_flip_stats(1e-200 * disk, refine_iters=0)  # inf stays inf
+        assert np.all(sups == np.inf) and report.constant == np.inf
+
     def test_negative_refine(self):
         section = canonical_disk_leja(6)
         with pytest.raises(ValueError):
@@ -370,6 +382,130 @@ class TestScanEngine:
         got = _scan(_Flips(nodes), curve, 4096, node_ts)
         assert np.allclose(got[0], want[0], rtol=1e-11, atol=0.0)
         assert got[2] == pytest.approx(want[2], rel=1e-11)
+
+
+def _whole_set_cuts(size, width):
+    """Run cuts of a whole point set: ``width`` apart, and no run after the first with one point."""
+    cuts = [*range(0, size, width), size]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        cuts[-2] -= 1
+    return cuts
+
+
+def _whole_set_scan(flips, curve, grid, node_arg0):
+    """The scan as it was before it streamed its grid in chunks: the curve,
+    the front-end choice, the planes and the hit lookup for the whole grid at once."""
+    ang = 2.0 * np.pi * np.arange(grid) / grid
+    bpts = curve(ang)
+    cuts = _whole_set_cuts(grid, flips.width)
+    planes = flips._planes(bpts, flips.takes_polar(bpts))
+    at = np.minimum(np.searchsorted(flips.sorted, bpts), flips.n - 1)
+    hit_j = np.flatnonzero(flips.sorted[at] == bpts)
+    hit_k = flips.order[at[hit_j]]
+    edges = np.searchsorted(hit_j, cuts)
+    rows = np.arange(flips.n)
+    node_max = np.zeros(flips.n)
+    node_arg = np.array(node_arg0, dtype=float)
+    leb_max, leb_arg = 0.0, 0.0
+    with np.errstate(all="ignore"):
+        for start, stop, i, j in zip(cuts, cuts[1:], edges, edges[1:]):
+            vals, scale, sums = flips.tile(planes[..., start:stop], hit_j[i:j] - start)
+            arg = vals.argmax(axis=1)
+            cand = vals[rows, arg] * scale
+            upd = cand > node_max
+            node_max[upd] = cand[upd]
+            node_arg[upd] = ang[start + arg[upd]]
+            m = int(np.argmax(sums))
+            if sums[m] > leb_max:
+                leb_max, leb_arg = float(sums[m]), float(ang[start + m])
+    first = (node_max[hit_k] < 1.0) | ((node_max[hit_k] == 1.0) & (ang[hit_j] < node_arg[hit_k]))
+    node_max[hit_k[first]] = 1.0
+    node_arg[hit_k[first]] = ang[hit_j[first]]
+    return node_max, node_arg, leb_max, leb_arg
+
+
+def _stream_case(name):
+    """Nodes, curve, node parameters and grid of a streamed-scan case."""
+    if name in ("canonical-256", "random-100", "ellipse-30x1-128", "single-node"):
+        return _scan_case(name)
+    if name == "scaled-ellipse-30x1-1024":  # 64-point runs, two chunks
+        return (*_scan_case(name)[:3], 1 << 14)
+    if name == "late-off-circle":  # on the circle in the first chunks only: the grid is scanned again on coordinates
+        nodes = _scan_case("random-100")[0]
+        return nodes, lambda t: _unit_circle(t) * np.where(t > 5.0, 1.0 + 1e-9, 1.0), np.angle(nodes), 1 << 14
+    # 1024-point runs and one point more, which the last two runs share: at 8193 the
+    # moved cut ends the first chunk, at 9217 it falls inside the second
+    nodes = canonical_disk_leja(64).points
+    return nodes, _unit_circle, np.angle(nodes), int(name.split("-")[1])
+
+
+class TestStreamedScan:
+    """The scan holds one chunk of its grid at a time and still gives the whole-set scan's numbers."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "canonical-256",
+            "scaled-ellipse-30x1-1024",
+            "random-100",
+            "ellipse-30x1-128",
+            "single-node",
+            "grid-8193",
+            "grid-9217",
+            "late-off-circle",
+        ],
+    )
+    def test_matches_the_whole_set_scan(self, name, monkeypatch):
+        nodes, curve, node_ts, grid = _stream_case(name)
+        flips = _Flips(nodes)
+        want = _whole_set_scan(flips, curve, grid, node_ts)
+        for chunk in (1, 1 << 13, 1 << 30):  # one run per chunk; the default; one chunk for the whole grid
+            monkeypatch.setattr(flip_module, "_CHUNK", chunk)
+            got = _scan(flips, curve, grid, node_ts)
+            for w, g in zip(want, got):
+                assert np.array_equal(w, g)
+        ang = 2.0 * np.pi * np.arange(grid) / grid
+        hits = {"canonical-256": 256, "scaled-ellipse-30x1-1024": 1024, "ellipse-30x1-128": 128}
+        assert np.isin(curve(ang), nodes).sum() == hits.get(name, 1 if name.startswith("grid") else 0)
+        if name == "late-off-circle":
+            assert flips.takes_polar(curve(ang[: 1 << 13])) and not flips.takes_polar(curve(ang))
+
+    @pytest.mark.parametrize("name", ["grid-8193", "grid-9217", "scaled-ellipse-30x1-1024", "single-node"])
+    def test_chunks_fall_into_the_whole_grid_runs(self, name, monkeypatch):
+        # a one-point run would take gemv, which the value comparison above may not see
+        nodes, curve, node_ts, grid = _stream_case(name)
+        sizes, runs = [], _Flips._runs
+
+        def spy(flips, bpts, polar=None):
+            out = runs(flips, bpts, polar)
+            sizes.extend(run[1].size for run in out[2])
+            return out
+
+        monkeypatch.setattr(_Flips, "_runs", spy)
+        flips = _Flips(nodes)
+        for chunk in (1, 1000, 1 << 13, 1 << 30):
+            monkeypatch.setattr(flip_module, "_CHUNK", chunk)
+            sizes.clear()
+            _scan(flips, curve, grid, node_ts)
+            assert np.cumsum([0, *sizes]).tolist() == _whole_set_cuts(grid, flips.width)
+
+    @pytest.mark.parametrize("name", ["circle", "scaled-ellipse-30x1"])
+    def test_peak_memory_does_not_grow_with_the_grid(self, name):
+        section = canonical_disk_leja(64)
+        if name == "circle":
+            nodes, curve, node_ts = section.points, _unit_circle, np.angle(section.points)
+        else:
+            nodes, curve, node_ts = _scaled_boundary(transport_sequence(ellipse_exterior_map(30.0, 1.0), section))
+        flips = _Flips(nodes)
+        peaks = []
+        for grid in (1 << 14, 1 << 18):  # a whole-grid point set would take 16 MB more at 2^18
+            tracemalloc.start()
+            try:
+                _scan(flips, curve, grid, node_ts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6
 
 
 def _hit_cases():
