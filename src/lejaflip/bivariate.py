@@ -319,15 +319,15 @@ def flip_via_vdm_ratio(
         raise ValueError(f"oracle capped at N={oracle_cap}, got N={arr.N}")
     if not 1 <= p <= arr.N:
         raise ValueError(f"p must be in 1..{arr.N}")
-    sign_d, log_d = np.linalg.slogdet(vdm_matrix(arr.nodes))
-    if not np.isfinite(log_d) or log_d < math.log(1e-250):
+    sign_den, log_den = np.linalg.slogdet(vdm_matrix(arr.nodes))
+    if not np.isfinite(log_den) or log_den < math.log(1e-250):
         raise ArithmeticError("denominator determinant is numerically degenerate")
     zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     shifted = np.broadcast_to(arr.nodes, zs.shape + arr.nodes.shape).copy()
     shifted[..., p - 1, 0] = zs
     shifted[..., p - 1, 1] = ws
     sign_n, log_n = np.linalg.slogdet(vdm_matrix(shifted))
-    val = np.where(np.isfinite(log_n), sign_n / sign_d * np.exp(log_n - log_d), 0.0)
+    val = np.where(np.isfinite(log_n), sign_n / sign_den * np.exp(log_n - log_den), 0.0)
     return complex(val) if val.ndim == 0 else val
 
 

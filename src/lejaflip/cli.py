@@ -249,8 +249,6 @@ def _cmd_transport(args) -> int:
             node_sups, leb = tp.compact_flip_stats(ts, args.grid, args.refine, per_node_refine=True)
             max_sup = float(np.max(node_sups))
             rows.append({"N": n_points, "max_sup": max_sup, "lebesgue": leb.constant})
-            if not (np.isfinite(max_sup) and np.isfinite(leb.constant)):
-                failed = True
         if len(rows) > 2:
             slope = float(np.polyfit(np.log([r["N"] for r in rows]), np.log([r["max_sup"] for r in rows]), 1)[0])
             print(f"fitted log-log slope of max_sup vs N: {slope:.4f}", file=sys.stderr)

@@ -17,9 +17,9 @@ tiles sized for the L2 cache and evaluates the curve in chunks of about 2**13
 points, keeping only per-node maxima and the Lebesgue maximum: a 64-node
 scan's traced peak is 0.8 MB at 2**14 angles and at 2**18.  The same tile
 kernel serves the refinement probes, which compute only the entries they
-keep, so one linear-domain formula gives every |l_k| on a boundary; the log
-domain guards node sets whose weights leave double range.  Grids of at most
-pi*(N-1) angles are refused.
+keep, so one linear-domain formula gives every |l_k| on a boundary; input
+outside its double range, non-finite input included, raises ValueError.
+Grids of at most pi*(N-1) angles are refused.
 
 The tile kernel takes the distances |b - eta_k| from one matmul of per-node
 coefficients with per-point planes.  When the nodes and the points all have
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundViolation, binary_decompose, csv_text, require_resolving_grid, stable_abs_product, wrap_angle
+from .core import BoundViolation, binary_decompose, require_resolving_grid, stable_abs_product, wrap_angle
 from .disk import LejaSection, canonical_disk_leja, omega0_of_section
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -82,10 +82,6 @@ class LebesgueReport:
             "argmax_angle": self.argmax_angle,
             "per_node_sup": [float(v) for v in self.per_node_sup],
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(csv_text([{"k": k, "sup_k": float(v)} for k, v in enumerate(self.per_node_sup, start=1)]))
 
 
 @dataclass(frozen=True)
@@ -268,6 +264,9 @@ _TILE = 1 << 16
 #: Points per chunk of a scan, rounded down to whole runs: a scan holds its curve points one chunk at a time.
 _CHUNK = 1 << 13
 
+#: Why a tile is refused: its moduli cannot be formed in double precision.
+_OUT_OF_RANGE = "FLIP moduli leave double range: the nodes or the boundary are too far from unit scale"
+
 #: Largest ||z| - 1| of a point on the unit circle: a few ulps.  Canonical
 #: nodes and exp(it) grid points are within one.
 _UNIT_ULPS = 4.0 * np.finfo(float).eps
@@ -304,7 +303,8 @@ class _Flips:
     A point exactly equal to a node is a hit, found for a whole point set by
     one lookup in the sorted nodes (:meth:`_runs`); its column becomes the
     Kronecker column.  From the distances on, everything is shared.  Run it
-    under ``np.errstate(all="ignore")``.
+    under ``np.errstate(all="ignore")``.  A node set whose log-weights leave
+    (-280, 280), NaN nodes included, raises :class:`ValueError` when built.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -317,9 +317,11 @@ class _Flips:
         # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the circle
         half = np.sqrt(nodes)
         self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if _on_unit_circle(nodes) else None
-        self.log_w = _log_node_weights(nodes)
-        # None when the weights leave double range: only the log domain takes those nodes
-        self.inv_w = np.exp(-self.log_w) if np.all(np.abs(self.log_w) < 280.0) else None
+        with np.errstate(all="ignore"):  # infinite nodes give NaN weights, refused below
+            log_w = _log_node_weights(nodes)
+        if not np.all(np.abs(log_w) < 280.0):
+            raise ValueError(f"node weights leave double range: log-weights {log_w.min():.4g}..{log_w.max():.4g}")
+        self.inv_w = np.exp(-log_w)
         self.width = max(64, _TILE // n)
         self._d = np.empty(3 * n * self.width)
         self._views: dict[int, tuple] = {}
@@ -341,11 +343,10 @@ class _Flips:
         """The front half of a tile at the points of ``planes`` (cols <= width), which both back halves share.
 
         ``planes`` is a slice of :meth:`_planes`; the points in ``hit_j`` are
-        nodes.  Returns ``(dist, free, w, linear)``: dist[k, j] is |b_j - eta_k|,
+        nodes.  Returns ``(dist, free, w)``: dist[k, j] is |b_j - eta_k|,
         squared on coordinates, w[j] its product over the nodes, and ``free``
         a spare plane of dist's shape.  A hit column has its distances and
-        its product set to 1.  ``linear`` says whether the linear form may
-        run: the weights and the products lie inside double range.
+        its product set to 1.
         """
         cols = planes.shape[-1]
         views = self._views.get(cols)
@@ -362,70 +363,43 @@ class _Flips:
             np.add(dx, dy, out=dist)
         if hit_j.size:
             dist[:, hit_j] = 1.0  # the back halves write the Kronecker columns
-        w = np.multiply.reduce(dist, axis=0)  # squared on coordinates, like the distances
-        # a product of 0 is a distance that underflowed between distinct points: the log domain takes it
-        return dist, dx, w, self.inv_w is not None and w.min() > 1e-280
-
-    def _log_distances(self, dist: np.ndarray, polar: bool) -> tuple[np.ndarray, np.ndarray]:
-        """log |b_j - eta_k| in the grid-major layout (cols x N), and its sum over the nodes.
-
-        numpy sums each point's log distances pairwise there, so the exponent
-        of the log-domain form carries O(log N) ulps of rounding, not O(N).
-        A distance that underflowed to 0 counts as the smallest subnormal, so
-        l_k is about 1 at that node and about 0 at the others, as at a hit.
-        """
-        log_d = np.log(np.maximum(dist.T, 5e-324, order="C"))
-        if not polar:
-            log_d *= 0.5
-        return log_d, log_d.sum(axis=1)
+        return dist, dx, np.multiply.reduce(dist, axis=0)  # w squared on coordinates, like the distances
 
     def tile(self, planes: np.ndarray, hit_j: np.ndarray):
-        """``(vals, scale, sums)`` at the points of ``planes`` (cols <= width).
+        """``(vals, sums)`` at the points of ``planes`` (cols <= width).
 
         ``planes`` and the hits ``hit_j`` are as :meth:`_runs` gives them.
-        |l_k(b_j)| = vals[k, j] * scale[k] and sums[j] = sum_k |l_k(b_j)|,
-        except that vals is 0 in the hit columns (l_k is 1 at its own node).
-        The linear form prod_j |b - eta_j| / |b - eta_k| / w_k runs while it
-        stays inside double range, the log-domain form otherwise.
+        |l_k(b_j)| = vals[k, j] * inv_w[k] = prod_i |b_j - eta_i| / |b_j - eta_k| / w_k
+        and sums[j] = sum_k |l_k(b_j)|, except that vals is 0 in the hit columns
+        (l_k is 1 at its own node).  A distance product not above 1e-280 or
+        moduli that are not finite raise :class:`ValueError`.
         """
-        dist, free, w, linear = self._front(planes, hit_j)
-        vals = None
-        if linear:
-            np.divide(w, dist, out=free)
-            if planes.ndim == 3:
-                np.sqrt(free, out=free)
-            sums = self.inv_w @ free
-            if math.isfinite(sums.sum()):  # else a distance product overflowed
-                vals, scale = free, self.inv_w
-        if vals is None:
-            log_d, total = self._log_distances(dist, planes.ndim == 2)
-            mat = np.exp(total[:, None] - log_d - self.log_w)
-            vals, scale, sums = mat.T, np.ones(self.n), mat.sum(axis=1)
+        dist, vals, w = self._front(planes, hit_j)
+        np.divide(w, dist, out=vals)
+        if planes.ndim == 3:
+            np.sqrt(vals, out=vals)
+        sums = self.inv_w @ vals
+        if not (w.min() > 1e-280 and math.isfinite(sums.sum())):
+            raise ValueError(_OUT_OF_RANGE)
         if hit_j.size:
             vals[:, hit_j] = 0.0
             sums[hit_j] = 1.0
-        return vals, scale, sums
+        return vals, sums
 
     def _own_tile(self, planes: np.ndarray, hit_k: np.ndarray, hit_j: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[j]}(b_j)| at the points of ``planes``: :meth:`tile`'s entries (ks[j], j) and no others.
 
         The same operations on the same operands as :meth:`tile`, so the
-        values agree bit for bit whenever both take the same form; the linear
-        form is kept while the entries computed stay finite.
+        values agree bit for bit; it refuses what :meth:`tile` refuses, with
+        the finiteness checked on the entries computed.
         """
-        dist, _, w, linear = self._front(planes, hit_j)
-        cols = np.arange(ks.size)
-        out = None
-        if linear:
-            out = w / dist[ks, cols]
-            if planes.ndim == 3:
-                np.sqrt(out, out=out)
-            out *= self.inv_w[ks]
-            if not math.isfinite(out.sum()):
-                out = None
-        if out is None:
-            log_d, total = self._log_distances(dist, planes.ndim == 2)
-            out = np.exp(total - log_d[cols, ks] - self.log_w[ks])
+        dist, _, w = self._front(planes, hit_j)
+        out = w / dist[ks, np.arange(ks.size)]
+        if planes.ndim == 3:
+            np.sqrt(out, out=out)
+        out *= self.inv_w[ks]
+        if not (w.min() > 1e-280 and math.isfinite(out.sum())):
+            raise ValueError(_OUT_OF_RANGE)
         out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
         return out
 
@@ -465,7 +439,7 @@ class _Flips:
         if z in self.node_set:  # a hit: the sum is l_k(eta_k) = 1
             return 1.0
         polar = self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS  # takes_polar on the scalar: no numpy calls
-        return float(self.tile(self._planes(np.array([z], dtype=complex), polar), self.order[:0])[2][0])
+        return float(self.tile(self._planes(np.array([z], dtype=complex), polar), self.order[:0])[1][0])
 
 
 def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray, polar: bool | None = None):
@@ -473,10 +447,10 @@ def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray, polar: bool | 
 
     Returns per-node grid maxima with their parameters (``node_arg0`` where a
     node never exceeds 0), and the grid maximum of the Lebesgue function with
-    its parameter; a NaN entry makes its maximum NaN.  Ties resolve toward
-    smaller parameters.  One chunk of whole runs is held at a time, on the
-    first chunk's front-end; if a later chunk leaves the unit circle, the grid
-    is scanned again on coordinates.  So the chunk size changes no result.
+    its parameter.  Ties resolve toward smaller parameters.  One chunk of
+    whole runs is held at a time, on the first chunk's front-end; if a later
+    chunk leaves the unit circle, the grid is scanned again on coordinates.
+    So the chunk size changes no result.
     """
     rows = np.arange(flips.n)
     node_max = np.zeros(flips.n)
@@ -495,14 +469,14 @@ def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray, polar: bool | 
             hit_k, hit_j, runs = flips._runs(pts, polar)
             hits.append((hit_k, ang[hit_j]))
             for start, _, planes, _, run_hit_j in runs:
-                vals, scale, sums = flips.tile(planes, run_hit_j)
+                vals, sums = flips.tile(planes, run_hit_j)
                 arg = vals.argmax(axis=1)
-                cand = vals[rows, arg] * scale
-                upd = (cand > node_max) | np.isnan(cand)  # argmax finds a NaN first, and it stays
+                cand = vals[rows, arg] * flips.inv_w
+                upd = cand > node_max
                 node_max[upd] = cand[upd]
                 node_arg[upd] = ang[start + arg[upd]]
                 i = int(np.argmax(sums))
-                if sums[i] > leb_max or math.isnan(sums[i]):
+                if sums[i] > leb_max:
                     leb_max, leb_arg = float(sums[i]), float(ang[start + i])
     # the FLIP is 1 at its own node, which the curve passes once; ties go to the smaller angle
     hit_k, hit_t = (np.concatenate(h) for h in zip(*hits))
@@ -528,11 +502,9 @@ def _node_sups(flips: _Flips, curve, node_ts, grid: int, refine_iters: int, ks: 
     One grid scan; then golden refinement in t, around the grid argmax, of the
     nodes with 0-based indices ``ks``; then the floor of each node at its
     value 1 at its own parameter ``node_ts[k]``.  Returns
-    ``(node_max, node_arg, leb_max, leb_arg)``; a NaN maximum raises :class:`ArithmeticError`.
+    ``(node_max, node_arg, leb_max, leb_arg)``.
     """
     node_max, node_arg, leb_max, leb_arg = _scan(flips, curve, grid, node_ts)
-    if math.isnan(leb_max) or np.isnan(node_max).any():
-        raise ArithmeticError("the scan produced NaN moduli: the nodes or the curve leave double range")
     if refine_iters > 0 and ks.size:
         h, mid = 2.0 * np.pi / grid, node_arg[ks]
         with np.errstate(all="ignore"):

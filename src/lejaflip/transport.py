@@ -10,8 +10,9 @@ Sup norms and Lebesgue constants on the image boundary run the tiled scan
 engine of :mod:`lejaflip.flip` on the curve t -> Phi(e^it), with golden
 refinement in the circle parameter t.  Scans and the distortion constant run
 on the map scaled by the power of two nearest 1/c1, c1 the capacity, which
-keeps the node weights of thin ellipses in the linear-domain kernel's range
-and the kernel quotients of tiny ellipses in double range.
+keeps the kernel quotients of tiny ellipses in double range.  Where that
+scale would carry the node weights of a thin ellipse out of the scan kernel's
+range, scans run on the map scaled exactly to capacity 1 instead.
 """
 
 from __future__ import annotations
@@ -127,9 +128,13 @@ def _scaled_boundary(ts: TransportedSection):
 
     Scaled to capacity near 1, the nodes' weights stay in double range
     (Reichel, BIT 30 (1990)).  |l_k| keeps its value, since its numerator and
-    denominator have N-1 factors each.
+    denominator have N-1 factors each.  The power of two keeps every bit,
+    but leaves c1 up to sqrt(2) off 1, and the log-weights drift by about
+    (N-1)*|ln c1|; past 200 (the kernel refuses 280) the map is divided by c1.
     """
     mp = _capacity_scaled(ts.map)
+    if (len(ts) - 1) * abs(math.log(mp.c1)) > 200.0:
+        mp = ExteriorMap(mp.kind, mp.a / mp.c1, mp.b / mp.c1, 1.0, mp.c2 / mp.c1)
     return mp(ts.source.points), mp.on_circle, np.angle(ts.source.points)
 
 

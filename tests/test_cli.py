@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import warnings
 
@@ -276,6 +277,16 @@ class TestTransportCommand:
             code, _, err = run(capsys, "transport", "--alper", "--ellipse", *axes)
             assert code == 1, axes
             assert "error" in err
+
+    def test_thin_ellipse_runs_on_the_exact_capacity(self, capsys):
+        # scaled by the power of two nearest 1/c1, the 700x1 node weights reach
+        # e^330 at N = 1024, which the scan kernel refuses (exit 1)
+        argv = ["transport", "--ellipse", "700", "1", "--max-n", "1024", "--refine", "0", "--grid", "4096"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["N"] for r in rows] == [2**k for k in range(1, 11)]
+        assert all(math.isfinite(r["max_sup"]) and math.isfinite(r["lebesgue"]) for r in rows)
 
     def test_tiny_axes(self, capsys):
         # capacity scaling by 2.0 ** -round(log2 c1) overflowed here, and the

@@ -20,7 +20,8 @@ from lejaflip import (
     sup_norm_on_circle,
     transport_sequence,
 )
-from lejaflip.transport import _scaled_boundary
+from lejaflip.flip import _log_node_weights
+from lejaflip.transport import ExteriorMap, _capacity_scaled, _scaled_boundary
 
 
 def alper_closed_form(a, b):
@@ -154,6 +155,31 @@ class TestCapacityScaling:
                 assert np.array_equal(m1, m0)
                 assert np.array_equal(e1[m0 != 0], e0[m0 != 0] - e)
         assert np.array_equal(node_ts, np.angle(ts.source.points))
+
+    @pytest.mark.parametrize("a, b", [(30.0, 1.0), (1.2, 0.8)])
+    def test_bench_ellipses_keep_the_power_of_two(self, a, b):
+        # (N-1)*|ln c1| of the scaled map stays within 200: 32 for 30x1 at N = 1024
+        mp = ellipse_exterior_map(a, b)
+        scaled = _capacity_scaled(mp)
+        for n in (2, 1024, 2048):
+            ts = transport_sequence(mp, canonical_disk_leja(n))
+            assert np.array_equal(_scaled_boundary(ts)[0], scaled(ts.source.points))
+
+    @pytest.mark.parametrize("a, n", [(50.0, 2048), (100.0, 1024), (100.0, 2048), (300.0, 2048), (700.0, 1024)])
+    def test_thin_ellipses_scale_to_capacity_one(self, a, n):
+        # the power of two leaves the scaled capacity up to sqrt(2) off 1, and the
+        # node weights would drift by (N-1)*|ln c1|, past the kernel's e^(+-280)
+        mp = ellipse_exterior_map(a, 1.0)
+        scaled = _capacity_scaled(mp)
+        assert (n - 1) * abs(np.log(scaled.c1)) > 200.0
+        ts = transport_sequence(mp, canonical_disk_leja(n))
+        nodes, curve, _ = _scaled_boundary(ts)
+        exact = ExteriorMap("ellipse", scaled.a / scaled.c1, scaled.b / scaled.c1, 1.0, scaled.c2 / scaled.c1)
+        assert np.array_equal(nodes, exact(ts.source.points))
+        assert np.array_equal(curve(np.array([0.1, 2.0])), exact.on_circle(np.array([0.1, 2.0])))
+        weights = _log_node_weights(nodes)
+        assert np.all(np.abs(weights) < 50.0)
+        assert np.max(np.abs(nodes - ts.images / mp.c1)) < 1e-14  # the same map to rounding, on a curve of size 2
 
     def test_thin_ellipse_lebesgue_matches_mpmath(self):
         mp = ellipse_exterior_map(30.0, 1.0)
