@@ -4,12 +4,12 @@ Nodes come from two univariate sequences (eta_k) and (theta_l) ordered by the
 graded lexicographic rule on exponent pairs: (k1,l1) before (k2,l2) when
 k1+l1 < k2+l2, or the sums tie and k1 > k2.  The first N nodes form the array
 Omega_{n,m} with N_{n-1} < N <= N_n, N_n = (n+1)(n+2)/2, m = N - N_{n-1} - 1.
-Each basis polynomial evaluates through one of seven closed forms selected by
-the position of (p, q) relative to the diagonal p+q = n and the split q vs m.
-A closed form is a signed sum of (z factor) * (w factor) terms, held as two
-per-term tables: their contraction gives the FLIP on a tensor grid (one
-matrix product) or at a list of points.  A dense generalized Vandermonde
-determinant provides the independent oracle.
+Each basis polynomial is one of seven closed forms, set by the position of
+(p, q) relative to the diagonal p+q = n and the split q vs m and all written
+by one telescoping term rule.  A closed form is a signed sum of (z factor) *
+(w factor) terms, held as two per-term tables: their contraction gives the
+FLIP on a tensor grid (one matrix product) or at a list of points.  A dense
+generalized Vandermonde determinant provides the independent oracle.
 """
 
 from __future__ import annotations
@@ -165,33 +165,25 @@ def _flip_terms(n: int, m: int, p: int, q: int) -> list[tuple[int, int, int]]:
     Each term means sign * prod_{j<=z_ub, j!=p} (z-eta_j)/(eta_p-eta_j)
                          * prod_{i<=w_ub, i!=q} (w-theta_i)/(theta_q-theta_i),
     with an upper bound of -1 standing for the empty product.
+
+    One telescoping rule, never branching on the form, gives all seven forms
+    of :func:`flip_case`.  With z(r) = n - q - r - (1 if q + r < m else 2), the
+    terms are (+1, z(-1), q-1), then (-1, z(0), q-1) and (+1, z(0), q+1) if
+    z(0) >= p, then (+1, z(r), q+r+1) and (-1, z(r), q+r) for r = 1, 2, ...
+    while z(r) >= p.  Where a form written out by hand has the z bound p - 1,
+    the rule gives p: the z product skips j = p, so both bounds name one product.
     """
-    if p + q == n or (p + q == n - 1 and q >= m + 1):
-        return [(1, p - 1, q - 1)]
-    if p + q == n - 1 and q == m:
-        return [(1, n - m, m - 1)]
-    if p + q == n - 1 and q <= m - 1:
-        return [(1, p + 1, q - 1), (-1, p - 1, q - 1), (1, p - 1, q + 1)]
-    if q <= m - 1 and p <= n - m - 1:
-        terms = [(1, n - q, q - 1), (-1, n - q - 1, q - 1), (1, n - q - 1, q + 1)]
-        for r in range(1, m - q):
-            terms += [(1, n - q - r - 1, q + r + 1), (-1, n - q - r - 1, q + r)]
-        for r in range(m - q, n - p - q - 1):
-            terms += [(1, n - q - r - 2, q + r + 1), (-1, n - q - r - 2, q + r)]
-        return terms
-    if q <= m - 1:
-        terms = [(1, n - q, q - 1), (-1, n - q - 1, q - 1), (1, n - q - 1, q + 1)]
-        for r in range(1, n - p - q):
-            terms += [(1, n - q - r - 1, q + r + 1), (-1, n - q - r - 1, q + r)]
-        return terms
-    if q == m:
-        terms = [(1, n - m, m - 1), (-1, n - m - 2, m - 1), (1, n - m - 2, m + 1)]
-        for r in range(1, n - m - p - 1):
-            terms += [(1, n - m - r - 2, m + r + 1), (-1, n - m - r - 2, m + r)]
-        return terms
-    terms = [(1, n - q - 1, q - 1), (-1, n - q - 2, q - 1), (1, n - q - 2, q + 1)]
-    for r in range(1, n - p - q - 1):
-        terms += [(1, n - q - r - 2, q + r + 1), (-1, n - q - r - 2, q + r)]
+
+    def z(r: int) -> int:
+        return n - q - r - (1 if q + r < m else 2)
+
+    terms = [(1, z(-1), q - 1)]
+    if z(0) >= p:
+        terms += [(-1, z(0), q - 1), (1, z(0), q + 1)]
+    r = 1
+    while z(r) >= p:
+        terms += [(1, z(r), q + r + 1), (-1, z(r), q + r)]
+        r += 1
     return terms
 
 
@@ -331,6 +323,11 @@ def flip_via_vdm_ratio(
     return complex(val) if val.ndim == 0 else val
 
 
+def _extension_counts(n: int, m: int) -> tuple[int, int]:
+    """How many leading eta and theta the extension factor of Omega_{n,m} takes."""
+    return (n + 1, 0) if m == n else (max(n - m - 1, 0), m + 1)
+
+
 def vdm_extension_factor(arr: IntertwiningArray, z, w) -> complex | np.ndarray:
     """Predicted ratio VDM(H_1..H_N, (z,w)) / VDM(H_1..H_N).
 
@@ -338,13 +335,10 @@ def vdm_extension_factor(arr: IntertwiningArray, z, w) -> complex | np.ndarray:
     prod_{j<=n-m-2} (z - eta_j) * prod_{i<=m} (w - theta_i), the z part being
     empty when m = n - 1.  z and w may be arrays of one shape.
     """
-    n, m = arr.n, arr.m
+    z_cnt, w_cnt = _extension_counts(arr.n, arr.m)
     z = np.asarray(z, dtype=complex)[..., None]
     w = np.asarray(w, dtype=complex)[..., None]
-    if m == n:
-        val = np.prod(z - arr.eta[: n + 1], axis=-1)
-    else:
-        val = np.prod(z - arr.eta[: max(n - m - 1, 0)], axis=-1) * np.prod(w - arr.theta[: m + 1], axis=-1)
+    val = np.prod(z - arr.eta[:z_cnt], axis=-1) * np.prod(w - arr.theta[:w_cnt], axis=-1)
     return complex(val) if val.ndim == 0 else val
 
 
@@ -487,9 +481,8 @@ def verify_2d_leja(eta, theta, n_max: int, grid: int = 512) -> TwoDLejaReport:
     gw = _prefix_grid_maxima(theta, top, circle)
     worst, worst_n = 0.0, 0
     for n_nodes in range(1, n_max):
-        n, m = shape_of(n_nodes)
         nk, nl = lex_to_pair(n_nodes + 1)
-        z_cnt, w_cnt = (n + 1, 0) if m == n else (max(n - m - 1, 0), m + 1)
+        z_cnt, w_cnt = _extension_counts(*shape_of(n_nodes))
         val = float(np.prod(np.abs(eta[nk] - eta[:z_cnt]))) * float(np.prod(np.abs(theta[nl] - theta[:w_cnt])))
         gmax = gz[z_cnt] * gw[w_cnt]
         if gmax > val:
@@ -503,7 +496,6 @@ def jackson_decay_experiment(
     f: Callable[[complex, complex], complex],
     n_max: int,
     grid: int = 48,
-    sources: tuple[np.ndarray, np.ndarray] | None = None,
     require_decay: bool = False,
 ) -> list[tuple[int, int, float]]:
     """Interpolation error of f on full triangular arrays, n = 2..n_max.
@@ -521,15 +513,10 @@ def jackson_decay_experiment(
     require_resolving_grid(grid, n_max)
     rows: list[tuple[int, int, float]] = []
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
-    zg, wg = np.meshgrid(axis, axis, indexing="ij")
     target = np.array([[complex(f(z, w)) for w in axis] for z in axis])
     for n in range(2, n_max + 1):
-        if sources is None:
-            eta = canonical_disk_leja(n + 1).points
-            theta = eta
-        else:
-            eta, theta = sources
-        arr = build_array(eta, theta, triangular_number(n))
+        eta = canonical_disk_leja(n + 1).points
+        arr = build_array(eta, eta, triangular_number(n))
         values = np.array([complex(f(*arr.node(j))) for j in range(1, arr.N + 1)])
         approx = _interp_grid(arr, values, axis, axis)
         err = float(np.max(np.abs(approx - target)))

@@ -233,26 +233,18 @@ def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
 
 def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized golden-section maxima over per-element brackets, with their arguments."""
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
         left = fc > fd
-        b[left] = d[left]
-        d[left] = c[left]
-        fd[left] = fc[left]
-        c[left] = b[left] - _GOLDEN * (b[left] - a[left])
-        right = ~left
-        a[right] = c[right]
-        c[right] = d[right]
-        fc[right] = fd[right]
-        d[right] = a[right] + _GOLDEN * (b[right] - a[right])
-        probe = np.where(left, c, d)
-        fp = fn(probe)
-        fc = np.where(left, fp, fc)
-        fd = np.where(right, fp, fd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        span = _GOLDEN * (b - a)
+        c, d = np.where(left, b - span, d), np.where(left, c, a + span)
+        fp = fn(np.where(left, c, d))
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     take_c = fc >= fd
     return np.where(take_c, fc, fd), np.where(take_c, c, d)
 

@@ -27,7 +27,7 @@ from lejaflip import (
     verify_2d_leja,
 )
 from lejaflip import bivariate
-from lejaflip.bivariate import _flip_at_points, _flip_on_axes, _flip_terms
+from lejaflip.bivariate import _flip_at_points, _flip_on_axes, _flip_terms, _ratio_prefix_table
 
 
 def leja_sources(n_entries, rotate=0.0):
@@ -37,6 +37,42 @@ def leja_sources(n_entries, rotate=0.0):
 
 def random_unit(rng):
     return complex(np.exp(2j * np.pi * rng.random()))
+
+
+def seven_form_terms(n, m, p, q):
+    """Reference: the closed forms written out one per case, as the library once held them."""
+    if p + q == n or (p + q == n - 1 and q >= m + 1):
+        return [(1, p - 1, q - 1)]
+    if p + q == n - 1 and q == m:
+        return [(1, n - m, m - 1)]
+    if p + q == n - 1 and q <= m - 1:
+        return [(1, p + 1, q - 1), (-1, p - 1, q - 1), (1, p - 1, q + 1)]
+    if q <= m - 1 and p <= n - m - 1:
+        terms = [(1, n - q, q - 1), (-1, n - q - 1, q - 1), (1, n - q - 1, q + 1)]
+        for r in range(1, m - q):
+            terms += [(1, n - q - r - 1, q + r + 1), (-1, n - q - r - 1, q + r)]
+        for r in range(m - q, n - p - q - 1):
+            terms += [(1, n - q - r - 2, q + r + 1), (-1, n - q - r - 2, q + r)]
+        return terms
+    if q <= m - 1:
+        terms = [(1, n - q, q - 1), (-1, n - q - 1, q - 1), (1, n - q - 1, q + 1)]
+        for r in range(1, n - p - q):
+            terms += [(1, n - q - r - 1, q + r + 1), (-1, n - q - r - 1, q + r)]
+        return terms
+    if q == m:
+        terms = [(1, n - m, m - 1), (-1, n - m - 2, m - 1), (1, n - m - 2, m + 1)]
+        for r in range(1, n - m - p - 1):
+            terms += [(1, n - m - r - 2, m + r + 1), (-1, n - m - r - 2, m + r)]
+        return terms
+    terms = [(1, n - q - 1, q - 1), (-1, n - q - 2, q - 1), (1, n - q - 2, q + 1)]
+    for r in range(1, n - p - q - 1):
+        terms += [(1, n - q - r - 2, q + r + 1), (-1, n - q - r - 2, q + r)]
+    return terms
+
+
+def members(n, m):
+    """Source-index pairs (p, q) of Omega_{n,m}."""
+    return [(p, q) for p in range(n + 1) for q in range(n + 1 - p) if p + q < n or q <= m]
 
 
 ALL_CASES = {"top", "edge-qm", "edge-qlt", "low-left", "low-right", "low-qm", "low-qgt"}
@@ -168,6 +204,30 @@ class TestDeltaProperty:
                         if a + b > 2 * g - 2:
                             continue
                         assert abs(coeff[a, b]) <= 1e-9, (n_nodes, p, q, a, b)
+
+
+class TestTermRule:
+    def test_matches_the_seven_hand_written_forms(self):
+        # every member with n <= 24; a z bound may read p where the form reads p - 1
+        bounds_p = 0
+        for n in range(25):
+            for m in range(n + 1):
+                for p, q in members(n, m):
+                    got, want = _flip_terms(n, m, p, q), seven_form_terms(n, m, p, q)
+                    assert [(s, w) for s, _, w in got] == [(s, w) for s, _, w in want], (n, m, p, q)
+                    for (_, z_got, _), (_, z_want, _) in zip(got, want):
+                        assert z_got == z_want or (z_got, z_want) == (p, p - 1), (n, m, p, q)
+                        bounds_p += z_got != z_want
+        assert bounds_p > 0
+
+    def test_bounds_p_and_p_minus_one_name_one_product(self):
+        # the z product skips j = p, so its rows at p - 1 and at p are the same bits
+        eta = leja_sources(9)
+        rng = np.random.default_rng(5)
+        zs = 1.5 * rng.random(16) * np.exp(2j * np.pi * rng.random(16))
+        for p in range(9):
+            rows = _ratio_prefix_table(eta, p, np.array([p - 1, p]), zs)
+            assert np.array_equal(rows[0], rows[1]), p
 
 
 class TestContractionKernels:

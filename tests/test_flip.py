@@ -807,6 +807,24 @@ class TestProbes:
             assert flips.lebesgue_at(nodes[4]) == 1.0
 
 
+class TestGoldenSection:
+    @staticmethod
+    def _fns():
+        # plain arithmetic, so a scalar and an array give the same bits; the second has a flat top of ties
+        return [lambda t: (t - 0.3) * (2.1 - t) * (t + 1.7), lambda t: np.minimum(t * (1.0 - t), 0.2)]
+
+    @pytest.mark.parametrize("iters", [0, 1, 40])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_vector_form_is_the_scalar_one_bit_for_bit(self, iters, which):
+        fn = self._fns()[which]
+        lo = np.array([-2.0, 0.0, 0.25, 1.0, -0.5, 3.0, 0.4])
+        hi = np.array([3.0, 0.5, 0.35, 2.5, 0.1, 3.0 + 1e-9, 0.6])
+        vals, args = flip_module._golden_max_vec(fn, lo, hi, iters)
+        want = [flip_module._golden_max(fn, float(a), float(b), iters) for a, b in zip(lo, hi)]
+        assert np.array([v for v, _ in want]).view(np.int64).tolist() == vals.view(np.int64).tolist()
+        assert np.array([t for _, t in want]).view(np.int64).tolist() == args.view(np.int64).tolist()
+
+
 class _SubtractFlips(_Flips):
     """``_Flips`` with the coordinate front it had before the matmul: the
     broadcast subtract (x_j, y_j) - (x_k, y_k), squared and added."""
