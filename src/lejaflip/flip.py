@@ -22,11 +22,10 @@ outside its double range, non-finite input included, raises ValueError.
 Grids of at most pi*(N-1) angles are refused.
 
 The tile kernel takes the distances |b - eta_k| from one matmul of per-node
-coefficients with per-point planes.  When the nodes and the points all have
-modulus 1 to a few ulps, as canonical sections and exp(it) grids do, a
-distance is 2|sin((t - phi_k)/2)|, from half-angle values.  Any other input,
-every ellipse included, takes coordinate differences 1*x + (-x_k)*1, the bits
-of a subtraction.  The choice is made from the moduli alone, once per point set.
+coefficients with per-point planes.  On the unit circle, with nodes of modulus
+1 to a few ulps, a distance is 2|sin((t - phi_k)/2)| from half-angle values of
+the angle itself; any other boundary, every ellipse included, takes coordinate
+differences 1*x + (-x_k)*1, the bits of a subtraction.
 """
 
 from __future__ import annotations
@@ -259,8 +258,8 @@ _CHUNK = 1 << 13
 #: Why a tile is refused: its moduli cannot be formed in double precision.
 _OUT_OF_RANGE = "FLIP moduli leave double range: the nodes or the boundary are too far from unit scale"
 
-#: Largest ||z| - 1| of a point on the unit circle: a few ulps.  Canonical
-#: nodes and exp(it) grid points are within one.
+#: Largest ||eta| - 1| of a node on the unit circle: a few ulps.  Canonical
+#: nodes and exp(it) samples are within one.
 _UNIT_ULPS = 4.0 * np.finfo(float).eps
 
 
@@ -268,47 +267,44 @@ def _unit_circle(t):
     return np.exp(1j * t)
 
 
-def _on_unit_circle(pts: np.ndarray) -> bool:
-    mod = np.abs(pts)  # |mod - 1| <= _UNIT_ULPS, with one temporary and no elementwise pass after it
-    return bool(mod.min() >= 1.0 - _UNIT_ULPS and mod.max() <= 1.0 + _UNIT_ULPS)
-
-
 class _Flips:
-    """The one kernel for |l_k(b)|, with what it needs of a node set hoisted.
+    """The one kernel for |l_k| at the points b = curve(t) of a boundary, with what it needs of a node set hoisted.
 
-    A tile is one front half (:meth:`_front`) and one of two back halves: the
-    full one (:meth:`tile`) gives every |l_k| and their sums and serves the
-    scans and the Lebesgue probe; the own one (:meth:`_own_tile`) gives one
-    entry per point and serves the per-node refinement probes.
+    Its methods take the parameters t.  A tile is one front half (:meth:`_front`)
+    and one of two back halves: the full one (:meth:`tile`) gives every |l_k|
+    and their sums and serves the scans; the own one (:meth:`_own_tile`) gives
+    one entry per point and serves the per-node refinement probes.
 
     A tile gets its distances |b_j - eta_k| from one matmul of per-node
-    coefficients with the per-point planes of :meth:`_planes`.  When every
-    node and point of the call lies on the unit circle, within ``_UNIT_ULPS``
-    of modulus 1, the polar form multiplies half-angle values,
+    coefficients with the per-point planes of :meth:`_planes`.  The front end
+    is a property of the boundary: on the unit circle (``curve`` is
+    :func:`_unit_circle`), with every node within ``_UNIT_ULPS`` of modulus 1,
+    the polar form multiplies half-angle values taken from t_j and from the
+    square root of eta_k = e^{i phi_k}, and takes ``abs``:
 
-        |b_j - eta_k| = |2 sin(t_j/2) cos(phi_k/2) - 2 cos(t_j/2) sin(phi_k/2)|,
+        |b_j - eta_k| = |2 sin(t_j/2) cos(phi_k/2) - 2 cos(t_j/2) sin(phi_k/2)|.
 
-    for eta_k = e^{i phi_k} and b_j = e^{i t_j}, and takes ``abs``.  Other
-    input takes coordinates: the coefficients (1, -x_k), (1, -y_k) times the
-    planes (x_j, 1), (y_j, 1) give x_j - x_k and y_j - y_k from two exact
-    products, rounded once as a subtraction is; they are squared and added.
-    A point exactly equal to a node is a hit, found for a whole point set by
-    one lookup in the sorted nodes (:meth:`_runs`); its column becomes the
-    Kronecker column.  From the distances on, everything is shared.  Run it
-    under ``np.errstate(all="ignore")``.  A node set whose log-weights leave
-    (-280, 280), NaN nodes included, raises :class:`ValueError` when built.
+    Any other boundary or node set takes coordinates: the coefficients
+    (1, -x_k), (1, -y_k) times the planes (x_j, 1), (y_j, 1) give x_j - x_k and
+    y_j - y_k from two exact products, rounded once as a subtraction is; they
+    are squared and added.  A point exactly equal to a node is a hit
+    (:meth:`_runs`); its column becomes the Kronecker column.  From the
+    distances on, everything is shared.  Run it under ``np.errstate(all="ignore")``.
+    A node set whose log-weights leave (-280, 280), NaN nodes included, raises
+    :class:`ValueError` when built.
     """
 
-    def __init__(self, nodes: np.ndarray):
+    def __init__(self, nodes: np.ndarray, curve=_unit_circle):
         n = self.n = nodes.size
-        self.nodes = nodes
+        self.nodes, self.curve, self.phi = nodes, curve, np.angle(nodes)
         self.order = np.argsort(nodes)
         self.sorted = nodes[self.order]
         self.node_set = frozenset(nodes.tolist())  # the hit lookup of a one-point probe, one hash away
         self.coords = np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
-        # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the circle
-        half = np.sqrt(nodes)
-        self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if _on_unit_circle(nodes) else None
+        # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the unit circle
+        half, mod = np.sqrt(nodes), np.abs(nodes)
+        polar = curve is _unit_circle and mod.min() >= 1.0 - _UNIT_ULPS and mod.max() <= 1.0 + _UNIT_ULPS
+        self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if polar else None
         with np.errstate(all="ignore"):  # infinite nodes give NaN weights, refused below
             log_w = _log_node_weights(nodes)
         if not np.all(np.abs(log_w) < 280.0):
@@ -318,15 +314,10 @@ class _Flips:
         self._d = np.empty(3 * n * self.width)
         self._views: dict[int, tuple] = {}
 
-    def takes_polar(self, pts: np.ndarray) -> bool:
-        """Whether tiles at the points ``pts`` take the polar front-end."""
-        return self.polar is not None and _on_unit_circle(pts)
-
-    def _planes(self, pts: np.ndarray, polar: bool) -> np.ndarray:
-        """(cos(t_j/2), sin(t_j/2)) as (2, size) for the polar form, else (x_j, 1), (y_j, 1) as (2, 2, size)."""
-        if polar:
-            half = np.sqrt(pts)  # e^{it/2}, the principal square root
-            return np.array((half.real, half.imag))
+    def _planes(self, ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """(cos(t_j/2), sin(t_j/2)) as (2, size) on the polar front end, else (x_j, 1), (y_j, 1) as (2, 2, size)."""
+        if self.polar is not None:
+            return np.array((np.cos(0.5 * ts), np.sin(0.5 * ts)))
         planes = np.ones((2, 2, pts.size))
         planes[:, 0] = pts.real, pts.imag
         return planes
@@ -395,53 +386,68 @@ class _Flips:
         out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
         return out
 
-    def _runs(self, bpts, polar: bool | None = None):
-        """``(hit_k, hit_j, runs)``: the exact node hits bpts[hit_j] == nodes[hit_k], in increasing j, and the runs.
+    def _runs(self, ts, grid: int = 0):
+        """``(hit_k, hit_j, runs)``: the exact hits curve(ts[hit_j]) == nodes[hit_k], in increasing j, and the runs.
 
-        A run ``(start, pts, planes, hit_k, hit_j)`` holds at most ``width``
-        points from ``start`` on, their slice of :meth:`_planes` and their
-        share of the hits, with j counted from ``start``.  The front-end (``polar``
-        or :meth:`takes_polar`), the planes and the hits (one ``searchsorted`` in the
-        sorted nodes) are found once for all of ``bpts``.  No run after the first has
-        one point: numpy sends a one-column product to gemv, which may round a polar
-        entry unlike gemm.  So the result does not depend on the tile width.
+        A run ``(start, planes, hit_k, hit_j)`` holds at most ``width`` points
+        from ``start`` on, their slice of :meth:`_planes` and their share of
+        the hits, with j counted from ``start``.  Planes and hits are found
+        once for all of ``ts``.  A hit is one ``searchsorted`` of the points in
+        the sorted nodes; on a polar scan chunk (``grid`` > 0: ts are angles
+        2*pi*j/grid) each node's own angle is looked up on the chunk instead,
+        and only those N candidates are tested.  No run after the first has
+        one point: numpy sends a one-column product to gemv, which may round
+        a polar entry unlike gemm.  So the result does not depend on the tile width.
         """
-        bpts = np.asarray(bpts, dtype=complex).reshape(-1)
-        cuts = [*range(0, bpts.size, self.width), bpts.size]
+        ts = np.asarray(ts).reshape(-1)
+        cuts = [*range(0, ts.size, self.width), ts.size]
         if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
             cuts[-2] -= 1
-        planes = self._planes(bpts, self.takes_polar(bpts) if polar is None else polar)
-        at = np.minimum(np.searchsorted(self.sorted, bpts), self.n - 1)
-        hit_j = np.flatnonzero(self.sorted[at] == bpts)
-        hit_k = self.order[at[hit_j]]
+        pts = None
+        if self.polar is not None and grid:
+            at = np.rint((self.phi - ts[0]) * (grid / (2.0 * np.pi))).astype(np.intp) % grid
+            hit_k = np.argsort(at)[: np.count_nonzero(at < ts.size)]  # the nodes whose angle falls in ts, in order
+            hit_k = hit_k[np.exp(1j * ts[at[hit_k]]) == self.nodes[hit_k]]
+            hit_j = at[hit_k]
+        else:
+            pts = self.curve(ts)
+            at = np.minimum(np.searchsorted(self.sorted, pts), self.n - 1)
+            hit_j = np.flatnonzero(self.sorted[at] == pts)
+            hit_k = self.order[at[hit_j]]
+        planes = self._planes(ts, pts)
         edges = np.searchsorted(hit_j, cuts)
-        runs = [
-            (a, bpts[a:b], planes[..., a:b], hit_k[i:j], hit_j[i:j] - a)
-            for a, b, i, j in zip(cuts, cuts[1:], edges, edges[1:])
-        ]
+        pairs = zip(cuts, cuts[1:], edges, edges[1:])
+        runs = [(a, planes[..., a:b], hit_k[i:j], hit_j[i:j] - a) for a, b, i, j in pairs]
         return hit_k, hit_j, runs
 
-    def own(self, bpts, ks: np.ndarray) -> np.ndarray:
-        """|l_{ks[i]}(bpts[i])| for paired points and 0-based node indices."""
-        runs = self._runs(bpts)[2]
-        return np.concatenate([self._own_tile(*run, ks[start : start + pts.size]) for start, pts, *run in runs])
+    def own(self, ts, ks: np.ndarray) -> np.ndarray:
+        """|l_{ks[i]}(curve(ts[i]))| for paired parameters and 0-based node indices."""
+        runs = self._runs(ts)[2]
+        return np.concatenate([self._own_tile(*run, ks[start : start + run[0].shape[-1]]) for start, *run in runs])
 
-    def lebesgue_at(self, z: complex) -> float:
-        """sum_k |l_k(z)| at one point, O(N)."""
+    def lebesgue_at(self, t: float) -> float:
+        """sum_k |l_k(curve(t))| at one parameter, O(N); on the polar front end in six numpy calls."""
+        z = self.curve(t)
         if z in self.node_set:  # a hit: the sum is l_k(eta_k) = 1
             return 1.0
-        polar = self.polar is not None and abs(abs(z) - 1.0) <= _UNIT_ULPS  # takes_polar on the scalar: no numpy calls
-        return float(self.tile(self._planes(np.array([z], dtype=complex), polar), self.order[:0])[1][0])
+        if self.polar is None:
+            return float(self.tile(self._planes(None, np.array([z], dtype=complex)), self.order[:0])[1][0])
+        dist = np.abs(self.polar @ (math.cos(0.5 * t), math.sin(0.5 * t)))
+        w = np.multiply.reduce(dist)
+        total = float(self.inv_w @ (w / dist))
+        if not (w > 1e-280 and math.isfinite(total)):
+            raise ValueError(_OUT_OF_RANGE)
+        return total
 
 
-def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray, polar: bool | None = None):
-    """One pass of |l_k(curve(t))| over the uniform grid t_j = 2*pi*j/grid.
+def _scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
+    """One pass of |l_k(flips.curve(t))| over the uniform grid t_j = 2*pi*j/grid.
 
     Returns per-node grid maxima with their parameters (``node_arg0`` where a
     node never exceeds 0), and the grid maximum of the Lebesgue function with
     its parameter.  Ties resolve toward smaller parameters.  One chunk of
-    whole runs is held at a time, on the first chunk's front-end; if a later
-    chunk leaves the unit circle, the grid is scanned again on coordinates.
+    whole runs is held at a time; each tile updates the running node maxima,
+    and their parameters and the Lebesgue maximum are taken once per chunk.
     So the chunk size changes no result.
     """
     rows = np.arange(flips.n)
@@ -454,22 +460,22 @@ def _scan(flips: _Flips, curve, grid: int, node_arg0: np.ndarray, polar: bool | 
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges, edges[1:]):
             ang = 2.0 * np.pi * np.arange(lo, hi) / grid
-            pts = curve(ang)
-            if polar and not _on_unit_circle(pts):  # one front-end for the whole grid: start again on coordinates
-                return _scan(flips, curve, grid, node_arg0, False)
-            polar = flips.takes_polar(pts) if polar is None else polar
-            hit_k, hit_j, runs = flips._runs(pts, polar)
+            hit_k, hit_j, runs = flips._runs(ang, grid)
             hits.append((hit_k, ang[hit_j]))
-            for start, _, planes, _, run_hit_j in runs:
-                vals, sums = flips.tile(planes, run_hit_j)
+            at = np.full(flips.n, -1, np.intp)  # where in the chunk each node's maximum moved, -1 if it did not
+            upd, sums = np.empty(flips.n, bool), np.empty(ang.size)
+            for start, planes, _, run_hit_j in runs:
+                vals, sums[start : start + planes.shape[-1]] = flips.tile(planes, run_hit_j)
                 arg = vals.argmax(axis=1)
                 cand = vals[rows, arg] * flips.inv_w
-                upd = cand > node_max
-                node_max[upd] = cand[upd]
-                node_arg[upd] = ang[start + arg[upd]]
-                i = int(np.argmax(sums))
-                if sums[i] > leb_max:
-                    leb_max, leb_arg = float(sums[i]), float(ang[start + i])
+                np.greater(cand, node_max, out=upd)  # strict: the first of equal maxima stays
+                np.copyto(node_max, cand, where=upd)
+                np.copyto(at, arg + start, where=upd)
+            moved = at >= 0
+            node_arg[moved] = ang[at[moved]]
+            i = int(np.argmax(sums))
+            if sums[i] > leb_max:
+                leb_max, leb_arg = float(sums[i]), float(ang[i])
     # the FLIP is 1 at its own node, which the curve passes once; ties go to the smaller angle
     hit_k, hit_t = (np.concatenate(h) for h in zip(*hits))
     first = (node_max[hit_k] < 1.0) | ((node_max[hit_k] == 1.0) & (hit_t < node_arg[hit_k]))
@@ -488,19 +494,19 @@ def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
     return grid
 
 
-def _node_sups(flips: _Flips, curve, node_ts, grid: int, refine_iters: int, ks: np.ndarray):
-    """Per-node sups of |l_k(curve(t))| with their parameters, plus the scan's Lebesgue maximum.
+def _node_sups(flips: _Flips, node_ts, grid: int, refine_iters: int, ks: np.ndarray):
+    """Per-node sups of |l_k(flips.curve(t))| with their parameters, plus the scan's Lebesgue maximum.
 
     One grid scan; then golden refinement in t, around the grid argmax, of the
     nodes with 0-based indices ``ks``; then the floor of each node at its
     value 1 at its own parameter ``node_ts[k]``.  Returns
     ``(node_max, node_arg, leb_max, leb_arg)``.
     """
-    node_max, node_arg, leb_max, leb_arg = _scan(flips, curve, grid, node_ts)
+    node_max, node_arg, leb_max, leb_arg = _scan(flips, grid, node_ts)
     if refine_iters > 0 and ks.size:
         h, mid = 2.0 * np.pi / grid, node_arg[ks]
         with np.errstate(all="ignore"):
-            val, ang = _golden_max_vec(lambda ts: flips.own(curve(ts), ks), mid - h, mid + h, refine_iters)
+            val, ang = _golden_max_vec(lambda ts: flips.own(ts, ks), mid - h, mid + h, refine_iters)
         up = val > node_max[ks]
         node_max[ks[up]], node_arg[ks[up]] = val[up], ang[up]
     low = ~(node_max > 1.0)
@@ -514,7 +520,7 @@ def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters:
     if not 1 <= k <= n_points:
         raise ValueError(f"k must be in 1..{n_points}, got {k}")
     grid = _checked_grid(n_points, grid, refine_iters)
-    node_max, node_arg, _, _ = _node_sups(_Flips(nodes), curve, node_ts, grid, refine_iters, np.array([k - 1]))
+    node_max, node_arg, _, _ = _node_sups(_Flips(nodes, curve), node_ts, grid, refine_iters, np.array([k - 1]))
     return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])), grid, refine_iters > 0)
 
 
@@ -527,13 +533,13 @@ def _boundary_stats(
     """
     n_points = nodes.size
     grid = _checked_grid(n_points, grid, refine_iters)
-    flips = _Flips(nodes)
+    flips = _Flips(nodes, curve)
     ks = np.arange(n_points if per_node_refine else 0)
-    node_max, _, leb_max, leb_arg = _node_sups(flips, curve, node_ts, grid, refine_iters, ks)
+    node_max, _, leb_max, leb_arg = _node_sups(flips, node_ts, grid, refine_iters, ks)
     if refine_iters > 0:
         h = 2.0 * np.pi / grid
         with np.errstate(all="ignore"):
-            val, ang = _golden_max(lambda t: flips.lebesgue_at(curve(t)), leb_arg - h, leb_arg + h, refine_iters)
+            val, ang = _golden_max(flips.lebesgue_at, leb_arg - h, leb_arg + h, refine_iters)
         if val > leb_max:
             leb_max, leb_arg = float(val), float(ang)
     report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)

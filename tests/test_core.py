@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lejaflip
 from lejaflip import (
     alternating_decompose,
     binary_decompose,
@@ -130,3 +135,14 @@ class TestStableAbsProduct:
             pts = rng.normal(size=10) + 1j * rng.normal(size=10)
             _, phase = stable_abs_product(pts, 0.5j)
             assert -math.pi < phase <= math.pi
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # the library stays numpy-only: mpmath, scipy and hypothesis are test extras
+    src = str(Path(lejaflip.__file__).resolve().parents[1])
+    code = "import sys; before = set(sys.modules); import lejaflip; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert {"lejaflip", "numpy"} <= loaded
+    assert loaded - sys.stdlib_module_names - {"lejaflip", "numpy"} == set()

@@ -44,6 +44,13 @@ class TestCanonical:
         short = canonical_disk_leja(321).points
         assert np.array_equal(long[:321], short)
 
+    @pytest.mark.parametrize("origin", [1.0, np.exp(0.3j)])
+    def test_every_prefix_is_the_shorter_section_bit_for_bit(self, origin):
+        # `bounds --max-n` builds one section and scans its prefixes
+        long = canonical_disk_leja(300, origin).points
+        for n in range(1, 301):
+            assert long[:n].tobytes() == canonical_disk_leja(n, origin).points.tobytes()
+
     def test_rotated_origin(self):
         origin = np.exp(0.7j)
         pts = canonical_disk_leja(8, origin).points

@@ -36,6 +36,11 @@ def unit_rng_points(rng, count):
     return np.exp(2j * np.pi * rng.random(count))
 
 
+def _points(z):
+    """The identity curve: a kernel on it takes boundary points as its parameters, on coordinates."""
+    return z
+
+
 def nested_block_section(n, chooser):
     """A valid non-canonical section: each power-of-two block scaled by an
     admissible root of -1 picked by ``chooser(q, p_q)``."""
@@ -322,12 +327,12 @@ class TestRefusesVacuousScans:
         for per_node_refine in (False, True):
             with pytest.raises(ValueError, match="FLIP moduli leave double range"):
                 _boundary_stats(nodes, curve, np.angle(nodes), None, 0, per_node_refine)
-        flips = _Flips(nodes)
         with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="FLIP moduli leave double range"):
-                flips.lebesgue_at(complex(bad))
-            with pytest.raises(ValueError, match="FLIP moduli leave double range"):
-                flips.own(np.array([1j, bad]), np.array([0, 1]))
+            for flips, good, t in ((_Flips(nodes, _points), 1j, complex(bad)), (_Flips(nodes), 0.5, np.nan)):
+                with pytest.raises(ValueError, match="FLIP moduli leave double range"):  # points; angles on the circle
+                    flips.lebesgue_at(t)
+                with pytest.raises(ValueError, match="FLIP moduli leave double range"):
+                    flips.own(np.array([good, t]), np.array([0, 1]))
 
     def test_overflowed_products_are_refused(self):
         # node weights in range, but 1e200 away the squared distances overflow
@@ -336,7 +341,7 @@ class TestRefusesVacuousScans:
         with pytest.raises(ValueError, match="FLIP moduli leave double range"):
             _boundary_stats(nodes, far, np.angle(nodes), None, 0, False)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="FLIP moduli leave double range"):
-            _Flips(nodes).own(far(np.array([0.1, 0.2])), np.array([0, 1]))
+            _Flips(nodes, far).own(np.array([0.1, 0.2]), np.array([0, 1]))
 
     def test_negative_refine(self):
         section = canonical_disk_leja(6)
@@ -391,10 +396,10 @@ class TestScanEngine:
         nodes, curve, node_ts, grid = _scan_case(name)
         if name == "ellipse-30x1-128":
             return _assert_refused(nodes)
-        base = _scan(_Flips(nodes), curve, grid, node_ts)
+        base = _scan(_Flips(nodes, curve), grid, node_ts)
         for tile in (64, 1 << 16, grid * nodes.size):  # 64-point tiles; the default; one tile for the whole grid
             monkeypatch.setattr(flip_module, "_TILE", tile)
-            got = _scan(_Flips(nodes), curve, grid, node_ts)
+            got = _scan(_Flips(nodes, curve), grid, node_ts)
             for want, have in zip(base, got):
                 assert np.array_equal(want, have)
         if name == "canonical-256":
@@ -411,7 +416,7 @@ class TestScanEngine:
         ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(1024))
         nodes, curve, node_ts = _scaled_boundary(ts)
         _assert_refused(ts.images)
-        node_max, node_arg, leb_max, leb_arg = _scan(_Flips(nodes), curve, 4096, node_ts)
+        node_max, node_arg, leb_max, leb_arg = _scan(_Flips(nodes, curve), 4096, node_ts)
         ang = 2.0 * np.pi * np.arange(4096) / 4096
         want_max, want_leb = np.zeros(nodes.size), np.zeros(4096)
         for j in range(0, 4096, 256):
@@ -432,11 +437,11 @@ class TestScanEngine:
         ts = transport_sequence(ellipse_exterior_map(a, 1.0), canonical_disk_leja(2048))
         nodes, curve, _ = _scaled_boundary(ts)
         rng = np.random.default_rng(int(a))
-        zs = curve(rng.uniform(0.0, 2.0 * np.pi, 256))
+        ts = rng.uniform(0.0, 2.0 * np.pi, 256)
         ks = rng.integers(0, nodes.size, 256)
         with np.errstate(all="ignore"):
-            got = _Flips(nodes).own(zs, ks)
-        assert np.allclose(got, _abs_flips_at_points_log(nodes, zs, ks), rtol=1e-10, atol=0.0)
+            got = _Flips(nodes, curve).own(ts, ks)
+        assert np.allclose(got, _abs_flips_at_points_log(nodes, curve(ts), ks), rtol=1e-10, atol=0.0)
 
 
 def _whole_set_cuts(size, width):
@@ -447,16 +452,19 @@ def _whole_set_cuts(size, width):
     return cuts
 
 
-def _whole_set_scan(flips, curve, grid, node_arg0):
-    """The scan as it was before it streamed its grid in chunks: the curve,
-    the front-end choice, the planes and the hit lookup for the whole grid at once."""
+def _whole_set_scan(flips, grid, node_arg0):
+    """The scan as it was before it streamed its grid in chunks: the planes of the
+    whole grid at once, its hits by brute force, and the running maxima with their
+    angles and the Lebesgue maximum updated after every tile."""
     ang = 2.0 * np.pi * np.arange(grid) / grid
-    bpts = curve(ang)
+    bpts = flips.curve(ang)
     cuts = _whole_set_cuts(grid, flips.width)
-    planes = flips._planes(bpts, flips.takes_polar(bpts))
-    at = np.minimum(np.searchsorted(flips.sorted, bpts), flips.n - 1)
-    hit_j = np.flatnonzero(flips.sorted[at] == bpts)
-    hit_k = flips.order[at[hit_j]]
+    if flips.polar is None:
+        planes = np.ones((2, 2, grid))
+        planes[:, 0] = bpts.real, bpts.imag
+    else:  # half-angle values straight from the angles
+        planes = np.array((np.cos(ang / 2.0), np.sin(ang / 2.0)))
+    hit_j, hit_k = np.nonzero(bpts[:, None] == flips.nodes[None, :])
     edges = np.searchsorted(hit_j, cuts)
     rows = np.arange(flips.n)
     node_max = np.zeros(flips.n)
@@ -485,7 +493,7 @@ def _stream_case(name):
         return _scan_case(name)
     if name == "scaled-ellipse-30x1-1024":  # 64-point runs, two chunks
         return (*_scan_case(name)[:3], 1 << 14)
-    if name == "late-off-circle":  # on the circle in the first chunks only: the grid is scanned again on coordinates
+    if name == "late-off-circle":  # a custom curve, on the circle in the first chunks only: it takes coordinates
         nodes = _scan_case("random-100")[0]
         return nodes, lambda t: _unit_circle(t) * np.where(t > 5.0, 1.0 + 1e-9, 1.0), np.angle(nodes), 1 << 14
     # 1024-point runs and one point more, which the last two runs share: at 8193 the
@@ -514,18 +522,17 @@ class TestStreamedScan:
         nodes, curve, node_ts, grid = _stream_case(name)
         if name == "ellipse-30x1-128":
             return _assert_refused(nodes)
-        flips = _Flips(nodes)
-        want = _whole_set_scan(flips, curve, grid, node_ts)
+        flips = _Flips(nodes, curve)
+        want = _whole_set_scan(flips, grid, node_ts)
         for chunk in (1, 1 << 13, 1 << 30):  # one run per chunk; the default; one chunk for the whole grid
             monkeypatch.setattr(flip_module, "_CHUNK", chunk)
-            got = _scan(flips, curve, grid, node_ts)
+            got = _scan(flips, grid, node_ts)
             for w, g in zip(want, got):
                 assert np.array_equal(w, g)
         ang = 2.0 * np.pi * np.arange(grid) / grid
         hits = {"canonical-256": 256, "scaled-ellipse-30x1-1024": 1024}
         assert np.isin(curve(ang), nodes).sum() == hits.get(name, 1 if name.startswith("grid") else 0)
-        if name == "late-off-circle":
-            assert flips.takes_polar(curve(ang[: 1 << 13])) and not flips.takes_polar(curve(ang))
+        assert (flips.polar is None) == (name in ("scaled-ellipse-30x1-1024", "late-off-circle"))
 
     @pytest.mark.parametrize("name", ["grid-8193", "grid-9217", "scaled-ellipse-30x1-1024", "single-node"])
     def test_chunks_fall_into_the_whole_grid_runs(self, name, monkeypatch):
@@ -533,17 +540,17 @@ class TestStreamedScan:
         nodes, curve, node_ts, grid = _stream_case(name)
         sizes, runs = [], _Flips._runs
 
-        def spy(flips, bpts, polar=None):
-            out = runs(flips, bpts, polar)
-            sizes.extend(run[1].size for run in out[2])
+        def spy(flips, ts, grid=0):
+            out = runs(flips, ts, grid)
+            sizes.extend(run[1].shape[-1] for run in out[2])
             return out
 
         monkeypatch.setattr(_Flips, "_runs", spy)
-        flips = _Flips(nodes)
+        flips = _Flips(nodes, curve)
         for chunk in (1, 1000, 1 << 13, 1 << 30):
             monkeypatch.setattr(flip_module, "_CHUNK", chunk)
             sizes.clear()
-            _scan(flips, curve, grid, node_ts)
+            _scan(flips, grid, node_ts)
             assert np.cumsum([0, *sizes]).tolist() == _whole_set_cuts(grid, flips.width)
 
     @pytest.mark.parametrize("name", ["circle", "scaled-ellipse-30x1"])
@@ -553,12 +560,12 @@ class TestStreamedScan:
             nodes, curve, node_ts = section.points, _unit_circle, np.angle(section.points)
         else:
             nodes, curve, node_ts = _scaled_boundary(transport_sequence(ellipse_exterior_map(30.0, 1.0), section))
-        flips = _Flips(nodes)
+        flips = _Flips(nodes, curve)
         peaks = []
         for grid in (1 << 14, 1 << 18):  # a whole-grid point set would take 16 MB more at 2^18
             tracemalloc.start()
             try:
-                _scan(flips, curve, grid, node_ts)
+                _scan(flips, grid, node_ts)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -576,19 +583,28 @@ def _hit_cases():
     yield "scaled-ellipse-30x1-128", nodes, curve, default_grid(128)
 
 
+def _angle_cases():
+    """Unit node sets for the angle lookup: canonical sections, a rotated one, and random nodes."""
+    for n in (1, 2, 3, 64, 255, 256, 257):
+        yield f"canonical-{n}", canonical_disk_leja(n).points
+    yield "rotated-256", canonical_disk_leja(256, np.exp(0.3j)).points
+    yield "random-100", unit_rng_points(np.random.default_rng(23), 100)
+
+
 class TestHitLookup:
     """Exact node hits come from one lookup per point set, and each run gets its slice."""
 
     @staticmethod
-    def _check(flips, pts):
+    def _check(flips, ts, grid=0):
+        pts = np.reshape(flips.curve(ts), -1)
         want_j, want_k = np.nonzero(pts[:, None] == flips.nodes[None, :])  # brute force, in increasing j
-        hit_k, hit_j, runs = flips._runs(pts)
+        hit_k, hit_j, runs = flips._runs(ts, grid)
         assert np.array_equal(hit_j, want_j) and np.array_equal(hit_k, want_k)
-        run_k = np.concatenate([run_hit_k for _, _, _, run_hit_k, _ in runs])
-        run_j = np.concatenate([start + run_hit_j for start, _, _, _, run_hit_j in runs])
+        run_k = np.concatenate([run_hit_k for _, _, run_hit_k, _ in runs])
+        run_j = np.concatenate([start + run_hit_j for start, _, _, run_hit_j in runs])
         assert np.array_equal(run_j, want_j) and np.array_equal(run_k, want_k)
-        for _, run_pts, _, run_hit_k, run_hit_j in runs:
-            assert np.all(run_pts[run_hit_j] == flips.nodes[run_hit_k])
+        for start, _, run_hit_k, run_hit_j in runs:
+            assert np.all(pts[start + run_hit_j] == flips.nodes[run_hit_k])
         return hit_j.size
 
     @pytest.mark.parametrize("case", list(_hit_cases()), ids=lambda case: case[0])
@@ -597,11 +613,14 @@ class TestHitLookup:
         if name == "ellipse-30x1-128":
             return _assert_refused(nodes)
         monkeypatch.setattr(flip_module, "_TILE", 64 * nodes.size)  # many tiles
-        flips = _Flips(nodes)
-        found = self._check(flips, curve(2.0 * np.pi * np.arange(grid) / grid))
+        flips = _Flips(nodes, curve)
+        ang = 2.0 * np.pi * np.arange(grid) / grid
+        found = self._check(flips, ang)  # through the points, as probes look up theirs
+        assert self._check(flips, ang, grid) == found  # as a scan chunk: the angle lookup on the circle
         if name in ("canonical-1", "canonical-64", "canonical-256"):  # roots of unity on the 64N grid
             assert found == nodes.size
-        # probe sets: hits in the first and in later tiles, and one-point runs
+        # probe point sets: hits in the first and in later tiles, and one-point runs
+        flips = _Flips(nodes, _points)
         rng = np.random.default_rng(nodes.size)
         pts = curve(rng.uniform(0.0, 2.0 * np.pi, 300))
         where = rng.choice(300, size=min(40, nodes.size), replace=False)
@@ -612,12 +631,35 @@ class TestHitLookup:
             assert self._check(flips, nodes[[k]]) == 1
         assert self._check(flips, curve(np.array([0.1234]))) == 0
 
+    @pytest.mark.parametrize("grid", [None, 8193, 9217])  # None: the default grid
+    @pytest.mark.parametrize("case", list(_angle_cases()), ids=lambda case: case[0])
+    def test_angle_lookup_equals_brute_force(self, case, grid):
+        # each node's own angle, looked up on a chunk of the grid, finds exactly
+        # the grid points whose exp(1j*t) is the node, whatever the chunking
+        name, nodes = case
+        grid = grid or default_grid(nodes.size)
+        ang = 2.0 * np.pi * np.arange(grid) / grid
+        if name == "random-100":  # twelve nodes on grid points, the first and the last among them
+            nodes = nodes.copy()
+            nodes[:12] = np.exp(1j * ang[[0, grid - 1, *np.random.default_rng(grid).choice(grid, 10, replace=False)]])
+        flips = _Flips(nodes)
+        assert flips.polar is not None
+        want_j, want_k = np.nonzero(np.exp(1j * ang)[:, None] == nodes[None, :])
+        assert want_j.size >= {"rotated-256": 0, "random-100": 12}.get(name, 1)  # canonical: node 1 at t = 0
+        for step in (grid, 1 << 13, 997, 7):
+            got = [flips._runs(ang[lo : lo + step], grid)[:2] for lo in range(0, grid, step)]
+            assert np.array_equal(np.concatenate([k for k, _ in got]), want_k)
+            assert np.array_equal(np.concatenate([lo + j for lo, (_, j) in zip(range(0, grid, step), got)]), want_j)
+        for j, k in zip(want_j, want_k):  # one-point chunks
+            hit_k, hit_j, _ = flips._runs(ang[j : j + 1], grid)
+            assert hit_k.tolist() == [k] and hit_j.tolist() == [0]
+
     def test_underflowed_distance_is_refused(self):
         # |b - eta_1|^2 underflows to 0 although b != eta_1: the node weights
         # are in range, but the tile's distance product is not above 1e-280
         nodes = np.array([1e-200, 1.0, -1.0, 0.5j], dtype=complex)
         b = np.full(4, 2e-200 + 0j)
-        flips = _Flips(nodes)
+        flips = _Flips(nodes, _points)
         assert flips._runs(b)[1].size == 0
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="double range"):
@@ -625,7 +667,7 @@ class TestHitLookup:
             with pytest.raises(ValueError, match="double range"):
                 flips.lebesgue_at(b[0])
             with pytest.raises(ValueError, match="double range"):
-                _scan(flips, lambda t: np.full(t.size, 2e-200 + 0j), 16, np.zeros(4))
+                _scan(_Flips(nodes, lambda t: np.full(t.size, 2e-200 + 0j)), 16, np.zeros(4))
 
 
 class TestNodeWeights:
@@ -652,78 +694,94 @@ class TestNodeWeights:
 
 
 def _coordinate_flips(nodes):
-    """``_Flips`` held to the coordinate front-end: the reference for the polar one."""
-    flips = _Flips(nodes)
-    flips.polar = None
-    return flips
+    """The unit circle as a custom curve takes coordinates: the reference for the polar front end."""
+    return _Flips(nodes, lambda t: _unit_circle(t))
 
 
 class TestFrontEnds:
+    """The front end is a property of the boundary: polar on the unit circle with unit nodes, else coordinates."""
+
     def test_unit_nodes_and_points_take_the_polar_form(self):
-        grid = _unit_circle(2 * np.pi * np.arange(4096) / 4096)
         rng = np.random.default_rng(10)
         for nodes in (
             canonical_disk_leja(37).points,
             canonical_disk_leja(256, np.exp(0.3j)).points,
             unit_rng_points(rng, 100),
+            greedy_leja(circle_samples(4096), 50).points,
         ):
-            assert _Flips(nodes).takes_polar(grid)
+            assert _Flips(nodes).polar is not None
+            assert _Flips(nodes).curve is _unit_circle
 
     def test_other_nodes_and_points_take_coordinates(self):
-        t = 2 * np.pi * np.arange(4096) / 4096
-        grid = _unit_circle(t)
         rng = np.random.default_rng(11)
         unit = canonical_disk_leja(37).points
         for nodes in (0.9 * rng.random(50) * unit_rng_points(rng, 50), unit * (1.0 + 1e-9)):
-            assert not _Flips(nodes).takes_polar(grid)
-        assert not _Flips(unit).takes_polar(grid * (1.0 + 1e-9))
-        for a, b, n in ((1.2, 0.8, 64), (30.0, 1.0, 128), (30.0, 1.0, 1024)):
+            assert _Flips(nodes).polar is None
+        assert _coordinate_flips(unit).polar is None  # the circle, but not as the kernel knows it
+        for a, b, n in ((1.2, 0.8, 64), (30.0, 1.0, 128), (30.0, 1.0, 1024), (1.0, 1.0, 37)):
             ts = transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(n))
             nodes, curve, _ = _scaled_boundary(ts)
-            assert not _Flips(nodes).takes_polar(curve(t))
+            assert _Flips(nodes, curve).polar is None
             if a == 30.0:  # unscaled, the thin ellipse's node weights leave the kernel's range
                 _assert_refused(ts.images)
             else:
-                assert not _Flips(ts.images).takes_polar(ts.map.on_circle(t))
+                assert _Flips(ts.images, ts.map.on_circle).polar is None
 
-    @pytest.mark.parametrize("turn", [0.0, 0.1234])  # the default grid, and one rotated off the nodes
+    @pytest.mark.parametrize("turn", [0.0, 0.1234])  # nodes on the default grid, and nodes rotated off it
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 64, 255, 256])
     def test_polar_scan_matches_coordinate_scan(self, n, turn):
-        nodes = canonical_disk_leja(n).points
-        curve = lambda t: _unit_circle(t + turn)  # noqa: E731
-        want = _scan(_coordinate_flips(nodes), curve, default_grid(n), np.angle(nodes))
-        got = _scan(_Flips(nodes), curve, default_grid(n), np.angle(nodes))
+        nodes = canonical_disk_leja(n, np.exp(1j * turn)).points
+        want = _scan(_coordinate_flips(nodes), default_grid(n), np.angle(nodes))
+        got = _scan(_Flips(nodes), default_grid(n), np.angle(nodes))
         assert np.allclose(got[0], want[0], rtol=1e-13, atol=0.0)
         assert got[2] == pytest.approx(want[2], rel=1e-13)
 
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    @pytest.mark.parametrize("n", [7, 64, 255])
+    def test_equal_axes_ellipse_matches_the_circle(self, a, n):
+        # a = b: the scaled map is exactly z, so the nodes and the boundary points are
+        # the circle's, but the ellipse takes coordinates where the circle takes angles
+        section = canonical_disk_leja(n)
+        ts = transport_sequence(ellipse_exterior_map(a, a), section)
+        nodes, curve, node_ts = _scaled_boundary(ts)
+        t = 2.0 * np.pi * np.arange(default_grid(n)) / default_grid(n)
+        assert np.array_equal(nodes, section.points) and np.array_equal(curve(t), _unit_circle(t))
+        assert _Flips(nodes, curve).polar is None and _Flips(nodes).polar is not None
+        sups, report = compact_flip_stats(ts, per_node_refine=True)
+        want_sups, want = circle_flip_stats(section, per_node_refine=True)
+        assert np.allclose(sups, want_sups, rtol=1e-13, atol=0.0)
+        assert report.constant == pytest.approx(want.constant, rel=1e-13)
+
     def test_one_point_runs_round_like_the_rest(self, monkeypatch):
-        # 6401 points in 64-point tiles would leave a one-point run, which numpy
+        # 6401 angles in 64-point tiles would leave a one-point run, which numpy
         # would hand to gemv instead of gemm
         nodes = canonical_disk_leja(100).points
-        pts = _unit_circle(2 * np.pi * np.arange(6401) / 6401)
+        ts = 2 * np.pi * np.arange(6401) / 6401
         ks = np.arange(6401) % 100
         with np.errstate(all="ignore"):
-            base = _Flips(nodes).own(pts, ks)
+            base = _Flips(nodes).own(ts, ks)
             for tile in (64 * 100, 6401 * 100):
                 monkeypatch.setattr(flip_module, "_TILE", tile)
-                assert np.array_equal(_Flips(nodes).own(pts, ks), base)
+                assert np.array_equal(_Flips(nodes).own(ts, ks), base)
 
     def test_canonical_255_matches_mpmath(self):
         nodes = canonical_disk_leja(255).points
         report = lebesgue_constant(nodes)  # refined, so the argmax lies off the grid
-        z = np.exp(1j * report.argmax_angle)
+        t = report.argmax_angle
         flips = _Flips(nodes)
-        assert flips.takes_polar(np.array([z]))
+        assert flips.polar is not None
         with np.errstate(all="ignore"):
-            l_100 = flips.own(z, np.array([100]))[0]
+            l_100 = flips.own(t, np.array([100]))[0]
+            leb = flips.lebesgue_at(t)  # the lean one-point probe
         with mpmath.workdps(40):
             mp_nodes = [mpmath.mpc(c.real, c.imag) for c in nodes]
-            at = mpmath.mpc(z.real, z.imag)
+            at = mpmath.expj(t)  # the kernel evaluates at the angle, not at a rounded point
             moduli = [
                 mpmath.fprod(abs(at - other) / abs(node - other) for other in mp_nodes if other != node)
                 for node in mp_nodes
             ]
         assert report.constant == pytest.approx(float(mpmath.fsum(moduli)), rel=1e-12)
+        assert leb == pytest.approx(float(mpmath.fsum(moduli)), rel=1e-12)
         assert l_100 == pytest.approx(float(moduli[100]), rel=1e-12)
 
 
@@ -749,11 +807,11 @@ def _abs_flips_at_points_log(nodes, zs, ks):
     return _abs_flip_matrix_log(nodes, zs)[np.arange(zs.size), ks]
 
 
-def _full_tile_entries(flips, bpts, ks):
-    """|l_{ks[i]}(bpts[i])| gathered from full tiles, as the probes read them
+def _full_tile_entries(flips, ts, ks):
+    """|l_{ks[i]}(curve(ts[i]))| gathered from full tiles, as the probes read them
     before they got a back half of their own."""
     out = np.empty(ks.size)
-    for start, _, planes, hit_k, hit_j in flips._runs(bpts)[2]:
+    for start, planes, hit_k, hit_j in flips._runs(ts)[2]:
         vals, _ = flips.tile(planes, hit_j)
         k = ks[start : start + vals.shape[1]]
         out[start : start + k.size] = vals[k, np.arange(k.size)] * flips.inv_w[k]
@@ -765,20 +823,22 @@ class TestProbes:
     @pytest.mark.parametrize("name", ["canonical-256", "scaled-ellipse-30x1-1024", "ellipse-30x1-128"])
     def test_own_is_the_full_tile_entry_bit_for_bit(self, name):
         # polar and coordinate tiles, several tiles each
-        nodes, curve, _, _ = _scan_case(name)
+        nodes, curve, _, grid = _scan_case(name)
         if name == "ellipse-30x1-128":
             return _assert_refused(nodes)
-        flips = _Flips(nodes)
+        flips = _Flips(nodes, curve)
         rng = np.random.default_rng(13)
-        pts = curve(rng.uniform(0.0, 2.0 * np.pi, 300))
+        ts = rng.uniform(0.0, 2.0 * np.pi, 300)
         ks = rng.integers(0, nodes.size, 300)
-        pts[:4], ks[:4] = nodes[[3, 4, 70, 71]], [3, 9, 70, 0]  # hits on the probed node and on others
+        ang = 2.0 * np.pi * np.arange(grid) / grid
+        on_node = dict(zip(*np.nonzero(nodes[:, None] == curve(ang)[None, :])))  # node -> its grid point
+        ts[:4], ks[:4] = ang[[on_node[k] for k in (3, 4, 70, 71)]], [3, 9, 70, 0]  # hits on the probed node and others
         with np.errstate(all="ignore"):
-            got = flips.own(pts, ks)
-            want = _full_tile_entries(flips, pts, ks)
+            got = flips.own(ts, ks)
+            want = _full_tile_entries(flips, ts, ks)
         assert np.array_equal(got, want)
         assert got[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
-        assert flips.takes_polar(pts) == (name == "canonical-256")
+        assert (flips.polar is not None) == (name == "canonical-256")
 
     @pytest.mark.parametrize("name", ["random-7", "random-100", "random-700", "ellipse-30x1-128"])
     def test_tiled_probe_matches_log_domain_points(self, name):
@@ -792,19 +852,20 @@ class TestProbes:
         zs[1], zs[2] = nodes[1], nodes[5]  # hits on the probed node and on another one
         ks = rng.permutation(n)
         ks[1], ks[2] = 1, 2
-        got = _Flips(nodes).own(zs, ks)
+        got = _Flips(nodes, _points).own(zs, ks)
         want = _abs_flips_at_points_log(nodes, zs, ks)
         assert got[1] == 1.0 and got[2] == 0.0
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_single_point_lebesgue_matches_log_domain_sum(self):
         nodes = canonical_disk_leja(37).points
-        flips = _Flips(nodes)
-        z = np.exp(0.123j)
-        want = _abs_flips_at_points_log(nodes, np.full(37, z), np.arange(37)).sum()
+        want = _abs_flips_at_points_log(nodes, np.full(37, np.exp(0.123j)), np.arange(37)).sum()
+        assert np.exp(1j * (np.pi / 4.0)) == nodes[4]  # node 5 sits at angle pi/4
         with np.errstate(all="ignore"):
-            assert flips.lebesgue_at(z) == pytest.approx(want, rel=1e-12)
-            assert flips.lebesgue_at(nodes[4]) == 1.0
+            polar, points = (_Flips(nodes), 0.123, np.pi / 4.0), (_Flips(nodes, _points), np.exp(0.123j), nodes[4])
+            for flips, at, on_node in (polar, points):
+                assert flips.lebesgue_at(at) == pytest.approx(want, rel=1e-12)  # polar, then coordinates
+                assert flips.lebesgue_at(on_node) == 1.0
 
 
 class TestGoldenSection:
@@ -863,7 +924,7 @@ class TestCoordinateFront:
     @staticmethod
     def _tiles(flips, pts):
         out = []
-        for _, _, planes, _, hit_j in flips._runs(pts)[2]:
+        for _, planes, _, hit_j in flips._runs(pts)[2]:
             out.extend(a.copy() for a in flips.tile(planes, hit_j))  # vals may be a work plane
         return out
 
@@ -872,13 +933,13 @@ class TestCoordinateFront:
         name, nodes, pts = case
         if name not in ("random-interior", "scaled-ellipse-30x1-1024"):
             with pytest.raises(ValueError, match="node weights leave double range"):
-                _SubtractFlips(nodes)
+                _SubtractFlips(nodes, _points)
             return _assert_refused(nodes)
         pts = pts.copy()
         pts[[0, 5, -1]] = nodes[[0, 1, nodes.size - 1]]  # hits in the first and the last tile
-        flips, ref = _Flips(nodes), _SubtractFlips(nodes)
-        assert not flips.takes_polar(pts)
-        planes = flips._planes(pts, False)
+        flips, ref = _Flips(nodes, _points), _SubtractFlips(nodes, _points)
+        assert flips.polar is None
+        planes = flips._planes(None, pts)
         diff = np.subtract(np.array((pts.real, pts.imag))[:, None, :], np.array((nodes.real, nodes.imag))[:, :, None])
         assert np.array_equal(np.matmul(flips.coords, planes), diff)
         ks = np.random.default_rng(nodes.size).integers(0, nodes.size, pts.size)
@@ -908,7 +969,7 @@ class TestBatchStats:
         pts = unit_rng_points(rng, 40)
         section_vals, _ = circle_flip_stats(LejaSection(pts), coarse_grid=512, refine_iters=0)
         logw = _log_node_weights(pts)
-        node_max, node_arg, leb_max, leb_arg = _scan(_Flips(pts), _unit_circle, 512, np.angle(pts))
+        node_max, node_arg, leb_max, leb_arg = _scan(_Flips(pts), 512, np.angle(pts))
         ang = 2 * np.pi * np.arange(512) / 512
         with np.errstate(divide="ignore"):
             logd = np.log(np.abs(np.exp(1j * ang)[:, None] - pts[None, :]))
