@@ -4,7 +4,6 @@ numerical verification of the uniform bounds they satisfy."""
 from .core import (
     UNIFORM_FLIP_BOUND,
     UNIFORM_FLIP_BOUND_2D,
-    BoundViolation,
     alternating_decompose,
     binary_decompose,
     half_angle_cos_product,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bivariate as bv
 from . import transport as tp
-from .core import UNIFORM_FLIP_BOUND, UNIFORM_FLIP_BOUND_2D, BoundViolation, csv_text
+from .core import UNIFORM_FLIP_BOUND, UNIFORM_FLIP_BOUND_2D, csv_text
 from .disk import canonical_disk_leja, circle_samples, greedy_leja, validate_leja
 from .flip import circle_flip_stats, special_n_statistics
 
@@ -100,17 +100,13 @@ def _cmd_bounds(args) -> int:
         raise ValueError("--max-n must be positive")
     rows: list[dict] = []
     failed = False
+    # every rule below is written as the passing case, so a NaN fails it
     if args.special_n:
-        p_values = args.p_range or list(range(2, 9))
-        prev_avg = None
-        for p in p_values:
+        floor = 4.0 * math.cos(math.pi / 8.0) / math.pi
+        prev_avg = math.inf
+        for p in args.p_range or list(range(2, 9)):
             n_points = 2**p - 1
-            try:
-                stats = special_n_statistics(p, args.grid, args.refine)
-            except BoundViolation as exc:
-                print(f"bound violation at p={p}: {exc}", file=sys.stderr)
-                failed = True
-                continue
+            stats = special_n_statistics(p, args.grid, args.refine)
             rel = abs(stats.lebesgue - n_points) / n_points
             rows.append(
                 {
@@ -125,21 +121,17 @@ def _cmd_bounds(args) -> int:
                     "min_sup": stats.min_over_k,
                 }
             )
-            if rel > 1e-6:
-                failed = True
-            if args.avg:
-                if stats.avg_sup <= 1.0:
-                    failed = True
-                if prev_avg is not None and stats.avg_sup >= prev_avg:
-                    failed = True
-                prev_avg = stats.avg_sup
+            window = floor - 1e-6 < stats.max_sup <= 2.0 + 1e-6 and stats.sum_sup > n_points
+            trend = not args.avg or 1.0 < stats.avg_sup < prev_avg
+            failed = failed or not (rel <= 1e-6 and window and trend)
+            prev_avg = stats.avg_sup
     else:
         rows = [_bounds_row(nn, args.grid, args.refine) for nn in range(1, args.max_n + 1)]
-        for row in rows:
-            if row["max_sup"] > UNIFORM_FLIP_BOUND + 1e-6:
-                failed = True
-            if row["lebesgue"] > min(2.0 * row["N"], UNIFORM_FLIP_BOUND * row["N"]) + 1e-6:
-                failed = True
+        failed = not all(
+            r["max_sup"] <= UNIFORM_FLIP_BOUND + 1e-6
+            and r["lebesgue"] <= min(2.0 * r["N"], UNIFORM_FLIP_BOUND * r["N"]) + 1e-6
+            for r in rows
+        )
     _emit(rows, args.format, args.output)
     return CHECK_FAILED if failed else 0
 
@@ -186,6 +178,8 @@ def _cmd_bivariate(args) -> int:
             rows.append({"check": "product-formula", "size": n, "max_rel_err": err})
             failed = failed or err > 1e-8
     elif mode == "verify-2d-leja":
+        if max_n_nodes < 2:
+            raise ValueError("--verify-2d-leja needs --n-max >= 2: the first node it checks is H_2")
         eta = canonical_disk_leja(bv.shape_of(max_n_nodes)[0] + 2).points
         rep = bv.verify_2d_leja(eta, eta, max_n_nodes, args.grid)
         rows.append(
@@ -209,13 +203,8 @@ def _cmd_bivariate(args) -> int:
             print(f"fitted log-log slope: {slope:.4f}", file=sys.stderr)
     else:  # decay
         n_values = args.n_range or list(range(2, 13))
-        try:
-            table = bv.jackson_decay_experiment(
-                lambda z, w: np.exp(z + w), max(n_values), grid=args.grid, require_decay=True
-            )
-        except BoundViolation as exc:
-            print(f"decay violation: {exc}", file=sys.stderr)
-            return CHECK_FAILED
+        table = bv.jackson_decay_experiment(lambda z, w: np.exp(z + w), max(n_values), grid=args.grid)
+        failed = not all(e1 < e0 for (_, _, e0), (_, _, e1) in zip(table, table[1:]))  # the whole table, n = 2..max
         rows = [{"n": n, "N": size, "sup_error": err} for n, size, err in table if n in set(n_values)]
     _emit(rows, args.format, args.output)
     return CHECK_FAILED if failed else 0
@@ -358,9 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except BoundViolation as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return CHECK_FAILED
 
 
 def entry() -> None:

@@ -17,10 +17,6 @@ UNIFORM_FLIP_BOUND = math.pi * math.exp(3.0 * math.pi)
 UNIFORM_FLIP_BOUND_2D = math.pi**2 * math.exp(6.0 * math.pi)
 
 
-class BoundViolation(RuntimeError):
-    """A numerically checked inequality or identity failed beyond its tolerance."""
-
-
 def csv_text(rows: list[dict]) -> str:
     """``rows`` as CSV text, with the first row's keys as the header; empty for no rows."""
     buf = io.StringIO()

@@ -558,6 +558,6 @@ class TestJacksonDecay:
                 assert err <= 1e-10
 
     def test_entire_function_decays(self):
-        rows = jackson_decay_experiment(lambda z, w: np.exp(z + w), 8, grid=32, require_decay=True)
+        rows = jackson_decay_experiment(lambda z, w: np.exp(z + w), 8, grid=32)
         errs = [err for _, _, err in rows]
         assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))

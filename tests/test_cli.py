@@ -1,13 +1,18 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lejaflip import canonical_disk_leja
+from lejaflip import UNIFORM_FLIP_BOUND, canonical_disk_leja
+from lejaflip import bivariate as bv
+from lejaflip import cli
 from lejaflip.cli import main
 
 
@@ -15,6 +20,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_json(capsys, tmp_path, *argv):
+    """Exit code and the rows written to ``-o``."""
+    out = tmp_path / "rows.json"
+    code, _, _ = run(capsys, *argv, "--format", "json", "-o", str(out))
+    return code, json.loads(out.read_text())
+
+
+def same(got, want):
+    return math.isnan(got) if math.isnan(want) else got == want
+
+
+_FLOOR = 4.0 * math.cos(math.pi / 8.0) / math.pi
 
 
 class TestLejaCommand:
@@ -106,6 +125,62 @@ class TestBoundsCommand:
         code, _, _ = run(capsys, "bounds", "--special-n", "--p", "2..4", "--avg")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("max_sup", 2.0 * UNIFORM_FLIP_BOUND),  # the uniform sup bound
+            ("max_sup", math.nan),
+            ("lebesgue", 4.0 + 2e-6),  # Lambda_2 <= 2N
+            ("lebesgue", math.nan),
+        ],
+    )
+    def test_sweep_failures_exit_two_and_keep_their_row(self, capsys, tmp_path, monkeypatch, column, value):
+        real = cli.circle_flip_stats
+
+        def fake(section, *args):
+            sups, report = real(section, *args)
+            if len(section) != 2:
+                return sups, report
+            if column == "max_sup":
+                return np.full_like(sups, value), report
+            return sups, dataclasses.replace(report, constant=value)
+
+        monkeypatch.setattr(cli, "circle_flip_stats", fake)
+        code, rows = run_json(capsys, tmp_path, "bounds", "--max-n", "3")
+        assert code == 2
+        assert [r["N"] for r in rows] == [1, 2, 3]
+        assert same(rows[1][column], value)
+
+    @pytest.mark.parametrize(
+        "flags, p, column, value",
+        [
+            ([], 3, "lebesgue", 7.0 * (1.0 + 2e-6)),  # the identity Lambda_7 = 7
+            ([], 3, "lebesgue", math.nan),
+            ([], 3, "max_sup", _FLOOR - 2e-6),  # the window's floor
+            ([], 3, "max_sup", 2.0 + 2e-6),  # the window's ceiling
+            ([], 3, "max_sup", math.nan),
+            ([], 3, "sum_sup", 7.0),  # the sum must exceed N
+            ([], 3, "sum_sup", math.nan),
+            (["--avg"], 4, "avg_sup", 1.0),  # below p = 3's average, but not above 1
+            (["--avg"], 3, "avg_sup", 5.0),  # above 1, but above p = 2's average
+            (["--avg"], 3, "avg_sup", math.nan),
+        ],
+    )
+    def test_special_n_failures_exit_two_and_keep_their_row(
+        self, capsys, tmp_path, monkeypatch, flags, p, column, value
+    ):
+        real = cli.special_n_statistics
+
+        def fake(p_now, *args):
+            stats = real(p_now, *args)
+            return dataclasses.replace(stats, **{column: value}) if p_now == p else stats
+
+        monkeypatch.setattr(cli, "special_n_statistics", fake)
+        code, rows = run_json(capsys, tmp_path, "bounds", "--special-n", "--p", "2..4", *flags)
+        assert code == 2
+        assert [r["p"] for r in rows] == [2, 3, 4]
+        assert same(rows[p - 2][column], value)
+
     def test_threads_option_is_gone(self, capsys):
         code, out, err = run(capsys, "bounds", "--max-n", "3", "--threads", "2")
         assert code == 1 and out == ""
@@ -191,6 +266,37 @@ class TestBivariateCommand:
         rows = list(csv.DictReader(out.splitlines()))
         errs = [float(r["sup_error"]) for r in rows]
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize(
+        "n_range, n, error",
+        [
+            ("2..4", 3, 7.0),  # above n = 2's error
+            ("2..4", 3, math.nan),
+            ("3..4", 2, 0.0),  # the whole table n = 2..4 must decrease, not only the rows written
+        ],
+    )
+    def test_decay_failure_exits_two_and_keeps_the_table(self, capsys, tmp_path, monkeypatch, n_range, n, error):
+        real = bv.jackson_decay_experiment
+
+        def fake(*args, **kwargs):
+            return [(m, size, error if m == n else err) for m, size, err in real(*args, **kwargs)]
+
+        monkeypatch.setattr(bv, "jackson_decay_experiment", fake)
+        code, rows = run_json(capsys, tmp_path, "bivariate", "--decay", "--n", n_range, "--grid", "24")
+        assert code == 2
+        lo = int(n_range.split("..")[0])
+        assert [r["n"] for r in rows] == list(range(lo, 5))
+        if n >= lo:
+            assert same(rows[n - lo]["sup_error"], error)
+
+    def test_verify_2d_leja_refuses_n_max_below_two(self, capsys):
+        # at --n-max 1 no node is checked, so the run would pass vacuously
+        code, out, err = run(capsys, "bivariate", "--verify-2d-leja", "--n-max", "1")
+        assert code == 1 and out == ""
+        assert "--n-max >= 2" in err
+        code, out, _ = run(capsys, "bivariate", "--verify-2d-leja", "--n-max", "2")
+        assert code == 0
+        assert int(list(csv.DictReader(out.splitlines()))[0]["checked"]) == 1
 
     def test_rejects_checks_of_no_points(self, capsys):
         for argv in (

@@ -328,8 +328,10 @@ class TestRefusesVacuousScans:
             with pytest.raises(ValueError, match="FLIP moduli leave double range"):
                 _boundary_stats(nodes, curve, np.angle(nodes), None, 0, per_node_refine)
         with np.errstate(all="ignore"):
-            for flips, good, t in ((_Flips(nodes, _points), 1j, complex(bad)), (_Flips(nodes), 0.5, np.nan)):
-                with pytest.raises(ValueError, match="FLIP moduli leave double range"):  # points; angles on the circle
+            probes = [(_Flips(nodes, _points), 1j, complex(bad))]  # points; angles on the circle
+            probes += [(_Flips(nodes), 0.5, t) for t in (np.nan, np.inf, -np.inf)]
+            for flips, good, t in probes:
+                with pytest.raises(ValueError, match="FLIP moduli leave double range"):
                     flips.lebesgue_at(t)
                 with pytest.raises(ValueError, match="FLIP moduli leave double range"):
                     flips.own(np.array([good, t]), np.array([0, 1]))
