@@ -187,39 +187,46 @@ def _flip_terms(n: int, m: int, p: int, q: int) -> list[tuple[int, int, int]]:
     return terms
 
 
-def _ratio_prefix_table(points: np.ndarray, skip: int, ubs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows prod_{j<=ub, j!=skip} (x - points[j]) / (points[skip] - points[j]), one per entry of ubs."""
-    top = int(ubs.max())
-    j = np.arange(top + 1)
-    j = j[j != skip]
-    factors = np.ones((top + 2, x.size), dtype=complex)
-    factors[j + 1] = (x - points[j, None]) / (points[skip] - points[j])[:, None]
-    return np.cumprod(factors, axis=0)[ubs + 1]
+def _prefix_tables(points: np.ndarray, skips, top: int, x: np.ndarray) -> np.ndarray:
+    """Tables of prod_{j<=u, j!=s} (x - points[j]) / (points[s] - points[j]), one per skip s.
 
-
-def _term_tables(
-    arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tables Z (T x len(zs)) and W (T x len(ws)) of the FLIP at (eta_p, theta_q).
-
-    Row t holds the z and the w product of the t-th signed term of
-    :func:`_flip_terms`, the sign folded into Z, so the FLIP is sum_t Z[t] W[t].
+    Shape (len(skips), top + 2, x.size): row u + 1 holds the product up to u,
+    row 0 the empty product 1.  The cumprod is sequential, so a row's bits do
+    not depend on ``top``.
     """
-    sign, z_ub, w_ub = np.array(_flip_terms(arr.n, arr.m, p, q)).T
-    ztab = _ratio_prefix_table(arr.eta, p, z_ub, zs)
-    ztab *= sign[:, None]
-    return ztab, _ratio_prefix_table(arr.theta, q, w_ub, ws)
+    skips, j = np.asarray(skips)[:, None, None], np.arange(top + 1)[:, None]
+    factors = np.ones((skips.size, top + 2, x.size), dtype=complex)
+    np.divide(x - points[j], points[skips] - points[j], out=factors[:, 1:], where=j != skips)
+    return np.cumprod(factors, axis=1, out=factors)
+
+
+def _flip_tables(arr: IntertwiningArray, zs: np.ndarray, ws: np.ndarray, pairs: list[tuple[int, int]]):
+    """Yield (p, q, Z, W) per FLIP (eta_p, theta_q) of ``pairs``, in their order.
+
+    Row t of Z (T x len(zs)) and W (T x len(ws)) holds the z and the w product
+    of the t-th signed term of :func:`_flip_terms`, the sign folded into Z, so
+    the FLIP is sum_t Z[t] W[t].  Each axis's tables are built once, for the
+    skips that ``pairs`` use, and the FLIPs select their rows from them.
+    """
+    ps, qs = (sorted(set(c)) for c in zip(*pairs))
+    ztabs = dict(zip(ps, _prefix_tables(arr.eta, ps, arr.n, zs)))
+    wtabs = dict(zip(qs, _prefix_tables(arr.theta, qs, arr.n, ws)))
+    for p, q in pairs:
+        sign, z_ub, w_ub = np.array(_flip_terms(arr.n, arr.m, p, q)).T
+        ztab = ztabs[p][z_ub + 1]
+        ztab *= sign[:, None]
+        yield p, q, ztab, wtabs[q][w_ub + 1]
 
 
 def _flip_on_axes(arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """FLIP values on the tensor grid zs x ws, shape (len(zs), len(ws)): one gemm."""
-    ztab, wtab = _term_tables(arr, p, q, zs, ws)
+    _, _, ztab, wtab = next(_flip_tables(arr, zs, ws, [(p, q)]))
     return ztab.T @ wtab
 
 
 def _flip_at_points(arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """FLIP values at the points (zs[i], ws[i])."""
-    ztab, wtab = _term_tables(arr, p, q, zs, ws)
+    _, _, ztab, wtab = next(_flip_tables(arr, zs, ws, [(p, q)]))
     return (ztab * wtab).sum(axis=0)
 
 
@@ -237,16 +244,16 @@ def bivariate_flip(arr: IntertwiningArray, p: int, q: int, z: complex, w: comple
 def interpolate(arr: IntertwiningArray, f: Callable[[complex, complex], complex], z: complex, w: complex) -> complex:
     """Lagrange interpolant sum_p f(H_p) l_{H_p}(z, w)."""
     total = 0.0 + 0.0j
-    for j, (p, q) in enumerate(arr.pairs(), start=1):
-        zv, wv = arr.node(j)
-        total += complex(f(zv, wv)) * bivariate_flip(arr, p, q, z, w)
+    zs, ws = np.array([z], dtype=complex), np.array([w], dtype=complex)
+    for j, (_, _, ztab, wtab) in enumerate(_flip_tables(arr, zs, ws, arr.pairs()), start=1):
+        total += complex(f(*arr.node(j))) * complex((ztab * wtab).sum(axis=0)[0])
     return total
 
 
 def _interp_grid(arr: IntertwiningArray, values: np.ndarray, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     acc = np.zeros((zs.size, ws.size), dtype=complex)
-    for j, (p, q) in enumerate(arr.pairs()):
-        acc += values[j] * _flip_on_axes(arr, p, q, zs, ws)
+    for j, (_, _, ztab, wtab) in enumerate(_flip_tables(arr, zs, ws, arr.pairs())):
+        acc += values[j] * (ztab.T @ wtab)
     return acc
 
 
@@ -260,8 +267,7 @@ def bivariate_lebesgue(arr: IntertwiningArray, grid: int) -> float:
     total = np.zeros((grid, grid))
     # the _flip_on_axes gemm, into one buffer for every term: two fewer grid-sized temporaries per FLIP
     flip, mod = np.empty((grid, grid), dtype=complex), np.empty((grid, grid))
-    for p, q in arr.pairs():
-        ztab, wtab = _term_tables(arr, p, q, axis, axis)
+    for _, _, ztab, wtab in _flip_tables(arr, axis, axis, arr.pairs()):
         total += np.abs(np.matmul(ztab.T, wtab, out=flip), out=mod)
     return float(total.max())
 
@@ -390,12 +396,12 @@ def check_delta(arr: IntertwiningArray) -> tuple[float, set[str]]:
     zs, ws = arr.eta[: arr.n + 1], arr.theta[: arr.n + 1]
     ks, ls = np.array(arr.pairs()).T
     worst, cases = 0.0, set()
-    for p, q in zip(ks.tolist(), ls.tolist()):
+    for p, q, ztab, wtab in _flip_tables(arr, zs, ws, arr.pairs()):
         cases.add(flip_case(arr, p, q))
-        vals = _flip_on_axes(arr, p, q, zs, ws)[ks, ls]
+        vals = (ztab.T @ wtab)[ks, ls]
         want = (ks == p) & (ls == q)
-        worst = max(worst, float(np.max(np.abs(vals - want))))
-    return worst, cases
+        worst = np.maximum(worst, np.max(np.abs(vals - want)))  # a NaN stays
+    return float(worst), cases
 
 
 def check_oracle(arr: IntertwiningArray, rng: np.random.Generator, points: int) -> float:
@@ -411,8 +417,8 @@ def check_oracle(arr: IntertwiningArray, rng: np.random.Generator, points: int) 
         zs, ws = angles[jp - 1, :, 0], angles[jp - 1, :, 1]
         direct = _flip_at_points(arr, p, q, zs, ws)
         oracle = flip_via_vdm_ratio(arr, jp, zs, ws)
-        worst = max(worst, _max_rel_gap(oracle, direct))
-    return worst
+        worst = np.maximum(worst, _max_rel_gap(oracle, direct))  # a NaN stays
+    return float(worst)
 
 
 def check_factorization(arr: IntertwiningArray, rng: np.random.Generator, points: int) -> float:

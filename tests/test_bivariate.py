@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +29,7 @@ from lejaflip import (
     verify_2d_leja,
 )
 from lejaflip import bivariate
-from lejaflip.bivariate import _flip_at_points, _flip_on_axes, _flip_terms, _ratio_prefix_table
+from lejaflip.bivariate import _flip_at_points, _flip_on_axes, _flip_terms, _interp_grid, _prefix_tables
 
 
 def leja_sources(n_entries, rotate=0.0):
@@ -37,6 +39,10 @@ def leja_sources(n_entries, rotate=0.0):
 
 def random_unit(rng):
     return complex(np.exp(2j * np.pi * rng.random()))
+
+
+def f_entire(z, w):
+    return np.exp(z - 2 * w)
 
 
 def seven_form_terms(n, m, p, q):
@@ -226,8 +232,97 @@ class TestTermRule:
         rng = np.random.default_rng(5)
         zs = 1.5 * rng.random(16) * np.exp(2j * np.pi * rng.random(16))
         for p in range(9):
-            rows = _ratio_prefix_table(eta, p, np.array([p - 1, p]), zs)
-            assert np.array_equal(rows[0], rows[1]), p
+            rows = _prefix_tables(eta, [p], 8, zs)[0]
+            assert np.array_equal(rows[p], rows[p + 1]), p
+
+
+def ratio_prefix_table(points, skip, ubs, x):
+    """Reference: the one-skip table builder that each FLIP once called for itself."""
+    top = int(ubs.max())
+    j = np.arange(top + 1)
+    j = j[j != skip]
+    factors = np.ones((top + 2, x.size), dtype=complex)
+    factors[j + 1] = (x - points[j, None]) / (points[skip] - points[j])[:, None]
+    return np.cumprod(factors, axis=0)[ubs + 1]
+
+
+def per_flip_tables(arr, p, q, zs, ws):
+    """Reference: the tables Z, W of one FLIP, each built on its own."""
+    sign, z_ub, w_ub = np.array(_flip_terms(arr.n, arr.m, p, q)).T
+    ztab = ratio_prefix_table(arr.eta, p, z_ub, zs)
+    ztab *= sign[:, None]
+    return ztab, ratio_prefix_table(arr.theta, q, w_ub, ws)
+
+
+class TestSharedTables:
+    def test_rows_equal_the_one_skip_builder_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for n in range(13):
+            src = leja_sources(n + 1, 0.2)
+            rand = 1.5 * rng.random(n + 1) * np.exp(2j * np.pi * rng.random(n + 1))
+            xs = 1.5 * rng.random(7) * np.exp(2j * np.pi * rng.random(7))
+            for points, x in ((src, src), (rand, xs)):
+                shared = _prefix_tables(points, range(n + 1), n, x)
+                for s in range(n + 1):
+                    alone = _prefix_tables(points, [s], n, x)[0]
+                    for ub in range(-1, n + 1):
+                        want = ratio_prefix_table(points, s, np.array([ub]), x)[0]
+                        assert np.array_equal(shared[s, ub + 1], want), (n, s, ub)
+                        assert np.array_equal(alone[ub + 1], want), (n, s, ub)
+
+    def test_array_paths_equal_a_per_flip_loop_bit_for_bit(self):
+        eta, theta = leja_sources(8), leja_sources(8, 0.37)
+        grid = 32
+        axis = np.exp(2j * np.pi * np.arange(grid) / grid)
+        rng = np.random.default_rng(17)
+        z, w = complex(0.3, -0.4), complex(-0.7, 0.2)
+        cases = set()
+        for n_nodes in range(1, 22):
+            arr = build_array(eta, theta, n_nodes)
+            pairs = arr.pairs()
+            values = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
+            ks, ls = np.array(pairs).T
+            worst, acc, total, interp = 0.0, np.zeros((grid, grid), dtype=complex), np.zeros((grid, grid)), 0j
+            for j, (p, q) in enumerate(pairs):
+                cases.add(flip_case(arr, p, q))
+                ztab, wtab = per_flip_tables(arr, p, q, arr.eta[: arr.n + 1], arr.theta[: arr.n + 1])
+                vals = (ztab.T @ wtab)[ks, ls]
+                worst = max(worst, float(np.max(np.abs(vals - ((ks == p) & (ls == q))))))
+                ztab, wtab = per_flip_tables(arr, p, q, axis, axis)
+                assert np.array_equal(_flip_on_axes(arr, p, q, axis, axis), ztab.T @ wtab)
+                acc += values[j] * (ztab.T @ wtab)
+                total += np.abs(ztab.T @ wtab)
+                ztab, wtab = per_flip_tables(arr, p, q, axis[:7], axis[3:10])
+                assert np.array_equal(_flip_at_points(arr, p, q, axis[:7], axis[3:10]), (ztab * wtab).sum(axis=0))
+                ztab, wtab = per_flip_tables(arr, p, q, np.array([z]), np.array([w]))
+                interp += complex(f_entire(*arr.node(j + 1))) * complex((ztab * wtab).sum(axis=0)[0])
+            assert check_delta(arr)[0] == worst, n_nodes
+            assert np.array_equal(_interp_grid(arr, values, axis, axis), acc), n_nodes
+            assert bivariate_lebesgue(arr, grid) == float(total.max()), n_nodes
+            assert interpolate(arr, f_entire, z, w) == interp, n_nodes
+        assert cases == ALL_CASES
+
+    def test_array_loops_build_two_tables_per_array(self, monkeypatch):
+        builds = []
+
+        def counted(*args):
+            builds.append(args[0])
+            return _prefix_tables(*args)
+
+        monkeypatch.setattr(bivariate, "_prefix_tables", counted)
+        arr = build_array(leja_sources(6), leja_sources(6, 0.37), 15)  # 15 FLIPs
+        for run in (
+            lambda: check_delta(arr),
+            lambda: bivariate_lebesgue(arr, 24),
+            lambda: interpolate(arr, f_entire, 0.1j, 0.2),
+        ):
+            builds.clear()
+            run()
+            assert len(builds) == 2
+            assert builds[0] is arr.eta and builds[1] is arr.theta
+        builds.clear()
+        jackson_decay_experiment(f_entire, 5, grid=24)  # arrays n = 2..5
+        assert len(builds) == 2 * 4
 
 
 class TestContractionKernels:
@@ -269,6 +364,26 @@ class TestContractionKernels:
         arr = build_array(leja_sources(6), leja_sources(6, 0.37), 12)
         monkeypatch.setattr(bivariate, "_flip_terms", lambda n, m, p, q: _flip_terms(n, m, p, q)[:1])
         assert check_delta(arr)[0] > 1e-3
+
+    def test_check_delta_and_check_oracle_carry_a_nan(self, monkeypatch):
+        # Python's max drops a NaN that comes second, so a fold with it would report 0
+        arr = build_array(leja_sources(6), leja_sources(6, 0.37), 10)
+        tables, at_points = bivariate._prefix_tables, bivariate._flip_at_points
+
+        def nan_for_skip_two(points, skips, top, x):
+            tabs = tables(points, skips, top, x)
+            tabs[np.asarray(skips) == 2] = np.nan
+            return tabs
+
+        def nan_at_one(arr, p, q, zs, ws):
+            vals = at_points(arr, p, q, zs, ws)
+            return vals * np.nan if (p, q) == (1, 1) else vals
+
+        monkeypatch.setattr(bivariate, "_prefix_tables", nan_for_skip_two)
+        assert math.isnan(check_delta(arr)[0])
+        monkeypatch.setattr(bivariate, "_prefix_tables", tables)
+        monkeypatch.setattr(bivariate, "_flip_at_points", nan_at_one)
+        assert math.isnan(check_oracle(arr, np.random.default_rng(3), 4))
 
     def test_check_oracle_matches_scalar_loop(self):
         eta, theta = leja_sources(6), leja_sources(6, 0.37)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lejaflip import UNIFORM_FLIP_BOUND, canonical_disk_leja
 from lejaflip import bivariate as bv
 from lejaflip import cli
+from lejaflip import transport as tp
 from lejaflip.cli import main
 
 
@@ -289,6 +290,31 @@ class TestBivariateCommand:
         if n >= lo:
             assert same(rows[n - lo]["sup_error"], error)
 
+    @pytest.mark.parametrize(
+        "argv, check, row, column",
+        [
+            (["--delta", "--n-max", "7"], "check_delta", 1, "max_delta_err"),
+            (["--oracle", "--n-max", "4"], "check_oracle", 1, "max_rel_err"),
+            (["--factorization", "--n-max", "4"], "check_factorization", 1, "max_rel_err"),
+            (["--factorization", "--n-max", "4"], "check_product_formula", 5, "max_rel_err"),
+            (["--lebesgue", "--n", "2..4", "--grid", "24"], "bivariate_lebesgue", 1, "lebesgue"),
+        ],
+    )
+    def test_nan_fails_and_keeps_its_row(self, capsys, tmp_path, monkeypatch, argv, check, row, column):
+        real, calls = getattr(bv, check), []
+
+        def nan_once(*args, **kwargs):
+            value = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) != 2:
+                return value
+            return (math.nan, value[1]) if check == "check_delta" else math.nan
+
+        monkeypatch.setattr(bv, check, nan_once)
+        code, rows = run_json(capsys, tmp_path, "bivariate", *argv)
+        assert code == 2
+        assert [math.isnan(r[column]) for r in rows] == [i == row for i in range(len(rows))]
+
     def test_verify_2d_leja_refuses_n_max_below_two(self, capsys):
         # at --n-max 1 no node is checked, so the run would pass vacuously
         code, out, err = run(capsys, "bivariate", "--verify-2d-leja", "--n-max", "1")
@@ -354,6 +380,12 @@ class TestTransportCommand:
         assert code == 0
         rows = list(csv.DictReader(out.splitlines()))
         assert abs(float(rows[0]["alper"])) <= 1e-6
+
+    def test_nan_alper_fails_and_keeps_its_row(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(tp, "estimate_alper_constant", lambda emap, w_grid, t_grid: math.nan)
+        code, rows = run_json(capsys, tmp_path, "transport", "--alper", "--ellipse", "1", "1")
+        assert code == 2
+        assert len(rows) == 1 and math.isnan(rows[0]["alper"])
 
     def test_ellipse_sweep(self, capsys):
         code, out, err = run(capsys, "transport", "--ellipse", "1.2", "0.8", "--max-n", "16", "--refine", "0")
