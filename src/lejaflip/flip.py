@@ -26,6 +26,20 @@ coefficients with per-point planes.  On the unit circle, with nodes of modulus
 1 to a few ulps, a distance is 2|sin((t - phi_k)/2)| from half-angle values of
 the angle itself; any other boundary, every ellipse included, takes coordinate
 differences 1*x + (-x_k)*1, the bits of a subtraction.
+
+A scan on the unit circle of a node set at exact dyadic angles
+exp(2*pi*i*m_k/2**s) whose binary blocks are whole root sets (:class:`_Dyadic`:
+canonical sections, and sections turned block by block by admissible roots
+of -1) runs node-major from integer angles instead (:func:`_dyadic_scan`),
+when its node offsets on the grid fall into D <= N/16 residue classes; every
+default grid has D <= N/32.  |w| is popcount(N) sines per grid point, each
+node's reciprocal distances are a slice of one table per class, and the node
+weights come from the block formula in O(N log N).  w and the distances must
+come from the same exact angles: near a node they cancel, and w from exact
+angles over the tile's rounded distances moved per-node maxima by 1.1e-3
+at N = 132.  Rotated, random and greedy-on-other-samples node sets, every
+ellipse and grids with more classes keep the tile scan; the refinement
+probes run on the tile kernel for every node set.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import binary_decompose, require_resolving_grid, stable_abs_product, wrap_angle
 from .disk import LejaSection, canonical_disk_leja, omega0_of_section
@@ -252,6 +267,9 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> tuple[np.
 #: its three float64 work planes (1.5 MiB) stay in a 2 MiB L2.
 _TILE = 1 << 16
 
+#: Grid points per tile row of a dyadic scan; a tile is max(1, _TILE // _SPAN) rows.
+_SPAN = 1 << 12
+
 #: Points per chunk of a scan, rounded down to whole runs: a scan holds its curve points one chunk at a time.
 _CHUNK = 1 << 13
 
@@ -262,9 +280,83 @@ _OUT_OF_RANGE = "FLIP moduli leave double range: the nodes or the boundary are t
 #: nodes and exp(it) samples are within one.
 _UNIT_ULPS = 4.0 * np.finfo(float).eps
 
+#: Largest |eta_k - exp(2*pi*i*m_k/2**s)| of a node at a dyadic angle: the
+#: roundings of a few complex products, as a section turned block by block has.
+_DYADIC_ULPS = 8.0 * np.finfo(float).eps
+
 
 def _unit_circle(t):
     return np.exp(1j * t)
+
+
+def _twice_sines(x: np.ndarray, period: int) -> np.ndarray:
+    """2|sin(pi*x/period)| for an integer array x, which it overwrites with x mod period folded into [0, period/2].
+
+    The fold keeps every argument in [0, pi/2], where sin loses no relative
+    accuracy; near pi it would lose all of it.
+    """
+    np.remainder(x, period, out=x)
+    np.minimum(x, period - x, out=x)
+    return 2.0 * np.sin((np.pi / period) * x)
+
+
+class _Dyadic:
+    """A node set at exact dyadic angles whose binary blocks are whole root sets: the dyadic scan's input.
+
+    Node k sits at exp(2*pi*i*m_k/2**s), and for N = sum_i 2**p_i
+    (p_1 > p_2 > ...) the i-th block of 2**p_i consecutive nodes holds every
+    root of z**(2**p_i) = c_i = exp(2*pi*i*g_i/2**s).  So the node polynomial
+    is w(z) = prod_i (z**(2**p_i) - c_i), and every angle the scan needs is an
+    integer multiple of 2*pi/lcm(grid, 2**s), reduced exactly in integers.
+    Canonical disk Leja sections (Bialas-Ciez & Calvi, Ann. Mat. Pura Appl.
+    2012) have this form with s = bit_length(N - 1).
+    """
+
+    def __init__(self, s: int, m: np.ndarray, exps: list[int], targets: list[int]):
+        self.s, self.m, self.exps, self.targets = s, m, exps, targets
+
+    @classmethod
+    def of(cls, nodes: np.ndarray) -> _Dyadic | None:
+        """The structure of ``nodes``, or None when a node is off its dyadic angle by more than rounding,
+        two nodes share an angle, or a block is not a whole root set."""
+        n = nodes.size
+        s = (n - 1).bit_length()
+        q = 1 << s
+        if not np.all(np.isfinite(nodes)):
+            return None
+        m = np.rint(np.angle(nodes) * (q / (2.0 * np.pi))).astype(np.int64) % q
+        if not (np.all(np.abs(np.exp(1j * (2.0 * np.pi * m / q)) - nodes) <= _DYADIC_ULPS) and np.unique(m).size == n):
+            return None
+        exps, targets, lo = binary_decompose(n), [], 0
+        for p in exps:
+            powers = (m[lo : lo + (1 << p)] << p) % q  # 2**p * m_k mod 2**s: one value per block
+            if np.any(powers != powers[0]):
+                return None
+            targets.append(int(powers[0]))
+            lo += 1 << p
+        return cls(s, m, exps, targets)
+
+    def blocks(self):
+        """(p_i, g_i, node indices) per block."""
+        lo = 0
+        for p, g in zip(self.exps, self.targets):
+            yield p, g, np.arange(lo, lo + (1 << p))
+            lo += 1 << p
+
+    def log_weights(self) -> np.ndarray:
+        """log |w'(eta_k)| = log(2**p_i * prod_{j != i} |eta_k**(2**p_j) - c_j|) for eta_k in block i, O(N log N)."""
+        q = 1 << self.s
+        out = np.empty(self.m.size)
+        for p, _, ks in self.blocks():
+            out[ks] = p * math.log(2.0)
+            for pj, gj, others in self.blocks():
+                if others[0] != ks[0]:
+                    out[ks] += np.log(_twice_sines((self.m[ks] << pj) - gj, q))
+        return out
+
+    def classes(self, grid: int) -> int:
+        """D = 2**s / gcd(grid, 2**s): the node offsets on a grid of ``grid`` angles fall into D residue classes."""
+        return (1 << self.s) // math.gcd(grid, 1 << self.s)
 
 
 class _Flips:
@@ -290,8 +382,10 @@ class _Flips:
     are squared and added.  A point exactly equal to a node is a hit
     (:meth:`_runs`); its column becomes the Kronecker column.  From the
     distances on, everything is shared.  Run it under ``np.errstate(all="ignore")``.
-    A node set whose log-weights leave (-280, 280), NaN nodes included, raises
-    :class:`ValueError` when built.
+    On the polar front end, ``dyadic`` is the node set's :class:`_Dyadic`
+    structure, or None; with one, the log-weights come from the block formula,
+    else from the pairwise products.  A node set whose log-weights leave
+    (-280, 280), NaN nodes included, raises :class:`ValueError` when built.
     """
 
     def __init__(self, nodes: np.ndarray, curve=_unit_circle):
@@ -305,8 +399,9 @@ class _Flips:
         half, mod = np.sqrt(nodes), np.abs(nodes)
         polar = curve is _unit_circle and mod.min() >= 1.0 - _UNIT_ULPS and mod.max() <= 1.0 + _UNIT_ULPS
         self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if polar else None
+        self.dyadic = _Dyadic.of(nodes) if polar else None
         with np.errstate(all="ignore"):  # infinite nodes give NaN weights, refused below
-            log_w = _log_node_weights(nodes)
+            log_w = _log_node_weights(nodes) if self.dyadic is None else self.dyadic.log_weights()
         if not np.all(np.abs(log_w) < 280.0):
             raise ValueError(f"node weights leave double range: log-weights {log_w.min():.4g}..{log_w.max():.4g}")
         self.inv_w = np.exp(-log_w)
@@ -486,6 +581,89 @@ def _scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     return node_max, node_arg, leb_max, leb_arg
 
 
+def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
+    """:func:`_scan` on the unit circle for a node set with ``flips.dyadic``, from exact integer angles.
+
+    With D = flips.dyadic.classes(grid), A = grid*D/2**s and L = grid*D, grid
+    angle t_j and node angle phi_k differ by 2*pi*((j - n_k)*D - r_k)/L, where
+    A*m_k = n_k*D + r_k.  So |w(e^{it_j})| is a product of popcount(N) sines,
+    one per block, and the reciprocal distances of node k are the slice
+    from (-n_k) mod grid of one doubled table of 1/(2|sin(pi*(i*D - r)/L)|)
+    per class r.  Both come from the same exact angles, so near a node w and
+    the distance cancel as they should.  The nodes of one block in one class
+    sit evenly around the circle, so their slices are every step-th window of
+    the table (:func:`_window_maxima`).  A node with r_k = 0 is hit at
+    j = n_k, where w and its table entry are 0.  The results, the ties and the
+    refusals are :func:`_scan`'s.
+    """
+    dy, n = flips.dyadic, flips.n
+    d_cls = dy.classes(grid)
+    a_num, period = grid * d_cls >> dy.s, grid * d_cls
+    j = np.arange(grid, dtype=np.int64)
+    w = np.ones(grid)
+    for p, g, _ in dy.blocks():  # z**(2**p) - c repeats every grid / gcd(grid, 2**p) angles
+        cyc = grid // math.gcd(grid, 1 << p)
+        w.reshape(-1, cyc)[...] *= _twice_sines((j[:cyc] << p) * d_cls - g * a_num, period)
+    offset = a_num * dy.m
+    res, at = offset % d_cls, offset // d_cls
+    hit = np.flatnonzero(res == 0)
+    leb, node_max, node_at = np.zeros(grid), np.zeros(n), np.zeros(n, np.intp)
+    table, x = np.empty(2 * grid), np.empty(grid, np.int64)
+    with np.errstate(all="ignore"):
+        for r in np.unique(res):
+            np.subtract(np.multiply(j, d_cls, out=x), r, out=x)
+            np.divide(1.0, _twice_sines(x, period), out=table[:grid])
+            if r == 0:
+                table[0] = 0.0  # the hit: w is 0 there too, so the node's own entry is 0
+            table[grid:] = table[:grid]
+            windows = sliding_window_view(table, grid)  # row i: the slice from i on
+            for _, _, ks in dy.blocks():
+                ks = ks[res[ks] == r]
+                if ks.size:
+                    start = (-at[ks]) % grid
+                    order = np.argsort(start)
+                    ks, step = ks[order], grid // ks.size
+                    assert np.array_equal(start[order], start[order[0]] + step * np.arange(ks.size))
+                    best, node_at[ks] = _window_maxima(windows[start[order[0]] :: step], w, flips, ks, leb)
+                    node_max[ks] = best * flips.inv_w[ks]
+    w[at[hit]] = np.inf  # the hit columns, where the tile takes the product of the other distances
+    if not (w.min() > 1e-280 and math.isfinite(leb.sum())):
+        raise ValueError(_OUT_OF_RANGE)
+    leb[at[hit]] = 1.0
+    i = int(np.argmax(leb))
+    node_arg = np.where(node_max > 0.0, 2.0 * np.pi * node_at / grid, node_arg0)
+    # as in _scan: the FLIP is 1 at its own node; ties go to the smaller angle
+    hit_t = 2.0 * np.pi * at[hit] / grid
+    first = (node_max[hit] < 1.0) | ((node_max[hit] == 1.0) & (hit_t < node_arg[hit]))
+    node_max[hit[first]] = 1.0
+    node_arg[hit[first]] = hit_t[first]
+    return node_max, node_arg, float(leb[i]), 2.0 * np.pi * i / grid
+
+
+def _window_maxima(view: np.ndarray, w: np.ndarray, flips: _Flips, ks: np.ndarray, leb: np.ndarray):
+    """Row maxima of view[:ks.size] * w with their columns, first of equal ones; adds inv_w[ks] @ (view * w) to leb.
+
+    Tiles of at most ``_TILE`` entries, ``_SPAN`` columns wide, are formed in
+    the tile kernel's work planes.
+    """
+    cols = min(w.size, _SPAN, _TILE)
+    rows = max(1, _TILE // cols)
+    work, sums = flips._d[: rows * cols], np.empty(cols)
+    best, best_at = np.zeros(ks.size), np.zeros(ks.size, np.intp)
+    for lo in range(0, ks.size, rows):
+        hi = min(ks.size, lo + rows)
+        for c0 in range(0, w.size, cols):
+            c1 = min(w.size, c0 + cols)
+            tile = work[: (hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+            np.multiply(view[lo:hi, c0:c1], w[c0:c1], out=tile)
+            arg = tile.argmax(axis=1)
+            cand = tile[np.arange(hi - lo), arg]
+            upd = cand > best[lo:hi]  # strict: the first of equal maxima stays
+            best[lo:hi][upd], best_at[lo:hi][upd] = cand[upd], arg[upd] + c0
+            leb[c0:c1] += np.matmul(flips.inv_w[ks[lo:hi]], tile, out=sums[: c1 - c0])
+    return best, best_at
+
+
 def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
     """The scan size to use; refuses grids and refine counts that skip checking."""
     if refine_iters < 0:
@@ -504,7 +682,8 @@ def _node_sups(flips: _Flips, node_ts, grid: int, refine_iters: int, ks: np.ndar
     value 1 at its own parameter ``node_ts[k]``.  Returns
     ``(node_max, node_arg, leb_max, leb_arg)``.
     """
-    node_max, node_arg, leb_max, leb_arg = _scan(flips, grid, node_ts)
+    dyadic = flips.dyadic is not None and 16 * flips.dyadic.classes(grid) <= flips.n
+    node_max, node_arg, leb_max, leb_arg = (_dyadic_scan if dyadic else _scan)(flips, grid, node_ts)
     if refine_iters > 0 and ks.size:
         h, mid = 2.0 * np.pi / grid, node_arg[ks]
         with np.errstate(all="ignore"):

@@ -126,6 +126,16 @@ class TestBoundsCommand:
         code, _, _ = run(capsys, "bounds", "--special-n", "--p", "2..4", "--avg")
         assert code == 0
 
+    @pytest.mark.slow
+    def test_special_n_at_4095_and_8191(self, capsys, tmp_path):
+        # 64N^2 grid elements per scan: 4.3e9 at N = 8191
+        code, rows = run_json(capsys, tmp_path, "bounds", "--special-n", "--p", "12..13")
+        assert code == 0
+        assert [(r["p"], r["N"]) for r in rows] == [(12, 4095), (13, 8191)]
+        for r in rows:
+            assert r["lebesgue_relerr"] <= 1e-6 and _FLOOR - 1e-6 < r["max_sup"] <= 2.0 + 1e-6
+            assert r["sum_sup"] > r["N"] and r["min_sup"] >= 1.0
+
     @pytest.mark.parametrize(
         "column, value",
         [

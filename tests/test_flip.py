@@ -984,3 +984,188 @@ class TestBatchStats:
         assert np.max(np.abs(at_arg - ref.max(axis=0))) <= tol
         assert ref.sum(axis=1)[int(np.rint(leb_arg / (2 * np.pi) * 512))] >= ref.sum(axis=1).max() - tol
         assert np.allclose(section_vals, np.maximum(node_max, 1.0), rtol=1e-12)
+
+
+def _dyadic_gaps(nodes, grid):
+    """Largest relative gaps of the dyadic scan (as the module holds it) from :func:`_scan` on one kernel:
+    over the per-node grid maxima, and of the grid Lebesgue maximum."""
+    flips = _Flips(nodes)
+    assert flips.dyadic is not None
+    node_ts = np.angle(nodes)
+    got = flip_module._dyadic_scan(flips, grid, node_ts)
+    want = _scan(flips, grid, node_ts)
+    return float(np.max(np.abs(got[0] / want[0] - 1.0))), abs(got[2] / want[2] - 1.0)
+
+
+def _naive_block_scan(flips, grid, node_arg0):
+    """The block product w over :func:`_scan`'s polar gemm distances, with its hits: w from exact angles,
+    |2 sin(t/2) cos(phi/2) - 2 cos(t/2) sin(phi/2)| from rounded ones, so near a node they do not cancel."""
+    dy = flips.dyadic
+    d_cls = dy.classes(grid)
+    period = grid * d_cls
+    j = np.arange(grid, dtype=np.int64)
+    w = np.ones(grid)
+    for p, g, _ in dy.blocks():
+        w *= flip_module._twice_sines((j << p) * d_cls - g * (period >> dy.s), period)
+    ang = 2.0 * np.pi * np.arange(grid) / grid
+    hit_k, hit_j, _ = flips._runs(ang, grid)
+    dist = np.abs(flips.polar @ np.array((np.cos(0.5 * ang), np.sin(0.5 * ang))))
+    dist[:, hit_j] = 1.0
+    with np.errstate(all="ignore"):
+        vals = w / dist * flips.inv_w[:, None]
+    sums = vals.sum(axis=0)
+    sums[hit_j] = 1.0
+    node_max = vals.max(axis=1)
+    node_max[hit_k] = np.maximum(node_max[hit_k], 1.0)
+    i = int(np.argmax(sums))
+    return node_max, ang[vals.argmax(axis=1)], float(sums[i]), float(ang[i])
+
+
+def _spy_scans(monkeypatch):
+    """Record which scan each :func:`_node_sups` call takes."""
+    taken = []
+    for name in ("_scan", "_dyadic_scan"):
+        real = getattr(flip_module, name)
+        monkeypatch.setattr(flip_module, name, lambda *a, _real=real, _name=name: taken.append(_name) or _real(*a))
+    return taken
+
+
+def _mp_moduli(nodes, t, ks):
+    """|l_k(e^{it})| for k in ks at 40 digits, for the double nodes as given; t is an mpmath angle."""
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(c.real)) for c in nodes]
+        ys = [mpmath.mpf(float(c.imag)) for c in nodes]
+        zx, zy = mpmath.cos(t), mpmath.sin(t)
+        d2 = [(zx - x) ** 2 + (zy - y) ** 2 for x, y in zip(xs, ys)]
+        w2 = mpmath.fprod(d2)
+        out = []
+        for k in ks:
+            den = mpmath.fprod((xs[k] - xs[i]) ** 2 + (ys[k] - ys[i]) ** 2 for i in range(len(nodes)) if i != k)
+            out.append(mpmath.sqrt(w2 / d2[k] / den))
+        return out
+
+
+class TestDyadicScan:
+    """Sections at exact dyadic angles whose binary blocks are whole root sets scan node-major from integer angles."""
+
+    @pytest.mark.parametrize("ns", [range(1, 257), [263, 300, 333, 384, 400, 449, 480, 500, 511, 512]])
+    def test_agrees_with_the_general_scan_on_canonical_sections(self, ns):
+        for n in ns:
+            gaps = _dyadic_gaps(canonical_disk_leja(n).points, default_grid(n))
+            assert max(gaps) <= 2e-13, (n, gaps)
+
+    @pytest.mark.slow
+    def test_agrees_with_the_general_scan_up_to_512(self):
+        for n in range(257, 513):
+            gaps = _dyadic_gaps(canonical_disk_leja(n).points, default_grid(n))
+            assert max(gaps) <= 2e-13, (n, gaps)
+
+    @pytest.mark.parametrize(
+        "n, grid, classes",
+        [
+            (200, 17 * 64, 4),  # D > 1, taken
+            (100, 17 * 32, 4),
+            (300, 17 * 256, 2),
+            (64, 17 * 16, 4),  # D = N/16, taken
+            (60, 17 * 16, 4),  # D > N/16: the general scan
+            (255, 1001, 256),  # odd: D = 2**s
+            (255, 1009, 256),  # prime
+        ],
+    )
+    def test_agrees_on_custom_grids(self, n, grid, classes, monkeypatch):
+        nodes = canonical_disk_leja(n).points
+        assert _Flips(nodes).dyadic.classes(grid) == classes
+        assert max(_dyadic_gaps(nodes, grid)) <= 2e-13
+        taken = _spy_scans(monkeypatch)
+        circle_flip_stats(nodes, grid, refine_iters=0)
+        assert taken == ["_dyadic_scan" if 16 * classes <= n else "_scan"]
+
+    def test_agrees_on_other_dyadic_sections(self):
+        # a greedy section of 4096 circle samples is a Leja sequence at dyadic angles;
+        # so are sections whose later blocks turn by other admissible roots of -1,
+        # and a canonical one started at a dyadic angle
+        rng = np.random.default_rng(31)
+
+        def any_root(q, p):  # an admissible root of -1 of order 2**p
+            return np.exp(1j * np.pi * (2 * rng.integers(1 << p) + 1) / (1 << p))
+
+        sections = [greedy_leja(circle_samples(4096), n).points for n in (50, 300)]
+        sections += [nested_block_section(n, any_root).points for n in (77, 201, 383)]
+        sections.append(canonical_disk_leja(200, np.exp(2j * np.pi * 5 / 256)).points)
+        for nodes in sections:
+            assert max(_dyadic_gaps(nodes, default_grid(nodes.size))) <= 2e-13
+        assert np.max(np.abs(sections[0] - canonical_disk_leja(50).points)) > 1.0  # not the canonical order
+
+    def test_dispatch(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        moved = canonical_disk_leja(256).points.copy()
+        moved[100] *= np.exp(1e-9j)
+        general = {
+            "rotated": canonical_disk_leja(256, np.exp(0.3j)).points,
+            "random": unit_rng_points(rng, 100),
+            "greedy-5000": greedy_leja(circle_samples(5000), 50).points,  # 5000 samples miss pi/8
+            "moved-1e-9": moved,
+            "canonical-15": canonical_disk_leja(15).points,  # D = 1 > 15/16
+        }
+        dyadic = {
+            "canonical-16": canonical_disk_leja(16).points,
+            "canonical-256": canonical_disk_leja(256).points,
+            "greedy-4096": greedy_leja(circle_samples(4096), 50).points,
+        }
+        taken = _spy_scans(monkeypatch)
+        for name, nodes in {**general, **dyadic}.items():
+            taken.clear()
+            circle_flip_stats(nodes, refine_iters=0)
+            sup_norm_on_circle(nodes, 2, refine_iters=0)
+            assert taken == ["_dyadic_scan" if name in dyadic else "_scan"] * 2, name
+            assert (_Flips(nodes).dyadic is None) == (name in general and name != "canonical-15"), name
+        for a, b in ((1.2, 0.8), (1.0, 1.0)):  # every ellipse, the one equal to the circle included
+            taken.clear()
+            compact_flip_stats(transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(64)), refine_iters=0)
+            assert taken == ["_scan"]
+
+    def test_planted_naive_block_product_fails_the_agreement(self, monkeypatch):
+        # w from exact angles over distances from rounded ones: at a grid point on a node
+        # that is not bitwise a hit, w is exactly 0 where the gemm distance is 2e-18
+        monkeypatch.setattr(flip_module, "_dyadic_scan", _naive_block_scan)
+        node_gap, _ = _dyadic_gaps(canonical_disk_leja(132).points, default_grid(132))
+        assert node_gap > 1e-4
+
+    @pytest.mark.parametrize("n, k", [(255, None), (400, 267)])
+    def test_grid_values_match_mpmath(self, n, k):
+        nodes = canonical_disk_leja(n).points
+        grid = default_grid(n)
+        node_max, node_arg, leb_max, leb_arg = flip_module._dyadic_scan(_Flips(nodes), grid, np.angle(nodes))
+        k = int(np.argmax(node_max)) if k is None else k
+        at_node, at_leb = (int(np.rint(t / (2.0 * np.pi) * grid)) for t in (node_arg[k], leb_arg))
+        with mpmath.workdps(40):
+            want_node = _mp_moduli(nodes, 2 * mpmath.pi * at_node / grid, [k])[0]
+            want_leb = mpmath.fsum(_mp_moduli(nodes, 2 * mpmath.pi * at_leb / grid, range(n)))
+        assert node_max[k] == pytest.approx(float(want_node), rel=1e-13)
+        assert leb_max == pytest.approx(float(want_leb), rel=1e-13)
+
+    def test_block_weights_match_the_pairwise_products(self, monkeypatch):
+        worst = 0.0
+        for n in range(2, 257):
+            nodes = canonical_disk_leja(n).points
+            worst = max(worst, float(np.max(np.abs(_Flips(nodes).inv_w * np.exp(_log_node_weights(nodes)) - 1.0))))
+        assert worst <= 2e-13
+
+        def pairwise(nodes):
+            raise AssertionError("pairwise weights of a dyadic section")
+
+        monkeypatch.setattr(flip_module, "_log_node_weights", pairwise)
+        _Flips(canonical_disk_leja(300).points)
+        with pytest.raises(AssertionError):
+            _Flips(canonical_disk_leja(300, np.exp(0.3j)).points)
+
+    def test_refusals_are_the_general_scans(self, monkeypatch):
+        nodes = canonical_disk_leja(64).points
+        monkeypatch.setattr(flip_module._Dyadic, "log_weights", lambda self: np.full(self.m.size, 290.0))
+        _assert_refused(nodes)
+        monkeypatch.undo()
+        flips = _Flips(nodes)
+        flips.inv_w[5] = np.inf
+        for scan in (_scan, flip_module._dyadic_scan):
+            with pytest.raises(ValueError, match="FLIP moduli leave double range"):
+                scan(flips, default_grid(64), np.angle(nodes))
