@@ -267,8 +267,8 @@ def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> tuple[np.
 #: its three float64 work planes (1.5 MiB) stay in a 2 MiB L2.
 _TILE = 1 << 16
 
-#: Grid points per tile row of a dyadic scan; a tile is max(1, _TILE // _SPAN) rows.
-_SPAN = 1 << 12
+#: Grid points per span of a dyadic scan's node maxima, each taken whole or skipped.
+_SPAN = 1 << 6
 
 #: Points per chunk of a scan, rounded down to whole runs: a scan holds its curve points one chunk at a time.
 _CHUNK = 1 << 13
@@ -289,15 +289,25 @@ def _unit_circle(t):
     return np.exp(1j * t)
 
 
-def _twice_sines(x: np.ndarray, period: int) -> np.ndarray:
-    """2|sin(pi*x/period)| for an integer array x, which it overwrites with x mod period folded into [0, period/2].
+def _twice_sines(period: int, cap: int):
+    """x -> 2|sin(pi*x/period)| for integer arrays x, which it overwrites with x mod period folded into [0, period/2].
 
     The fold keeps every argument in [0, pi/2], where sin loses no relative
-    accuracy; near pi it would lose all of it.
+    accuracy; near pi it would lose all of it.  When period//2 + 1 <= cap the
+    values come from one table of that many sines, with the same bits.
     """
-    np.remainder(x, period, out=x)
-    np.minimum(x, period - x, out=x)
-    return 2.0 * np.sin((np.pi / period) * x)
+
+    def folded(x):
+        np.remainder(x, period, out=x)
+        return np.minimum(x, period - x, out=x)
+
+    def direct(x):
+        return 2.0 * np.sin((np.pi / period) * folded(x))
+
+    if period // 2 + 1 > cap:
+        return direct
+    table = direct(np.arange(period // 2 + 1))
+    return lambda x: table[folded(x)]
 
 
 class _Dyadic:
@@ -346,12 +356,12 @@ class _Dyadic:
     def log_weights(self) -> np.ndarray:
         """log |w'(eta_k)| = log(2**p_i * prod_{j != i} |eta_k**(2**p_j) - c_j|) for eta_k in block i, O(N log N)."""
         q = 1 << self.s
-        out = np.empty(self.m.size)
+        sines, out = _twice_sines(q, q), np.empty(self.m.size)
         for p, _, ks in self.blocks():
             out[ks] = p * math.log(2.0)
             for pj, gj, others in self.blocks():
                 if others[0] != ks[0]:
-                    out[ks] += np.log(_twice_sines((self.m[ks] << pj) - gj, q))
+                    out[ks] += np.log(sines((self.m[ks] << pj) - gj))
         return out
 
     def classes(self, grid: int) -> int:
@@ -587,45 +597,45 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     With D = flips.dyadic.classes(grid), A = grid*D/2**s and L = grid*D, grid
     angle t_j and node angle phi_k differ by 2*pi*((j - n_k)*D - r_k)/L, where
     A*m_k = n_k*D + r_k.  So |w(e^{it_j})| is a product of popcount(N) sines,
-    one per block, and the reciprocal distances of node k are the slice
+    one per block, and the reciprocal distances of node k are the window
     from (-n_k) mod grid of one doubled table of 1/(2|sin(pi*(i*D - r)/L)|)
     per class r.  Both come from the same exact angles, so near a node w and
-    the distance cancel as they should.  The nodes of one block in one class
-    sit evenly around the circle, so their slices are every step-th window of
-    the table (:func:`_window_maxima`).  A node with r_k = 0 is hit at
-    j = n_k, where w and its table entry are 0.  The results, the ties and the
-    refusals are :func:`_scan`'s.
+    the distance cancel as they should.  The Lebesgue function is w times
+    sum_k inv_w[k] * window_k (:func:`_add_windows`), and the node maxima are
+    taken where they can lie (:func:`_window_maxima`).  A node with r_k = 0 is
+    hit at j = n_k, where w and its table entry are 0.  The results, the ties
+    and the refusals are :func:`_scan`'s.
     """
     dy, n = flips.dyadic, flips.n
     d_cls = dy.classes(grid)
     a_num, period = grid * d_cls >> dy.s, grid * d_cls
-    j = np.arange(grid, dtype=np.int64)
-    w = np.ones(grid)
+    sines, w = _twice_sines(period, 2 * grid), np.ones(grid)  # from one table while D <= 4
     for p, g, _ in dy.blocks():  # z**(2**p) - c repeats every grid / gcd(grid, 2**p) angles
         cyc = grid // math.gcd(grid, 1 << p)
-        w.reshape(-1, cyc)[...] *= _twice_sines((j[:cyc] << p) * d_cls - g * a_num, period)
+        w.reshape(-1, cyc)[...] *= sines(np.arange(cyc) * (d_cls << p) - g * a_num)
     offset = a_num * dy.m
     res, at = offset % d_cls, offset // d_cls
     hit = np.flatnonzero(res == 0)
-    leb, node_max, node_at = np.zeros(grid), np.zeros(n), np.zeros(n, np.intp)
-    table, x = np.empty(2 * grid), np.empty(grid, np.int64)
+    start = (-at) % grid
+    w_spans = np.zeros((-(-grid // _SPAN), _SPAN))
+    w_spans.flat[:grid] = w
+    sums, node_max, node_at = np.zeros(grid), np.zeros(n), np.zeros(n, np.intp)
+    table = np.empty(2 * grid + _SPAN)  # doubled, and padded for the last span of a window
     with np.errstate(all="ignore"):
         for r in np.unique(res):
-            np.subtract(np.multiply(j, d_cls, out=x), r, out=x)
-            np.divide(1.0, _twice_sines(x, period), out=table[:grid])
+            np.divide(1.0, sines(np.arange(-r, period - r, d_cls)), out=table[:grid])
             if r == 0:
                 table[0] = 0.0  # the hit: w is 0 there too, so the node's own entry is 0
-            table[grid:] = table[:grid]
-            windows = sliding_window_view(table, grid)  # row i: the slice from i on
-            for _, _, ks in dy.blocks():
-                ks = ks[res[ks] == r]
-                if ks.size:
-                    start = (-at[ks]) % grid
-                    order = np.argsort(start)
-                    ks, step = ks[order], grid // ks.size
-                    assert np.array_equal(start[order], start[order[0]] + step * np.arange(ks.size))
-                    best, node_at[ks] = _window_maxima(windows[start[order[0]] :: step], w, flips, ks, leb)
-                    node_max[ks] = best * flips.inv_w[ks]
+            table[grid:] = np.resize(table[:grid], table.size - grid)
+            ks = np.flatnonzero(res == r)
+            best, node_at[ks] = _window_maxima(table, w_spans, grid, start[ks], at[ks])
+            node_max[ks] = best * flips.inv_w[ks]
+            for _, _, block in dy.blocks():
+                ks = block[res[block] == r]
+                if ks.size:  # the nodes of one block in one class sit evenly around the circle
+                    ks = ks[np.argsort(start[ks])]
+                    _add_windows(sums, table, flips.inv_w[ks], start[ks])
+        leb = np.multiply(w, sums, out=sums)
     w[at[hit]] = np.inf  # the hit columns, where the tile takes the product of the other distances
     if not (w.min() > 1e-280 and math.isfinite(leb.sum())):
         raise ValueError(_OUT_OF_RANGE)
@@ -640,28 +650,59 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     return node_max, node_arg, float(leb[i]), 2.0 * np.pi * i / grid
 
 
-def _window_maxima(view: np.ndarray, w: np.ndarray, flips: _Flips, ks: np.ndarray, leb: np.ndarray):
-    """Row maxima of view[:ks.size] * w with their columns, first of equal ones; adds inv_w[ks] @ (view * w) to leb.
+def _window_maxima(table: np.ndarray, w_spans: np.ndarray, grid: int, start: np.ndarray, at: np.ndarray):
+    """max_j w[j] * table[start[i] + j] per row i, with the first j attaining it; w_spans holds w by span, 0-padded.
 
-    Tiles of at most ``_TILE`` entries, ``_SPAN`` columns wide, are formed in
-    the tile kernel's work planes.
+    Row i peaks at its node, at grid point at[i] or between it and the next:
+    its table entry at grid distance d from the node is 1/(2 sin(pi*d/grid)),
+    at most 1/(2x - x**3/3) with x = pi*d/grid.  A span of ``_SPAN`` points
+    k spans from the node's own lies d >= (k - 1)*_SPAN away, or (k - 2)*_SPAN
+    when the last span is short.  A span whose largest w times that bound is
+    below the row's value at the four grid points around its node cannot hold
+    the maximum, so only the other spans are evaluated, with the products a
+    full pass would take.
     """
-    cols = min(w.size, _SPAN, _TILE)
-    rows = max(1, _TILE // cols)
-    work, sums = flips._d[: rows * cols], np.empty(cols)
-    best, best_at = np.zeros(ks.size), np.zeros(ks.size, np.intp)
-    for lo in range(0, ks.size, rows):
-        hi = min(ks.size, lo + rows)
-        for c0 in range(0, w.size, cols):
-            c1 = min(w.size, c0 + cols)
-            tile = work[: (hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
-            np.multiply(view[lo:hi, c0:c1], w[c0:c1], out=tile)
-            arg = tile.argmax(axis=1)
-            cand = tile[np.arange(hi - lo), arg]
-            upd = cand > best[lo:hi]  # strict: the first of equal maxima stays
-            best[lo:hi][upd], best_at[lo:hi][upd] = cand[upd], arg[upd] + c0
-            leb[c0:c1] += np.matmul(flips.inv_w[ks[lo:hi]], tile, out=sums[: c1 - c0])
+    spans = w_spans.shape[0]
+    w_top = w_spans.max(axis=1) * (1.0 + 1e-9)  # the margin covers the rounding of the bound
+    k = np.arange(spans)
+    x = (np.pi * _SPAN / grid) * np.maximum(0, np.minimum(k, spans - k) - 1 - (grid % _SPAN > 0))
+    reach = sliding_window_view(np.tile(2.0 * x - x * x * x / 3.0, 2), spans)  # row s: by span offset from s
+    windows = sliding_window_view(table, _SPAN)
+    w = w_spans.reshape(-1)
+    best, best_at = np.empty(start.size), np.empty(start.size, np.intp)
+    rows = max(1, (_TILE >> 3) // spans)  # about 2**13 bounds per block of rows
+    for a in range(0, start.size, rows):
+        st, near = start[a : a + rows], at[a : a + rows, None] + np.arange(-1, 3)
+        floor = (w[near % grid] * table[st[:, None] + near % grid]).max(axis=1)
+        i, c = np.nonzero(w_top >= floor[:, None] * reach[spans - at[a : a + rows] // _SPAN])  # by row, then span
+        vals = windows[st[i] + c * _SPAN] * w_spans[c]
+        top, arg = vals.max(axis=1), vals.argmax(axis=1)
+        row_top = np.maximum.reduceat(top, np.flatnonzero(np.diff(i, prepend=-1)))
+        win = np.flatnonzero(top == row_top[i])  # the spans attaining their row's maximum
+        win = win[np.flatnonzero(np.diff(i[win], prepend=-1))]  # the first of them per row
+        best[a : a + rows], best_at[a : a + rows] = row_top, c[win] * _SPAN + arg[win]
     return best, best_at
+
+
+def _add_windows(sums: np.ndarray, table: np.ndarray, weights: np.ndarray, start: np.ndarray):
+    """sums[j] += sum_u weights[u] * table[start[u] + j], for starts start[0] + u*step with step*len(start) = sums.size.
+
+    With j = a*step + b the sum is sum_u weights[u] * rows[u + a, b] for the
+    rows of ``step`` table entries from start[0]: a banded matrix times those
+    rows, one gemm per block of a.
+    """
+    count = weights.size
+    step = sums.size // count
+    assert np.array_equal(start, start[0] + step * np.arange(count))
+    rows = table[start[0] : start[0] + (2 * count - 1) * step].reshape(2 * count - 1, step)
+    height = min(count, 64)
+    band = np.zeros(2 * height + count - 2)  # band[i, i + u] = weights[u]
+    band[height - 1 : height - 1 + count] = weights
+    band = np.ascontiguousarray(sliding_window_view(band, height + count - 1)[height - 1 :: -1])
+    out = sums.reshape(count, step)
+    for a in range(0, count, height):
+        h = min(height, count - a)
+        out[a : a + h] += band[:h, : h + count - 1] @ rows[a : a + h + count - 1]
 
 
 def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:

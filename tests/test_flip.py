@@ -1006,7 +1006,7 @@ def _naive_block_scan(flips, grid, node_arg0):
     j = np.arange(grid, dtype=np.int64)
     w = np.ones(grid)
     for p, g, _ in dy.blocks():
-        w *= flip_module._twice_sines((j << p) * d_cls - g * (period >> dy.s), period)
+        w *= flip_module._twice_sines(period, 0)((j << p) * d_cls - g * (period >> dy.s))
     ang = 2.0 * np.pi * np.arange(grid) / grid
     hit_k, hit_j, _ = flips._runs(ang, grid)
     dist = np.abs(flips.polar @ np.array((np.cos(0.5 * ang), np.sin(0.5 * ang))))
@@ -1169,3 +1169,28 @@ class TestDyadicScan:
         for scan in (_scan, flip_module._dyadic_scan):
             with pytest.raises(ValueError, match="FLIP moduli leave double range"):
                 scan(flips, default_grid(64), np.angle(nodes))
+
+    @pytest.mark.parametrize("span", [3, 64, 5000])  # 5000: one short span on most grids
+    def test_node_maxima_skip_only_spans_that_cannot_hold_them(self, span, monkeypatch):
+        # every row's maximum and its first column are those of a full pass over the grid,
+        # also where the grid is no multiple of the span (a short last span)
+        real, checked = flip_module._window_maxima, []
+
+        def full_pass(table, w_spans, grid, start, at):
+            got = real(table, w_spans, grid, start, at)
+            vals = w_spans.reshape(-1)[:grid] * table[start[:, None] + np.arange(grid)]
+            checked.append(np.array_equal(got[0], vals.max(axis=1)) and np.array_equal(got[1], vals.argmax(axis=1)))
+            return got
+
+        monkeypatch.setattr(flip_module, "_SPAN", span)
+        monkeypatch.setattr(flip_module, "_window_maxima", full_pass)
+        cases = [(n, default_grid(n)) for n in (1, 2, 3, 16, 100, 255, 256)] + [(200, 17 * 64), (60, 17 * 16), (255, 1001)]
+        for n, grid in cases:
+            nodes = canonical_disk_leja(n).points
+            flip_module._dyadic_scan(_Flips(nodes), grid, np.angle(nodes))
+        assert len(checked) >= len(cases) and all(checked)
+
+    @pytest.mark.parametrize("period", [7, 4096, 65280, 2**21])
+    def test_sine_table_has_the_direct_bits(self, period):
+        x = np.random.default_rng(period).integers(-(10**9), 10**9, 10000)
+        assert np.array_equal(flip_module._twice_sines(period, period)(x.copy()), flip_module._twice_sines(period, 0)(x))
