@@ -33,13 +33,15 @@ canonical sections, and sections turned block by block by admissible roots
 of -1) runs node-major from integer angles instead (:func:`_dyadic_scan`),
 when its node offsets on the grid fall into D <= N/16 residue classes; every
 default grid has D <= N/32.  |w| is popcount(N) sines per grid point, each
-node's reciprocal distances are a slice of one table per class, and the node
-weights come from the block formula in O(N log N).  w and the distances must
-come from the same exact angles: near a node they cancel, and w from exact
-angles over the tile's rounded distances moved per-node maxima by 1.1e-3
-at N = 132.  Rotated, random and greedy-on-other-samples node sets, every
-ellipse and grids with more classes keep the tile scan; the refinement
-probes run on the tile kernel for every node set.
+node's reciprocal distances are a window of one table per class, the
+Lebesgue sums are banded gemms, each node maximum is taken only where a bound
+allows it, and the node weights come from the block formula in O(N log N).
+w and the distances must come from the same exact angles: near a node they
+cancel, and w from exact angles over the tile's rounded distances moved
+per-node maxima by 1.1e-3 at N = 132.  Rotated, random and
+greedy-on-other-samples node sets, every ellipse and grids with more classes
+keep the tile scan; the refinement probes run on the tile kernel for every
+node set.
 """
 
 from __future__ import annotations
@@ -322,8 +324,8 @@ class _Dyadic:
     2012) have this form with s = bit_length(N - 1).
     """
 
-    def __init__(self, s: int, m: np.ndarray, exps: list[int], targets: list[int]):
-        self.s, self.m, self.exps, self.targets = s, m, exps, targets
+    def __init__(self, s: int, m: np.ndarray, blocks: list):
+        self.s, self.m, self.blocks = s, m, blocks  # blocks: (p_i, g_i, node indices) per block
 
     @classmethod
     def of(cls, nodes: np.ndarray) -> _Dyadic | None:
@@ -337,29 +339,23 @@ class _Dyadic:
         m = np.rint(np.angle(nodes) * (q / (2.0 * np.pi))).astype(np.int64) % q
         if not (np.all(np.abs(np.exp(1j * (2.0 * np.pi * m / q)) - nodes) <= _DYADIC_ULPS) and np.unique(m).size == n):
             return None
-        exps, targets, lo = binary_decompose(n), [], 0
-        for p in exps:
-            powers = (m[lo : lo + (1 << p)] << p) % q  # 2**p * m_k mod 2**s: one value per block
+        blocks, lo = [], 0
+        for p in binary_decompose(n):
+            ks = np.arange(lo, lo + (1 << p))
+            powers = (m[ks] << p) % q  # 2**p * m_k mod 2**s: one value per block
             if np.any(powers != powers[0]):
                 return None
-            targets.append(int(powers[0]))
+            blocks.append((p, int(powers[0]), ks))
             lo += 1 << p
-        return cls(s, m, exps, targets)
-
-    def blocks(self):
-        """(p_i, g_i, node indices) per block."""
-        lo = 0
-        for p, g in zip(self.exps, self.targets):
-            yield p, g, np.arange(lo, lo + (1 << p))
-            lo += 1 << p
+        return cls(s, m, blocks)
 
     def log_weights(self) -> np.ndarray:
         """log |w'(eta_k)| = log(2**p_i * prod_{j != i} |eta_k**(2**p_j) - c_j|) for eta_k in block i, O(N log N)."""
         q = 1 << self.s
         sines, out = _twice_sines(q, q), np.empty(self.m.size)
-        for p, _, ks in self.blocks():
+        for p, _, ks in self.blocks:
             out[ks] = p * math.log(2.0)
-            for pj, gj, others in self.blocks():
+            for pj, gj, others in self.blocks:
                 if others[0] != ks[0]:
                     out[ks] += np.log(sines((self.m[ks] << pj) - gj))
         return out
@@ -610,7 +606,7 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     d_cls = dy.classes(grid)
     a_num, period = grid * d_cls >> dy.s, grid * d_cls
     sines, w = _twice_sines(period, 2 * grid), np.ones(grid)  # from one table while D <= 4
-    for p, g, _ in dy.blocks():  # z**(2**p) - c repeats every grid / gcd(grid, 2**p) angles
+    for p, g, _ in dy.blocks:  # z**(2**p) - c repeats every grid / gcd(grid, 2**p) angles
         cyc = grid // math.gcd(grid, 1 << p)
         w.reshape(-1, cyc)[...] *= sines(np.arange(cyc) * (d_cls << p) - g * a_num)
     offset = a_num * dy.m
@@ -630,7 +626,7 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
             ks = np.flatnonzero(res == r)
             best, node_at[ks] = _window_maxima(table, w_spans, grid, start[ks], at[ks])
             node_max[ks] = best * flips.inv_w[ks]
-            for _, _, block in dy.blocks():
+            for _, _, block in dy.blocks:
                 ks = block[res[block] == r]
                 if ks.size:  # the nodes of one block in one class sit evenly around the circle
                     ks = ks[np.argsort(start[ks])]

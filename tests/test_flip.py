@@ -1005,7 +1005,7 @@ def _naive_block_scan(flips, grid, node_arg0):
     period = grid * d_cls
     j = np.arange(grid, dtype=np.int64)
     w = np.ones(grid)
-    for p, g, _ in dy.blocks():
+    for p, g, _ in dy.blocks:
         w *= flip_module._twice_sines(period, 0)((j << p) * d_cls - g * (period >> dy.s))
     ang = 2.0 * np.pi * np.arange(grid) / grid
     hit_k, hit_j, _ = flips._runs(ang, grid)
