@@ -1184,7 +1184,8 @@ class TestDyadicScan:
 
         monkeypatch.setattr(flip_module, "_SPAN", span)
         monkeypatch.setattr(flip_module, "_window_maxima", full_pass)
-        cases = [(n, default_grid(n)) for n in (1, 2, 3, 16, 100, 255, 256)] + [(200, 17 * 64), (60, 17 * 16), (255, 1001)]
+        cases = [(n, default_grid(n)) for n in (1, 2, 3, 16, 100, 255, 256)]
+        cases += [(200, 17 * 64), (60, 17 * 16), (255, 1001)]
         for n, grid in cases:
             nodes = canonical_disk_leja(n).points
             flip_module._dyadic_scan(_Flips(nodes), grid, np.angle(nodes))
@@ -1193,4 +1194,5 @@ class TestDyadicScan:
     @pytest.mark.parametrize("period", [7, 4096, 65280, 2**21])
     def test_sine_table_has_the_direct_bits(self, period):
         x = np.random.default_rng(period).integers(-(10**9), 10**9, 10000)
-        assert np.array_equal(flip_module._twice_sines(period, period)(x.copy()), flip_module._twice_sines(period, 0)(x))
+        table, direct = flip_module._twice_sines(period, period), flip_module._twice_sines(period, 0)
+        assert np.array_equal(table(x.copy()), direct(x))
