@@ -31,16 +31,18 @@ A scan on the unit circle of a node set at exact dyadic angles
 exp(2*pi*i*m_k/2**s) whose binary blocks are whole root sets (:class:`_Dyadic`:
 canonical sections, and sections turned block by block by admissible roots
 of -1) runs node-major from integer angles instead (:func:`_dyadic_scan`),
-when its node offsets on the grid fall into D <= N/16 residue classes; every
-default grid has D <= N/32.  |w| is popcount(N) sines per grid point, each
-node's reciprocal distances are a window of one table per class, the
+when its node offsets on the grid fall into D <= N/32 residue classes, as on
+every default grid from N = 32 on.  |w| is popcount(N) sines per grid point,
+each node's reciprocal distances are a window of one table per class, the
 Lebesgue sums are banded gemms, each node maximum is taken only where a bound
 allows it, and the node weights come from the block formula in O(N log N).
 w and the distances must come from the same exact angles: near a node they
 cancel, and w from exact angles over the tile's rounded distances moved
 per-node maxima by 1.1e-3 at N = 132.  Rotated, random and
-greedy-on-other-samples node sets, every ellipse and grids with more classes
-keep the tile scan; the refinement probes run on the tile kernel for every
+greedy-on-other-samples node sets, every ellipse, N < 32 and grids with more
+classes keep the tile scan, which is faster there: each class costs the
+dyadic scan a table and its windows, and below N = 32 its fixed costs
+outweigh the tile.  The refinement probes run on the tile kernel for every
 node set.
 """
 
@@ -291,25 +293,14 @@ def _unit_circle(t):
     return np.exp(1j * t)
 
 
-def _twice_sines(period: int, cap: int):
-    """x -> 2|sin(pi*x/period)| for integer arrays x, which it overwrites with x mod period folded into [0, period/2].
+def _twice_sines(x: np.ndarray, period: int) -> np.ndarray:
+    """2|sin(pi*x/period)| for an integer array x, which it overwrites with x mod period folded into [0, period/2].
 
     The fold keeps every argument in [0, pi/2], where sin loses no relative
-    accuracy; near pi it would lose all of it.  When period//2 + 1 <= cap the
-    values come from one table of that many sines, with the same bits.
+    accuracy; near pi it would lose all of it.
     """
-
-    def folded(x):
-        np.remainder(x, period, out=x)
-        return np.minimum(x, period - x, out=x)
-
-    def direct(x):
-        return 2.0 * np.sin((np.pi / period) * folded(x))
-
-    if period // 2 + 1 > cap:
-        return direct
-    table = direct(np.arange(period // 2 + 1))
-    return lambda x: table[folded(x)]
+    np.remainder(x, period, out=x)
+    return 2.0 * np.sin((np.pi / period) * np.minimum(x, period - x, out=x))
 
 
 class _Dyadic:
@@ -352,12 +343,12 @@ class _Dyadic:
     def log_weights(self) -> np.ndarray:
         """log |w'(eta_k)| = log(2**p_i * prod_{j != i} |eta_k**(2**p_j) - c_j|) for eta_k in block i, O(N log N)."""
         q = 1 << self.s
-        sines, out = _twice_sines(q, q), np.empty(self.m.size)
+        out = np.empty(self.m.size)
         for p, _, ks in self.blocks:
             out[ks] = p * math.log(2.0)
             for pj, gj, others in self.blocks:
                 if others[0] != ks[0]:
-                    out[ks] += np.log(sines((self.m[ks] << pj) - gj))
+                    out[ks] += np.log(_twice_sines((self.m[ks] << pj) - gj, q))
         return out
 
     def classes(self, grid: int) -> int:
@@ -605,10 +596,10 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     dy, n = flips.dyadic, flips.n
     d_cls = dy.classes(grid)
     a_num, period = grid * d_cls >> dy.s, grid * d_cls
-    sines, w = _twice_sines(period, 2 * grid), np.ones(grid)  # from one table while D <= 4
+    w = np.ones(grid)
     for p, g, _ in dy.blocks:  # z**(2**p) - c repeats every grid / gcd(grid, 2**p) angles
         cyc = grid // math.gcd(grid, 1 << p)
-        w.reshape(-1, cyc)[...] *= sines(np.arange(cyc) * (d_cls << p) - g * a_num)
+        w.reshape(-1, cyc)[...] *= _twice_sines(np.arange(cyc) * (d_cls << p) - g * a_num, period)
     offset = a_num * dy.m
     res, at = offset % d_cls, offset // d_cls
     hit = np.flatnonzero(res == 0)
@@ -619,7 +610,7 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     table = np.empty(2 * grid + _SPAN)  # doubled, and padded for the last span of a window
     with np.errstate(all="ignore"):
         for r in np.unique(res):
-            np.divide(1.0, sines(np.arange(-r, period - r, d_cls)), out=table[:grid])
+            np.divide(1.0, _twice_sines(np.arange(-r, period - r, d_cls), period), out=table[:grid])
             if r == 0:
                 table[0] = 0.0  # the hit: w is 0 there too, so the node's own entry is 0
             table[grid:] = np.resize(table[:grid], table.size - grid)
@@ -719,7 +710,7 @@ def _node_sups(flips: _Flips, node_ts, grid: int, refine_iters: int, ks: np.ndar
     value 1 at its own parameter ``node_ts[k]``.  Returns
     ``(node_max, node_arg, leb_max, leb_arg)``.
     """
-    dyadic = flips.dyadic is not None and 16 * flips.dyadic.classes(grid) <= flips.n
+    dyadic = flips.dyadic is not None and 32 * flips.dyadic.classes(grid) <= flips.n
     node_max, node_arg, leb_max, leb_arg = (_dyadic_scan if dyadic else _scan)(flips, grid, node_ts)
     if refine_iters > 0 and ks.size:
         h, mid = 2.0 * np.pi / grid, node_arg[ks]

@@ -1006,7 +1006,7 @@ def _naive_block_scan(flips, grid, node_arg0):
     j = np.arange(grid, dtype=np.int64)
     w = np.ones(grid)
     for p, g, _ in dy.blocks:
-        w *= flip_module._twice_sines(period, 0)((j << p) * d_cls - g * (period >> dy.s))
+        w *= flip_module._twice_sines((j << p) * d_cls - g * (period >> dy.s), period)
     ang = 2.0 * np.pi * np.arange(grid) / grid
     hit_k, hit_j, _ = flips._runs(ang, grid)
     dist = np.abs(flips.polar @ np.array((np.cos(0.5 * ang), np.sin(0.5 * ang))))
@@ -1064,10 +1064,10 @@ class TestDyadicScan:
         "n, grid, classes",
         [
             (200, 17 * 64, 4),  # D > 1, taken
-            (100, 17 * 32, 4),
             (300, 17 * 256, 2),
-            (64, 17 * 16, 4),  # D = N/16, taken
-            (60, 17 * 16, 4),  # D > N/16: the general scan
+            (128, 17 * 32, 4),  # D = N/32, taken
+            (120, 17 * 32, 4),  # D > N/32: the general scan
+            (64, 17 * 16, 4),
             (255, 1001, 256),  # odd: D = 2**s
             (255, 1009, 256),  # prime
         ],
@@ -1078,7 +1078,7 @@ class TestDyadicScan:
         assert max(_dyadic_gaps(nodes, grid)) <= 2e-13
         taken = _spy_scans(monkeypatch)
         circle_flip_stats(nodes, grid, refine_iters=0)
-        assert taken == ["_dyadic_scan" if 16 * classes <= n else "_scan"]
+        assert taken == ["_dyadic_scan" if 32 * classes <= n else "_scan"]
 
     def test_agrees_on_other_dyadic_sections(self):
         # a greedy section of 4096 circle samples is a Leja sequence at dyadic angles;
@@ -1105,10 +1105,10 @@ class TestDyadicScan:
             "random": unit_rng_points(rng, 100),
             "greedy-5000": greedy_leja(circle_samples(5000), 50).points,  # 5000 samples miss pi/8
             "moved-1e-9": moved,
-            "canonical-15": canonical_disk_leja(15).points,  # D = 1 > 15/16
+            "canonical-31": canonical_disk_leja(31).points,  # D = 1 > 31/32
         }
         dyadic = {
-            "canonical-16": canonical_disk_leja(16).points,
+            "canonical-32": canonical_disk_leja(32).points,
             "canonical-256": canonical_disk_leja(256).points,
             "greedy-4096": greedy_leja(circle_samples(4096), 50).points,
         }
@@ -1118,7 +1118,7 @@ class TestDyadicScan:
             circle_flip_stats(nodes, refine_iters=0)
             sup_norm_on_circle(nodes, 2, refine_iters=0)
             assert taken == ["_dyadic_scan" if name in dyadic else "_scan"] * 2, name
-            assert (_Flips(nodes).dyadic is None) == (name in general and name != "canonical-15"), name
+            assert (_Flips(nodes).dyadic is None) == (name in general and name != "canonical-31"), name
         for a, b in ((1.2, 0.8), (1.0, 1.0)):  # every ellipse, the one equal to the circle included
             taken.clear()
             compact_flip_stats(transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(64)), refine_iters=0)
@@ -1190,9 +1190,3 @@ class TestDyadicScan:
             nodes = canonical_disk_leja(n).points
             flip_module._dyadic_scan(_Flips(nodes), grid, np.angle(nodes))
         assert len(checked) >= len(cases) and all(checked)
-
-    @pytest.mark.parametrize("period", [7, 4096, 65280, 2**21])
-    def test_sine_table_has_the_direct_bits(self, period):
-        x = np.random.default_rng(period).integers(-(10**9), 10**9, 10000)
-        table, direct = flip_module._twice_sines(period, period), flip_module._twice_sines(period, 0)
-        assert np.array_equal(table(x.copy()), direct(x))
