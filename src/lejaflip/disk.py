@@ -37,7 +37,6 @@ class LejaSection:
 
     points: np.ndarray
     compact_tag: str = UNIT_DISK
-    origin: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=complex)  # own copy; callers keep theirs writable
@@ -52,7 +51,6 @@ class LejaSection:
             raise ValueError("section points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "origin", complex(pts[0]))
 
     def __len__(self) -> int:
         return self.points.size

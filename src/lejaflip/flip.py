@@ -15,11 +15,12 @@ One scan engine serves every boundary curve t -> z(t): exp(it) here and
 Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the grid in node-major
 tiles sized for the L2 cache and evaluates the curve in chunks of about 2**13
 points, keeping only per-node maxima and the Lebesgue maximum: a 64-node
-scan's traced peak is 0.8 MB at 2**14 angles and at 2**18.  The same tile
-kernel serves the refinement probes, which compute only the entries they
-keep, so one linear-domain formula gives every |l_k| on a boundary; input
-outside its double range, non-finite input included, raises ValueError.
-Grids of at most pi*(N-1) angles are refused.
+circle scan's traced peak is 0.75 MB at 2**14 angles and at 2**18.  Every
+point set, chunk or probes, finds its node hits by one searchsorted in the
+sorted nodes.  The same tile kernel serves the refinement probes, which
+compute only the entries they keep, so one linear-domain formula gives every
+|l_k| on a boundary; input outside its double range, non-finite input
+included, raises ValueError.  Grids of at most pi*(N-1) angles are refused.
 
 The tile kernel takes the distances |b - eta_k| from one matmul of per-node
 coefficients with per-point planes.  On the unit circle, with nodes of modulus
@@ -387,7 +388,7 @@ class _Flips:
 
     def __init__(self, nodes: np.ndarray, curve=_unit_circle):
         n = self.n = nodes.size
-        self.nodes, self.curve, self.phi = nodes, curve, np.angle(nodes)
+        self.nodes, self.curve = nodes, curve
         self.order = np.argsort(nodes)
         self.sorted = nodes[self.order]
         self.node_set = frozenset(nodes.tolist())  # the hit lookup of a one-point probe, one hash away
@@ -478,16 +479,14 @@ class _Flips:
         out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
         return out
 
-    def _runs(self, ts, grid: int = 0):
+    def _runs(self, ts):
         """``(hit_k, hit_j, runs)``: the exact hits curve(ts[hit_j]) == nodes[hit_k], in increasing j, and the runs.
 
         A run ``(start, planes, hit_k, hit_j)`` holds at most ``width`` points
         from ``start`` on, their slice of :meth:`_planes` and their share of
         the hits, with j counted from ``start``.  Planes and hits are found
-        once for all of ``ts``.  A hit is one ``searchsorted`` of the points in
-        the sorted nodes; on a polar scan chunk (``grid`` > 0: ts are angles
-        2*pi*j/grid) each node's own angle is looked up on the chunk instead,
-        and only those N candidates are tested.  No run after the first has
+        once for all of ``ts``, the hits by one ``searchsorted`` of the points
+        in the sorted nodes, on every boundary.  No run after the first has
         one point: numpy sends a one-column product to gemv, which may round
         a polar entry unlike gemm.  So the result does not depend on the tile width.
         """
@@ -495,17 +494,10 @@ class _Flips:
         cuts = [*range(0, ts.size, self.width), ts.size]
         if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
             cuts[-2] -= 1
-        pts = None
-        if self.polar is not None and grid:
-            at = np.rint((self.phi - ts[0]) * (grid / (2.0 * np.pi))).astype(np.intp) % grid
-            hit_k = np.argsort(at)[: np.count_nonzero(at < ts.size)]  # the nodes whose angle falls in ts, in order
-            hit_k = hit_k[np.exp(1j * ts[at[hit_k]]) == self.nodes[hit_k]]
-            hit_j = at[hit_k]
-        else:
-            pts = self.curve(ts)
-            at = np.minimum(np.searchsorted(self.sorted, pts), self.n - 1)
-            hit_j = np.flatnonzero(self.sorted[at] == pts)
-            hit_k = self.order[at[hit_j]]
+        pts = self.curve(ts)
+        at = np.minimum(np.searchsorted(self.sorted, pts), self.n - 1)
+        hit_j = np.flatnonzero(self.sorted[at] == pts)
+        hit_k = self.order[at[hit_j]]
         planes = self._planes(ts, pts)
         edges = np.searchsorted(hit_j, cuts)
         pairs = zip(cuts, cuts[1:], edges, edges[1:])
@@ -554,7 +546,7 @@ def _scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges, edges[1:]):
             ang = 2.0 * np.pi * np.arange(lo, hi) / grid
-            hit_k, hit_j, runs = flips._runs(ang, grid)
+            hit_k, hit_j, runs = flips._runs(ang)
             hits.append((hit_k, ang[hit_j]))
             at = np.full(flips.n, -1, np.intp)  # where in the chunk each node's maximum moved, -1 if it did not
             upd, sums = np.empty(flips.n, bool), np.empty(ang.size)
@@ -570,12 +562,15 @@ def _scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
             i = int(np.argmax(sums))
             if sums[i] > leb_max:
                 leb_max, leb_arg = float(sums[i]), float(ang[i])
-    # the FLIP is 1 at its own node, which the curve passes once; ties go to the smaller angle
-    hit_k, hit_t = (np.concatenate(h) for h in zip(*hits))
+    _floor_hits(node_max, node_arg, *(np.concatenate(h) for h in zip(*hits)))
+    return node_max, node_arg, leb_max, leb_arg
+
+
+def _floor_hits(node_max: np.ndarray, node_arg: np.ndarray, hit_k: np.ndarray, hit_t: np.ndarray):
+    """Raise node hit_k[i] to 1 at hit_t[i], in place: l_k is 1 at its own node; ties go to the smaller parameter."""
     first = (node_max[hit_k] < 1.0) | ((node_max[hit_k] == 1.0) & (hit_t < node_arg[hit_k]))
     node_max[hit_k[first]] = 1.0
     node_arg[hit_k[first]] = hit_t[first]
-    return node_max, node_arg, leb_max, leb_arg
 
 
 def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
@@ -629,11 +624,7 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
     leb[at[hit]] = 1.0
     i = int(np.argmax(leb))
     node_arg = np.where(node_max > 0.0, 2.0 * np.pi * node_at / grid, node_arg0)
-    # as in _scan: the FLIP is 1 at its own node; ties go to the smaller angle
-    hit_t = 2.0 * np.pi * at[hit] / grid
-    first = (node_max[hit] < 1.0) | ((node_max[hit] == 1.0) & (hit_t < node_arg[hit]))
-    node_max[hit[first]] = 1.0
-    node_arg[hit[first]] = hit_t[first]
+    _floor_hits(node_max, node_arg, hit, 2.0 * np.pi * at[hit] / grid)
     return node_max, node_arg, float(leb[i]), 2.0 * np.pi * i / grid
 
 

@@ -1,3 +1,4 @@
+import doctest
 import math
 import os
 import subprocess
@@ -146,3 +147,7 @@ def test_import_loads_only_the_standard_library_and_numpy():
     loaded = {name.split(".")[0] for name in out.split()}
     assert {"lejaflip", "numpy"} <= loaded
     assert loaded - sys.stdlib_module_names - {"lejaflip", "numpy"} == set()
+
+
+def test_docstring_examples_run():
+    assert doctest.testmod(lejaflip.core) == (0, 2)  # (failed, attempted)
