@@ -575,23 +575,22 @@ class TestStreamedScan:
 
 
 def _hit_cases():
-    """Node sets and their scan grids: canonical sections, a rotated one, random unit nodes (twelve of them on
-    grid points, the first and the last among them, in the on-grid cases), and the 30x1 ellipse."""
-    for n in (1, 2, 3, 64, 255, 256, 257):
+    """Node sets and their scan grids: canonical sections, random unit nodes, and the 30x1 ellipse."""
+    for n in (1, 3, 64, 255, 256):
         yield f"canonical-{n}", canonical_disk_leja(n).points, _unit_circle, default_grid(n)
-    for grid in (8193, 9217):
-        yield f"canonical-257-grid-{grid}", canonical_disk_leja(257).points, _unit_circle, grid
-    yield "rotated-256", canonical_disk_leja(256, np.exp(0.3j)).points, _unit_circle, default_grid(256)
     yield "random-100", *_scan_case("random-100")[:2], 4096
-    for grid in (4096, 8193, 9217):
-        nodes = unit_rng_points(np.random.default_rng(23), 100)
-        on = [0, grid - 1, *(1 + np.random.default_rng(grid).choice(grid - 2, 10, replace=False))]
-        nodes[:12] = np.exp(1j * (2.0 * np.pi * np.arange(grid) / grid)[on])
-        yield f"random-100-on-grid-{grid}", nodes, _unit_circle, grid
     ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(128))
     yield "ellipse-30x1-128", ts.images, ts.map.on_circle, default_grid(128)
     nodes, curve, _ = _scaled_boundary(ts)
     yield "scaled-ellipse-30x1-128", nodes, curve, default_grid(128)
+
+
+def _angle_cases():
+    """Unit node sets for circle scan chunks: canonical sections, a rotated one, and random nodes."""
+    for n in (1, 2, 3, 64, 255, 256, 257):
+        yield f"canonical-{n}", canonical_disk_leja(n).points
+    yield "rotated-256", canonical_disk_leja(256, np.exp(0.3j)).points
+    yield "random-100", unit_rng_points(np.random.default_rng(23), 100)
 
 
 class TestHitLookup:
@@ -624,10 +623,6 @@ class TestHitLookup:
             assert self._check(flips, ang[j : j + 1]) == 1
         if name in ("canonical-1", "canonical-64", "canonical-256"):  # roots of unity on the 64N grid
             assert found == nodes.size
-        elif name.startswith("canonical"):  # node 1 at t = 0
-            assert found >= 1
-        elif name.startswith("random-100-on-grid"):
-            assert found == 12
         # probe point sets: hits in the first and in later tiles, and one-point runs
         flips = _Flips(nodes, _points)
         rng = np.random.default_rng(nodes.size)
@@ -639,6 +634,29 @@ class TestHitLookup:
         for k in (0, nodes.size - 1):
             assert self._check(flips, nodes[[k]]) == 1
         assert self._check(flips, curve(np.array([0.1234]))) == 0
+
+    @pytest.mark.parametrize("grid", [None, 8193, 9217])  # None: the default grid
+    @pytest.mark.parametrize("case", list(_angle_cases()), ids=lambda case: case[0])
+    def test_angle_lookup_equals_brute_force(self, case, grid):
+        # each circle scan chunk finds exactly the grid points whose exp(1j*t)
+        # is a node, whatever the chunking
+        name, nodes = case
+        grid = grid or default_grid(nodes.size)
+        ang = 2.0 * np.pi * np.arange(grid) / grid
+        if name == "random-100":  # twelve nodes on grid points, the first and the last among them
+            nodes = nodes.copy()
+            nodes[:12] = np.exp(1j * ang[[0, grid - 1, *np.random.default_rng(grid).choice(grid, 10, replace=False)]])
+        flips = _Flips(nodes)
+        assert flips.polar is not None
+        want_j, want_k = np.nonzero(np.exp(1j * ang)[:, None] == nodes[None, :])
+        assert want_j.size >= {"rotated-256": 0, "random-100": 12}.get(name, 1)  # canonical: node 1 at t = 0
+        for step in (grid, 1 << 13, 997, 7):
+            got = [flips._runs(ang[lo : lo + step])[:2] for lo in range(0, grid, step)]
+            assert np.array_equal(np.concatenate([k for k, _ in got]), want_k)
+            assert np.array_equal(np.concatenate([lo + j for lo, (_, j) in zip(range(0, grid, step), got)]), want_j)
+        for j, k in zip(want_j, want_k):  # one-point chunks
+            hit_k, hit_j, _ = flips._runs(ang[j : j + 1])
+            assert hit_k.tolist() == [k] and hit_j.tolist() == [0]
 
     def test_underflowed_distance_is_refused(self):
         # |b - eta_1|^2 underflows to 0 although b != eta_1: the node weights
