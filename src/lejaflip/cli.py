@@ -164,7 +164,9 @@ def _cmd_bivariate(args) -> int:
             failed = failed or not worst <= 1e-10
         failed = failed or len(cases) < 7
     elif mode == "oracle":
-        for n_nodes in range(1, min(max_n_nodes, bv.DEFAULT_ORACLE_CAP) + 1):
+        if max_n_nodes > bv.DEFAULT_ORACLE_CAP:
+            raise ValueError(f"--oracle checks N <= {bv.DEFAULT_ORACLE_CAP}: --n-max {max_n_nodes} is above that cap")
+        for n_nodes in range(1, max_n_nodes + 1):
             worst = bv.check_oracle(array(n_nodes), rng, args.points)
             rows.append({"N": n_nodes, "max_rel_err": worst})
             failed = failed or not worst <= 1e-8
@@ -180,8 +182,7 @@ def _cmd_bivariate(args) -> int:
     elif mode == "verify-2d-leja":
         if max_n_nodes < 2:
             raise ValueError("--verify-2d-leja needs --n-max >= 2: the first node it checks is H_2")
-        eta = canonical_disk_leja(bv.shape_of(max_n_nodes)[0] + 2).points
-        rep = bv.verify_2d_leja(eta, eta, max_n_nodes, args.grid)
+        rep = bv.verify_2d_leja(*sources(bv.shape_of(max_n_nodes)[0]), max_n_nodes, args.grid)
         rows.append(
             {"checked": rep.checked, "max_shortfall": rep.max_shortfall, "worst_size": rep.worst_size}
         )
@@ -192,9 +193,7 @@ def _cmd_bivariate(args) -> int:
             raise ValueError("--lebesgue needs n >= 1: at n = 0 the envelope C*n(n+1)(n+2) is 0 and Lambda is 1")
         for n in n_values:
             n_nodes = bv.triangular_number(n)
-            eta, theta = sources(n)
-            arr = bv.build_array(eta, theta, n_nodes)
-            lam = bv.bivariate_lebesgue(arr, args.grid)
+            lam = bv.bivariate_lebesgue(array(n_nodes), args.grid)
             envelope = UNIFORM_FLIP_BOUND_2D * n * (n + 1) * (n + 2)
             rows.append({"n": n, "N": n_nodes, "lebesgue": lam, "envelope": envelope})
             failed = failed or not lam <= envelope
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--origin-angle", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=None, help="validation tolerance (default 10/samples)")
+    p.add_argument("--tol", type=float, default=None, help="validation tolerance in (0, 1) (default 10/samples)")
     common(p)
     p.set_defaults(func=_cmd_leja)
 

@@ -194,7 +194,9 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
     largest relative shortfall and the k where it occurs.  Sample sets of at
     most pi*(N-1) points are refused: the products are trigonometric
     polynomials of degree up to N-1 in the boundary parameter, which fewer
-    samples cannot resolve.
+    samples cannot resolve.  So is a ``rel_tol`` outside (0, 1): the
+    shortfall 1 - exp(own - best) of distinct nodes is below 1, so such a
+    tolerance would pass every section.
 
     The sample products run in the linear domain.  All points are first
     scaled by one power of two into the unit disk, which is exact and leaves
@@ -207,11 +209,11 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
     where some other sample's q, or some maximum, falls below ``_TINY``
     (it may have lost bits to underflow) runs in the log domain instead.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     pts = section.points
     samples = boundary.samples
     require_resolving_grid(samples.size, pts.size - 1)
+    if not 0.0 < rel_tol < 1.0:  # a NaN fails too
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     e = math.frexp(max(float(np.abs(samples).max()), float(np.abs(pts).max())))[1]
     sx, sy, px, py = (np.ldexp(v, -e) for v in (samples.real, samples.imag, pts.real, pts.imag))
     logp = np.zeros(samples.size)  # log prod |s - eta_j|**2 over the nodes before the block

@@ -526,19 +526,18 @@ class _Flips:
         return total
 
 
-def _scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
+def _scan(flips: _Flips, grid: int):
     """One pass of |l_k(flips.curve(t))| over the uniform grid t_j = 2*pi*j/grid.
 
-    Returns per-node grid maxima with their parameters (``node_arg0`` where a
-    node never exceeds 0), and the grid maximum of the Lebesgue function with
-    its parameter.  Ties resolve toward smaller parameters.  One chunk of
-    whole runs is held at a time; each tile updates the running node maxima,
-    and their parameters and the Lebesgue maximum are taken once per chunk.
-    So the chunk size changes no result.
+    Returns per-node grid maxima with their parameters, and the grid maximum
+    of the Lebesgue function with its parameter.  Ties resolve toward
+    smaller parameters.  One chunk of whole runs is held at a time; each
+    tile updates the running node maxima, and their parameters and the
+    Lebesgue maximum are taken once per chunk.  So the chunk size changes no
+    result.
     """
     rows = np.arange(flips.n)
-    node_max = np.zeros(flips.n)
-    node_arg = np.array(node_arg0, dtype=float)
+    node_max, node_arg = np.zeros(flips.n), np.zeros(flips.n)
     leb_max, leb_arg = 0.0, 0.0
     step = max(1, _CHUNK // flips.width) * flips.width
     edges = [*range(0, max(1, grid - 1), step), grid]  # a one-point last chunk joins the one before, as a run does
@@ -573,7 +572,7 @@ def _floor_hits(node_max: np.ndarray, node_arg: np.ndarray, hit_k: np.ndarray, h
     node_arg[hit_k[first]] = hit_t[first]
 
 
-def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
+def _dyadic_scan(flips: _Flips, grid: int):
     """:func:`_scan` on the unit circle for a node set with ``flips.dyadic``, from exact integer angles.
 
     With D = flips.dyadic.classes(grid), A = grid*D/2**s and L = grid*D, grid
@@ -623,7 +622,7 @@ def _dyadic_scan(flips: _Flips, grid: int, node_arg0: np.ndarray):
         raise ValueError(_OUT_OF_RANGE)
     leb[at[hit]] = 1.0
     i = int(np.argmax(leb))
-    node_arg = np.where(node_max > 0.0, 2.0 * np.pi * node_at / grid, node_arg0)
+    node_arg = 2.0 * np.pi * node_at / grid
     _floor_hits(node_max, node_arg, hit, 2.0 * np.pi * at[hit] / grid)
     return node_max, node_arg, float(leb[i]), 2.0 * np.pi * i / grid
 
@@ -683,67 +682,49 @@ def _add_windows(sums: np.ndarray, table: np.ndarray, weights: np.ndarray, start
         out[a : a + h] += band[:h, : h + count - 1] @ rows[a : a + h + count - 1]
 
 
-def _checked_grid(n_points: int, grid: int | None, refine_iters: int) -> int:
-    """The scan size to use; refuses grids and refine counts that skip checking."""
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
-    if grid is None:
-        return default_grid(n_points)
-    require_resolving_grid(grid, n_points - 1)  # l_k on the boundary has degree N-1 in t
-    return grid
-
-
-def _node_sups(flips: _Flips, node_ts, grid: int, refine_iters: int, ks: np.ndarray):
-    """Per-node sups of |l_k(flips.curve(t))| with their parameters, plus the scan's Lebesgue maximum.
-
-    One grid scan; then golden refinement in t, around the grid argmax, of the
-    nodes with 0-based indices ``ks``; then the floor of each node at its
-    value 1 at its own parameter ``node_ts[k]``.  Returns
-    ``(node_max, node_arg, leb_max, leb_arg)``.
-    """
-    dyadic = flips.dyadic is not None and 32 * flips.dyadic.classes(grid) <= flips.n
-    node_max, node_arg, leb_max, leb_arg = (_dyadic_scan if dyadic else _scan)(flips, grid, node_ts)
-    if refine_iters > 0 and ks.size:
-        h, mid = 2.0 * np.pi / grid, node_arg[ks]
-        with np.errstate(all="ignore"):
-            val, ang = _golden_max_vec(lambda ts: flips.own(ts, ks), mid - h, mid + h, refine_iters)
-        up = val > node_max[ks]
-        node_max[ks[up]], node_arg[ks[up]] = val[up], ang[up]
-    low = ~(node_max > 1.0)
-    node_max[low], node_arg[low] = 1.0, node_ts[low]
-    return node_max, node_arg, leb_max, leb_arg
-
-
 def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters: int) -> SupNormEstimate:
-    """Sup of |l_k(curve(t))| through the per-node path of :func:`_boundary_stats`."""
-    n_points = nodes.size
-    if not 1 <= k <= n_points:
-        raise ValueError(f"k must be in 1..{n_points}, got {k}")
-    grid = _checked_grid(n_points, grid, refine_iters)
-    node_max, node_arg, _, _ = _node_sups(_Flips(nodes, curve), node_ts, grid, refine_iters, np.array([k - 1]))
+    """Sup of |l_k(curve(t))|: :func:`_boundary_stats` with only node k refined."""
+    if not 1 <= k <= nodes.size:
+        raise ValueError(f"k must be in 1..{nodes.size}, got {k}")
+    grid = default_grid(nodes.size) if grid is None else grid
+    node_max, node_arg, _ = _boundary_stats(nodes, curve, node_ts, grid, refine_iters, np.array([k - 1]))
     return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])), grid, refine_iters > 0)
 
 
 def _boundary_stats(
-    nodes, curve, node_ts, grid: int | None, refine_iters: int, per_node_refine: bool
-) -> tuple[np.ndarray, LebesgueReport]:
-    """Per-node sups and the Lebesgue constant on curve(t) from one shared scan.
+    nodes, curve, node_ts, grid: int | None, refine_iters: int, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, LebesgueReport]:
+    """Per-node sups with their parameters and the Lebesgue constant on curve(t), from one shared scan.
 
-    ``node_ts`` holds the nodes' own parameters, curve(node_ts) == nodes.
+    ``node_ts`` holds the nodes' own parameters, curve(node_ts) == nodes.  In
+    order: one grid scan; golden refinement in t, around the grid argmax, of
+    the nodes with 0-based indices ``ks``; golden refinement of the Lebesgue
+    maximum; then the floor of each node at its value 1 at its own parameter
+    ``node_ts[k]``.  Returns ``(node_max, node_arg, report)``.  Refuses grids
+    and refine counts that skip checking.
     """
     n_points = nodes.size
-    grid = _checked_grid(n_points, grid, refine_iters)
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
+    grid = default_grid(n_points) if grid is None else grid
+    require_resolving_grid(grid, n_points - 1)  # l_k on the boundary has degree N-1 in t
     flips = _Flips(nodes, curve)
-    ks = np.arange(n_points if per_node_refine else 0)
-    node_max, _, leb_max, leb_arg = _node_sups(flips, node_ts, grid, refine_iters, ks)
+    dyadic = flips.dyadic is not None and 32 * flips.dyadic.classes(grid) <= n_points
+    node_max, node_arg, leb_max, leb_arg = (_dyadic_scan if dyadic else _scan)(flips, grid)
     if refine_iters > 0:
         h = 2.0 * np.pi / grid
         with np.errstate(all="ignore"):
+            if ks.size:
+                mid = node_arg[ks]
+                val, ang = _golden_max_vec(lambda ts: flips.own(ts, ks), mid - h, mid + h, refine_iters)
+                up = val > node_max[ks]
+                node_max[ks[up]], node_arg[ks[up]] = val[up], ang[up]
             val, ang = _golden_max(flips.lebesgue_at, leb_arg - h, leb_arg + h, refine_iters)
         if val > leb_max:
             leb_max, leb_arg = float(val), float(ang)
-    report = LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
-    return node_max, report
+    low = ~(node_max > 1.0)
+    node_max[low], node_arg[low] = 1.0, node_ts[low]
+    return node_max, node_arg, LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
 
 
 def sup_norm_on_circle(points, k: int, coarse_grid: int | None = None, refine_iters: int = 40) -> SupNormEstimate:
@@ -769,7 +750,9 @@ def circle_flip_stats(
     ``refine_iters`` is positive.
     """
     nodes = _as_nodes(points)
-    return _boundary_stats(nodes, _unit_circle, np.angle(nodes), coarse_grid, refine_iters, per_node_refine)
+    ks = np.arange(nodes.size if per_node_refine else 0)
+    node_max, _, report = _boundary_stats(nodes, _unit_circle, np.angle(nodes), coarse_grid, refine_iters, ks)
+    return node_max, report
 
 
 def lebesgue_constant(points, coarse_grid: int | None = None, refine_iters: int = 40) -> LebesgueReport:

@@ -159,7 +159,9 @@ def compact_flip_stats(
     per_node_refine: bool = False,
 ) -> tuple[np.ndarray, LebesgueReport]:
     """Per-node sups and Lebesgue constant over the image boundary."""
-    return _boundary_stats(*_scaled_boundary(ts), boundary_grid, refine_iters, per_node_refine)
+    ks = np.arange(len(ts) if per_node_refine else 0)
+    node_max, _, report = _boundary_stats(*_scaled_boundary(ts), boundary_grid, refine_iters, ks)
+    return node_max, report
 
 
 def lebesgue_on_compact(

@@ -106,6 +106,18 @@ class TestLejaCommand:
         assert code == 2
         assert "FAIL" in err
 
+    def test_refuses_tolerances_that_cannot_fail(self, capsys):
+        # a shortfall of distinct nodes is below 1, so a tolerance of 1 or more passed every section
+        for tol in ("1", "inf", "nan", "0", "-1"):
+            code, out, err = run(capsys, "leja", "--disk", "-N", "50", "--samples", "256", "--tol", tol)
+            assert code == 1 and out == "", tol
+            assert "rel_tol must be in (0, 1)" in err, tol
+        # the default 10/samples is 1.43 at 7 samples, which still resolve -N 3
+        code, out, err = run(capsys, "leja", "--disk", "-N", "3", "--samples", "7")
+        assert code == 1 and out == ""
+        assert "rel_tol must be in (0, 1)" in err
+        assert run(capsys, "leja", "--disk", "-N", "3", "--samples", "7", "--tol", "0.5")[0] == 0
+
 
 class TestBoundsCommand:
     def test_small_sweep(self, capsys):
@@ -333,6 +345,16 @@ class TestBivariateCommand:
         code, out, _ = run(capsys, "bivariate", "--verify-2d-leja", "--n-max", "2")
         assert code == 0
         assert int(list(csv.DictReader(out.splitlines()))[0]["checked"]) == 1
+
+    def test_oracle_refuses_n_max_above_its_cap(self, capsys):
+        # --n-max 40 used to check N = 1..21 only and exit 0
+        for n_max in ("22", "40"):
+            code, out, err = run(capsys, "bivariate", "--oracle", "--n-max", n_max, "--points", "2")
+            assert code == 1 and out == "", n_max
+            assert f"N <= {bv.DEFAULT_ORACLE_CAP}" in err
+        code, out, _ = run(capsys, "bivariate", "--oracle", "--n-max", str(bv.DEFAULT_ORACLE_CAP), "--points", "2")
+        assert code == 0
+        assert [int(r["N"]) for r in csv.DictReader(out.splitlines())] == list(range(1, bv.DEFAULT_ORACLE_CAP + 1))
 
     def test_rejects_checks_of_no_points(self, capsys):
         for argv in (
