@@ -4,9 +4,7 @@ numerical verification of the uniform bounds they satisfy."""
 from .core import (
     UNIFORM_FLIP_BOUND,
     UNIFORM_FLIP_BOUND_2D,
-    alternating_decompose,
     binary_decompose,
-    half_angle_cos_product,
     stable_abs_product,
 )
 from .disk import (

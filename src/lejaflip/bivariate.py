@@ -49,7 +49,7 @@ __all__ = [
     "DEFAULT_ORACLE_CAP",
 ]
 
-#: Largest node count accepted by the determinant-ratio oracle by default.
+#: Largest node count accepted by the determinant-ratio oracle.
 DEFAULT_ORACLE_CAP = 21
 
 
@@ -62,11 +62,8 @@ def lex_to_pair(j: int) -> tuple[int, int]:
     """Exponent pair (k, l) of the j-th basis monomial, j >= 1."""
     if j < 1:
         raise ValueError("j must be positive")
-    d = int((math.isqrt(8 * j - 7) - 1) // 2)
-    while triangular_number(d) < j:
-        d += 1
-    while d > 0 and triangular_number(d - 1) >= j:
-        d -= 1
+    # exact: T(d-1) < j <= T(d) puts 8j - 7 in [(2d+1)**2, (2d+3)**2)
+    d = (math.isqrt(8 * j - 7) - 1) // 2
     t = j - triangular_number(d - 1)
     return d - t + 1, t - 1
 
@@ -105,20 +102,6 @@ class IntertwiningArray:
     def pairs(self) -> list[tuple[int, int]]:
         """Source-index pairs (p, q) of the nodes, in order."""
         return [lex_to_pair(j) for j in range(1, self.N + 1)]
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "n": self.n,
-            "m": self.m,
-            "nodes": [
-                {
-                    "z": {"re": float(z.real), "im": float(z.imag)},
-                    "w": {"re": float(w.real), "im": float(w.imag)},
-                }
-                for z, w in self.nodes
-            ],
-        }
 
 
 def build_array(eta, theta, n_nodes: int) -> IntertwiningArray:
@@ -305,16 +288,14 @@ def vdm_determinant(points) -> complex | np.ndarray:
     return complex(det) if det.ndim == 0 else det
 
 
-def flip_via_vdm_ratio(
-    arr: IntertwiningArray, p: int, z, w, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> complex | np.ndarray:
+def flip_via_vdm_ratio(arr: IntertwiningArray, p: int, z, w) -> complex | np.ndarray:
     """FLIP value as a ratio of two dense determinants (test oracle; p is 1-based).
 
     z and w may be arrays of one shape; the denominator is factored once and
     the numerators as one stack.  A non-finite numerator gives 0.
     """
-    if arr.N > oracle_cap:
-        raise ValueError(f"oracle capped at N={oracle_cap}, got N={arr.N}")
+    if arr.N > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"oracle capped at N={DEFAULT_ORACLE_CAP}, got N={arr.N}")
     if not 1 <= p <= arr.N:
         raise ValueError(f"p must be in 1..{arr.N}")
     sign_den, log_den = np.linalg.slogdet(vdm_matrix(arr.nodes))

@@ -10,6 +10,8 @@ bound or identity failed beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import bivariate as bv
 from . import transport as tp
-from .core import UNIFORM_FLIP_BOUND, UNIFORM_FLIP_BOUND_2D, csv_text
+from .core import UNIFORM_FLIP_BOUND, UNIFORM_FLIP_BOUND_2D
 from .disk import canonical_disk_leja, circle_samples, greedy_leja, validate_leja
 from .flip import circle_flip_stats, special_n_statistics
 
@@ -43,8 +45,18 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _emit(rows: list[dict] | dict, fmt: str, out_path: str | None) -> None:
-    """Write ``rows`` (for JSON, any JSON value) as CSV or JSON to ``out_path`` or stdout."""
-    text = json.dumps(rows, indent=2) + "\n" if fmt == "json" else csv_text(rows)
+    """Write ``rows`` (for JSON, any JSON value) as CSV or JSON to ``out_path`` or stdout.
+
+    CSV takes its header from the first row's keys and is empty for no rows.
+    """
+    buf = io.StringIO()
+    if fmt == "json":
+        buf.write(json.dumps(rows, indent=2) + "\n")
+    elif rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -71,7 +83,12 @@ def _cmd_leja(args) -> int:
             section = canonical_disk_leja(args.n_points, origin)
     tol = args.tol if args.tol is not None else 10.0 / samples
     report = validate_leja(section, boundary, tol)
-    _emit(section.to_json() if args.format == "json" else section.rows(), args.format, args.output)
+    points = [{"re": float(z.real), "im": float(z.imag)} for z in section.points]
+    if args.format == "json":
+        out = {"n": len(section), "points": points, "compact_tag": section.compact_tag}
+    else:
+        out = [{"index": i, **point} for i, point in enumerate(points, start=1)]
+    _emit(out, args.format, args.output)
     print(
         f"validated {len(section)} points: max_violation={report.max_violation:.3e} "
         f"worst_k={report.worst_k} tol={tol:.3e} -> {'pass' if report.passed else 'FAIL'}",
@@ -233,7 +250,7 @@ def _cmd_transport(args) -> int:
         n_values = [n for n in (2**k for k in range(1, 30)) if n <= args.max_n]
         for n_points in n_values:
             ts = tp.transport_sequence(emap, canonical_disk_leja(n_points))
-            node_sups, leb = tp.compact_flip_stats(ts, args.grid, args.refine, per_node_refine=True)
+            node_sups, leb = tp.compact_flip_stats(ts, args.grid, args.refine)
             max_sup = float(np.max(node_sups))
             rows.append({"N": n_points, "max_sup": max_sup, "lebesgue": leb.constant})
         if len(rows) > 2:

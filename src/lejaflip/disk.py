@@ -9,14 +9,12 @@ maximize the distance product over a fixed sample set instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import binary_decompose, csv_text, require_resolving_grid
+from .core import binary_decompose, require_resolving_grid
 
 UNIT_TOL = 1e-12
 
@@ -54,31 +52,6 @@ class LejaSection:
 
     def __len__(self) -> int:
         return self.points.size
-
-    @property
-    def n(self) -> int:
-        return self.points.size
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "points": [{"re": float(z.real), "im": float(z.imag)} for z in self.points],
-            "compact_tag": self.compact_tag,
-        }
-
-    def rows(self) -> list[dict]:
-        """The CSV layout of a section, which ``leja`` writes too: one row (index, re, im) per point."""
-        return [{"index": i, "re": float(z.real), "im": float(z.imag)} for i, z in enumerate(self.points, start=1)]
-
-    def to_csv(self, path) -> None:
-        Path(path).write_text(csv_text(self.rows()))
-
-
-def section_from_json(data: dict | str | Path) -> LejaSection:
-    if not isinstance(data, dict):
-        data = json.loads(Path(data).read_text())
-    pts = np.array([complex(p["re"], p["im"]) for p in data["points"]])
-    return LejaSection(pts, compact_tag=data.get("compact_tag", UNIT_DISK))
 
 
 @dataclass(frozen=True)

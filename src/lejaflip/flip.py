@@ -94,14 +94,6 @@ class LebesgueReport:
     argmax_angle: float
     per_node_sup: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.n_points,
-            "constant": self.constant,
-            "argmax_angle": self.argmax_angle,
-            "per_node_sup": [float(v) for v in self.per_node_sup],
-        }
-
 
 @dataclass(frozen=True)
 class SpecialNStats:

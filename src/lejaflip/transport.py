@@ -30,7 +30,6 @@ from .flip import LebesgueReport, SupNormEstimate, _boundary_stats, _boundary_su
 class ExteriorMap:
     """Conformal map of the exterior of the unit disk onto an ellipse exterior."""
 
-    kind: str
     a: float
     b: float
     c1: float
@@ -50,9 +49,6 @@ class ExteriorMap:
         out = self.c1 - self.c2 / z**2
         return complex(out) if out.ndim == 0 else out
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class TransportedSection:
@@ -62,12 +58,6 @@ class TransportedSection:
 
     def __len__(self) -> int:
         return self.images.size
-
-    def to_json(self) -> dict:
-        data = self.source.to_json()
-        data["map"] = self.map.to_json()
-        data["points"] = [{"re": float(z.real), "im": float(z.imag)} for z in self.images]
-        return data
 
 
 def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
@@ -79,7 +69,7 @@ def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
     """
     if not (b > 0.0 and a >= b):
         raise ValueError("need a >= b > 0")
-    mp = ExteriorMap("ellipse", float(a), float(b), (a + b) / 2.0, (a - b) / 2.0)
+    mp = ExteriorMap(float(a), float(b), (a + b) / 2.0, (a - b) / 2.0)
     t = 2.0 * np.pi * np.arange(256) / 256
     with np.errstate(all="ignore"):
         img = mp.on_circle(t)
@@ -120,7 +110,7 @@ def _capacity_scaled(mp: ExteriorMap) -> ExteriorMap:
     of tiny axes, where ``2.0 ** -round(log2 c1)`` overflows.
     """
     e = -round(math.log2(mp.c1))
-    return ExteriorMap(mp.kind, *(math.ldexp(v, e) for v in (mp.a, mp.b, mp.c1, mp.c2)))
+    return ExteriorMap(*(math.ldexp(v, e) for v in (mp.a, mp.b, mp.c1, mp.c2)))
 
 
 def _scaled_boundary(ts: TransportedSection):
@@ -134,7 +124,7 @@ def _scaled_boundary(ts: TransportedSection):
     """
     mp = _capacity_scaled(ts.map)
     if (len(ts) - 1) * abs(math.log(mp.c1)) > 200.0:
-        mp = ExteriorMap(mp.kind, mp.a / mp.c1, mp.b / mp.c1, 1.0, mp.c2 / mp.c1)
+        mp = ExteriorMap(mp.a / mp.c1, mp.b / mp.c1, 1.0, mp.c2 / mp.c1)
     return mp(ts.source.points), mp.on_circle, np.angle(ts.source.points)
 
 
@@ -156,18 +146,16 @@ def compact_flip_stats(
     ts: TransportedSection,
     boundary_grid: int | None = None,
     refine_iters: int = 40,
-    per_node_refine: bool = False,
 ) -> tuple[np.ndarray, LebesgueReport]:
-    """Per-node sups and Lebesgue constant over the image boundary."""
-    ks = np.arange(len(ts) if per_node_refine else 0)
-    node_max, _, report = _boundary_stats(*_scaled_boundary(ts), boundary_grid, refine_iters, ks)
+    """Per-node sups (each golden-refined) and the Lebesgue constant over the image boundary."""
+    node_max, _, report = _boundary_stats(*_scaled_boundary(ts), boundary_grid, refine_iters, np.arange(len(ts)))
     return node_max, report
 
 
 def lebesgue_on_compact(
     ts: TransportedSection, boundary_grid: int | None = None, refine_iters: int = 40
 ) -> LebesgueReport:
-    _, report = compact_flip_stats(ts, boundary_grid, refine_iters, per_node_refine=True)
+    _, report = compact_flip_stats(ts, boundary_grid, refine_iters)
     return report
 
 

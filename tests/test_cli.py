@@ -93,12 +93,20 @@ class TestLejaCommand:
             assert out.encode() == path.read_bytes()
         assert set(json.loads(out)) == {"n", "points", "compact_tag"}
 
-    def test_csv_is_the_section_csv(self, capsys, tmp_path):
-        # one layout: the command writes what LejaSection.to_csv writes
-        out, ref = tmp_path / "f.csv", tmp_path / "ref.csv"
-        assert run(capsys, "leja", "--disk", "-N", "5", "-o", str(out))[0] == 0
-        canonical_disk_leja(5).to_csv(ref)
-        assert out.read_bytes() == ref.read_bytes()
+    def test_csv_layout(self, capsys):
+        code, out, _ = run(capsys, "leja", "--disk", "-N", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "index,re,im" and len(lines) == 6
+        assert lines[1] == "1,1.0,0.0"
+
+    def test_json_points_are_the_canonical_section(self, capsys):
+        code, out, _ = run(capsys, "leja", "--disk", "-N", "9", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"n", "points", "compact_tag"}
+        points = np.array([complex(p["re"], p["im"]) for p in data["points"]])
+        assert np.array_equal(points, canonical_disk_leja(9).points)
 
     def test_validation_failure_exits_two(self, capsys):
         # an unreachable tolerance turns rounding-level shortfalls into failures

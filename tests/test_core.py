@@ -11,12 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lejaflip
-from lejaflip import (
-    alternating_decompose,
-    binary_decompose,
-    half_angle_cos_product,
-    stable_abs_product,
-)
+from lejaflip import binary_decompose, stable_abs_product
 
 
 class TestBinaryDecompose:
@@ -45,62 +40,6 @@ class TestBinaryDecompose:
         exps = binary_decompose(n)
         assert sum(1 << p for p in exps) == n
         assert all(a > b for a, b in zip(exps, exps[1:]))
-
-
-class TestAlternatingDecompose:
-    # expected values run by hand from the chain recursion
-    @pytest.mark.parametrize(
-        "value,expected",
-        [(1, [1, 0]), (3, [2, 0]), (5, [3, 2, 1, 0])],
-    )
-    def test_known_values(self, value, expected):
-        assert alternating_decompose(value) == expected
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            alternating_decompose(0)
-
-    def test_reconstruction_exhaustive(self):
-        for value in range(1, 100_001):
-            exps = alternating_decompose(value)
-            assert len(exps) % 2 == 0 and len(exps) >= 2
-            assert all(a > b for a, b in zip(exps, exps[1:]))
-            assert exps[-1] >= 0
-            total = sum((-1) ** i * (1 << s) for i, s in enumerate(exps))
-            assert total == value
-            assert exps[0] == value.bit_length()  # highest set bit index + 1
-
-
-class TestHalfAngleCosProduct:
-    def test_empty_product(self):
-        assert half_angle_cos_product(math.pi / 3, 0) == 1.0
-
-    def test_single_factor(self):
-        assert half_angle_cos_product(math.pi / 2, 1) == pytest.approx(math.sqrt(2) / 2, rel=1e-15)
-
-    def test_closed_form_deep(self):
-        # independent closed form: sin(a) / (2**m sin(a / 2**m))
-        a, m = math.pi / 2, 8
-        want = math.sin(a) / (2**m * math.sin(a / 2**m))
-        assert half_angle_cos_product(a, m) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_pi_multiples(self):
-        for bad in (0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi + 5e-13):
-            with pytest.raises(ValueError):
-                half_angle_cos_product(bad, 3)
-
-    def test_closed_form_random(self):
-        rng = np.random.default_rng(0)
-        checked = 0
-        while checked < 10_000:
-            a = rng.uniform(-20.0, 20.0)
-            if abs(a - math.pi * round(a / math.pi)) <= 1e-6:
-                continue
-            m = int(rng.integers(0, 21))
-            want = math.sin(a) / (2**m * math.sin(a / 2**m))
-            got = half_angle_cos_product(a, m)
-            assert got == pytest.approx(want, rel=1e-10)
-            checked += 1
 
 
 class TestStableAbsProduct:
@@ -150,4 +89,4 @@ def test_import_loads_only_the_standard_library_and_numpy():
 
 
 def test_docstring_examples_run():
-    assert doctest.testmod(lejaflip.core) == (0, 2)  # (failed, attempted)
+    assert doctest.testmod(lejaflip.core) == (0, 1)  # (failed, attempted)

@@ -16,7 +16,6 @@ from lejaflip import (
     validate_leja,
 )
 from lejaflip.core import binary_decompose
-from lejaflip.disk import section_from_json
 
 
 def as_angle_set(points):
@@ -305,31 +304,6 @@ class TestOmega0:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        section = canonical_disk_leja(6)
-        data = section.to_json()
-        assert data["n"] == 6 and data["compact_tag"] == "unit_disk"
-        back = section_from_json(data)
-        assert np.allclose(back.points, section.points, atol=1e-15)
-
-    def test_json_roundtrip_via_file(self, tmp_path):
-        import json
-
-        section = canonical_disk_leja(9)
-        path = tmp_path / "section.json"
-        path.write_text(json.dumps(section.to_json()))
-        back = section_from_json(path)
-        assert np.array_equal(back.points, section.points)
-
-    def test_csv(self, tmp_path):
-        path = tmp_path / "section.csv"
-        canonical_disk_leja(5).to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,re,im"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "1" and float(first[1]) == 1.0
-
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             LejaSection(np.array([1.0 + 0j, 1.0 + 0j]))

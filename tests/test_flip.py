@@ -254,11 +254,6 @@ class TestLebesgue:
             assert rep.constant <= float(np.sum(rep.per_node_sup)) + 1e-9
             assert rep.constant <= 2.0 * n + 1e-6
 
-    def test_report_serialization(self):
-        rep = lebesgue_constant(canonical_disk_leja(5))
-        data = rep.to_json()
-        assert data["N"] == 5 and len(data["per_node_sup"]) == 5
-
 
 class TestSpecialN:
     def test_p2_window(self):
@@ -751,7 +746,7 @@ class TestFrontEnds:
         t = 2.0 * np.pi * np.arange(default_grid(n)) / default_grid(n)
         assert np.array_equal(nodes, section.points) and np.array_equal(curve(t), _unit_circle(t))
         assert _Flips(nodes, curve).polar is None and _Flips(nodes).polar is not None
-        sups, report = compact_flip_stats(ts, per_node_refine=True)
+        sups, report = compact_flip_stats(ts)
         want_sups, want = circle_flip_stats(section, per_node_refine=True)
         assert np.allclose(sups, want_sups, rtol=1e-13, atol=0.0)
         assert report.constant == pytest.approx(want.constant, rel=1e-13)
@@ -964,7 +959,7 @@ class TestBatchStats:
             singles = [sup_norm_on_circle(section, k).value for k in range(1, n + 1)]
             np.testing.assert_allclose(singles, sups, rtol=1e-12, atol=0.0)
         ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(65))
-        sups, _ = compact_flip_stats(ts, per_node_refine=True)
+        sups, _ = compact_flip_stats(ts)
         singles = [flip_sup_on_compact(ts, k).value for k in range(1, 66)]
         np.testing.assert_array_equal(singles, sups)  # the coordinate front end: bit for bit
 

@@ -59,9 +59,6 @@ class TestEllipseMap:
         with pytest.raises(ValueError):
             ellipse_exterior_map(1.0, 0.0)
 
-    def test_json(self):
-        assert ellipse_exterior_map(1.2, 0.8).to_json() == {"kind": "ellipse", "a": 1.2, "b": 0.8}
-
 
 class TestTransport:
     def test_identity_images(self):
@@ -79,11 +76,6 @@ class TestTransport:
         mp = ellipse_exterior_map(1.5, 1.0)
         ts = transport_sequence(mp, canonical_disk_leja(1))
         assert ts.images.shape == (1,)
-
-    def test_json_carries_map(self):
-        ts = transport_sequence(ellipse_exterior_map(1.2, 0.8), canonical_disk_leja(2))
-        data = ts.to_json()
-        assert data["map"]["a"] == 1.2 and len(data["points"]) == 2
 
 
 class TestDistortion:
@@ -174,7 +166,7 @@ class TestCapacityScaling:
         assert (n - 1) * abs(np.log(scaled.c1)) > 200.0
         ts = transport_sequence(mp, canonical_disk_leja(n))
         nodes, curve, _ = _scaled_boundary(ts)
-        exact = ExteriorMap("ellipse", scaled.a / scaled.c1, scaled.b / scaled.c1, 1.0, scaled.c2 / scaled.c1)
+        exact = ExteriorMap(scaled.a / scaled.c1, scaled.b / scaled.c1, 1.0, scaled.c2 / scaled.c1)
         assert np.array_equal(nodes, exact(ts.source.points))
         assert np.array_equal(curve(np.array([0.1, 2.0])), exact.on_circle(np.array([0.1, 2.0])))
         weights = _log_node_weights(nodes)
