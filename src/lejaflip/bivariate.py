@@ -23,32 +23,6 @@ import numpy as np
 
 from .core import require_resolving_grid
 
-__all__ = [
-    "IntertwiningArray",
-    "lex_to_pair",
-    "pair_to_lex",
-    "shape_of",
-    "triangular_number",
-    "build_array",
-    "flip_case",
-    "bivariate_flip",
-    "interpolate",
-    "bivariate_lebesgue",
-    "vdm_matrix",
-    "vdm_determinant",
-    "flip_via_vdm_ratio",
-    "vdm_extension_factor",
-    "schiffer_siciak",
-    "verify_2d_leja",
-    "TwoDLejaReport",
-    "check_delta",
-    "check_oracle",
-    "check_factorization",
-    "check_product_formula",
-    "jackson_decay_experiment",
-    "DEFAULT_ORACLE_CAP",
-]
-
 #: Largest node count accepted by the determinant-ratio oracle.
 DEFAULT_ORACLE_CAP = 21
 
@@ -437,9 +411,6 @@ class TwoDLejaReport:
     worst_size: int
     checked: int
 
-    def passed(self, rel_tol: float) -> bool:
-        return self.max_shortfall <= rel_tol
-
 
 def _prefix_grid_maxima(src: np.ndarray, count: int, circle: np.ndarray) -> list[float]:
     """Entry c is the circle-grid max of prod_{j<c} |t - src_j|, for c = 0..count."""
@@ -451,10 +422,11 @@ def verify_2d_leja(eta, theta, n_max: int, grid: int = 512) -> TwoDLejaReport:
     """Check the greedy optimality of each intertwining node H_{N+1}, N < n_max.
 
     The extension determinant factors into one-dimensional distance products,
-    so the sup over the product compact splits into two circle-grid maxima;
-    the value at H_{N+1} is compared against their product.  Refuses grids of
-    at most pi*(n+1) angles, n the degree of the largest array checked, which
-    cannot resolve the distance products.
+    so the sup over the product compact splits into two circle-grid maxima.
+    The report holds the largest shortfall 1 - value/(their product) at
+    H_{N+1}, its N and the number of N checked; the caller applies a
+    tolerance.  Refuses grids of at most pi*(n+1) angles, n the degree of the
+    largest array checked, which cannot resolve the distance products.
     """
     eta = np.asarray(eta, dtype=complex)
     theta = np.asarray(theta, dtype=complex)
@@ -480,12 +452,14 @@ def verify_2d_leja(eta, theta, n_max: int, grid: int = 512) -> TwoDLejaReport:
 
 
 def jackson_decay_experiment(
-    f: Callable[[complex, complex], complex],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_max: int,
     grid: int = 48,
 ) -> list[tuple[int, int, float]]:
     """Interpolation error of f on full triangular arrays, n = 2..n_max.
 
+    ``f`` maps arrays of z and w elementwise (a constant is broadcast); it is
+    called once on the torus grid and once on each array's nodes.
     Returns rows (n, N_n, torus-grid sup error); for entire functions such as
     exp(z + w) the errors decrease strictly.  Refuses grids of at most
     pi*n_max angles per axis, which cannot resolve the degree-n_max
@@ -498,11 +472,11 @@ def jackson_decay_experiment(
     require_resolving_grid(grid, n_max)
     rows: list[tuple[int, int, float]] = []
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
-    target = np.array([[complex(f(z, w)) for w in axis] for z in axis])
+    target = np.broadcast_to(f(axis[:, None], axis[None, :]), (grid, grid))
     for n in range(2, n_max + 1):
         eta = canonical_disk_leja(n + 1).points
         arr = build_array(eta, eta, triangular_number(n))
-        values = np.array([complex(f(*arr.node(j))) for j in range(1, arr.N + 1)])
+        values = np.broadcast_to(f(arr.nodes[:, 0], arr.nodes[:, 1]), arr.N)
         approx = _interp_grid(arr, values, axis, axis)
         err = float(np.max(np.abs(approx - target)))
         rows.append((n, arr.N, err))

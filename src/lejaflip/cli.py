@@ -70,19 +70,20 @@ def _emit(rows: list[dict] | dict, fmt: str, out_path: str | None) -> None:
 def _cmd_leja(args) -> int:
     if args.n_points < 1:
         raise ValueError("-N must be positive")
-    samples = args.samples
     if args.ellipse:
-        boundary = tp.boundary_samples(tp.ellipse_exterior_map(*args.ellipse), samples)
+        boundary = tp.boundary_samples(tp.ellipse_exterior_map(*args.ellipse), args.samples)
+    else:
+        boundary = circle_samples(args.samples)
+    tol = args.tol if args.tol is not None else 10.0 / args.samples
+    if not 0.0 < tol < 1.0:  # shortfalls of distinct nodes are below 1, so tol >= 1 passes every section; NaN fails
+        raise ValueError(f"rel_tol must be in (0, 1), got {tol}")
+    if args.ellipse or args.greedy:
         section = greedy_leja(boundary, args.n_points, args.seed_index)
     else:
-        boundary = circle_samples(samples)
-        if args.greedy:
-            section = greedy_leja(boundary, args.n_points, args.seed_index)
-        else:
-            origin = complex(math.cos(args.origin_angle), math.sin(args.origin_angle))
-            section = canonical_disk_leja(args.n_points, origin)
-    tol = args.tol if args.tol is not None else 10.0 / samples
-    report = validate_leja(section, boundary, tol)
+        origin = complex(math.cos(args.origin_angle), math.sin(args.origin_angle))
+        section = canonical_disk_leja(args.n_points, origin)
+    report = validate_leja(section, boundary)
+    passed = report.max_violation <= tol
     points = [{"re": float(z.real), "im": float(z.imag)} for z in section.points]
     if args.format == "json":
         out = {"n": len(section), "points": points, "compact_tag": section.compact_tag}
@@ -91,10 +92,10 @@ def _cmd_leja(args) -> int:
     _emit(out, args.format, args.output)
     print(
         f"validated {len(section)} points: max_violation={report.max_violation:.3e} "
-        f"worst_k={report.worst_k} tol={tol:.3e} -> {'pass' if report.passed else 'FAIL'}",
+        f"worst_k={report.worst_k} tol={tol:.3e} -> {'pass' if passed else 'FAIL'}",
         file=sys.stderr,
     )
-    return 0 if report.passed else CHECK_FAILED
+    return 0 if passed else CHECK_FAILED
 
 
 def _bounds_row(n_points: int, grid: int | None, refine: int) -> dict:
@@ -146,7 +147,7 @@ def _cmd_bounds(args) -> int:
         rows = [_bounds_row(nn, args.grid, args.refine) for nn in range(1, args.max_n + 1)]
         failed = not all(
             r["max_sup"] <= UNIFORM_FLIP_BOUND + 1e-6
-            and r["lebesgue"] <= min(2.0 * r["N"], UNIFORM_FLIP_BOUND * r["N"]) + 1e-6
+            and r["lebesgue"] <= 2.0 * r["N"] + 1e-6
             for r in rows
         )
     _emit(rows, args.format, args.output)
@@ -203,7 +204,7 @@ def _cmd_bivariate(args) -> int:
         rows.append(
             {"checked": rep.checked, "max_shortfall": rep.max_shortfall, "worst_size": rep.worst_size}
         )
-        failed = not rep.passed(1e-6)
+        failed = not rep.max_shortfall <= 1e-6
     elif mode == "lebesgue":
         n_values = args.n_range or list(range(2, 11))
         if min(n_values) < 1:

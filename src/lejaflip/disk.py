@@ -72,7 +72,6 @@ class BoundarySamples:
     """Discretization of a compact's boundary used for sup/argmax scans."""
 
     samples: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         pts = np.array(self.samples, dtype=complex)
@@ -95,7 +94,7 @@ def circle_samples(count: int) -> BoundarySamples:
     if count < 1:
         raise ValueError("count must be positive")
     ang = 2.0 * np.pi * np.arange(count) / count
-    return BoundarySamples(np.exp(1j * ang), f"{count} uniform unit-circle samples")
+    return BoundarySamples(np.exp(1j * ang))
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,6 @@ class LejaValidation:
 
     max_violation: float
     worst_k: int
-    rel_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.rel_tol
 
 
 def canonical_disk_leja(n_points: int, origin: complex = 1.0 + 0.0j) -> LejaSection:
@@ -159,7 +153,7 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
     return LejaSection(samples[chosen], compact_tag=tag)
 
 
-def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: float) -> LejaValidation:
+def validate_leja(section: LejaSection, boundary: BoundarySamples) -> LejaValidation:
     """Compare each node's distance product against the sampled boundary maximum.
 
     For every k >= 2 the section value prod_{j<k} |eta_k - eta_j| is measured
@@ -167,9 +161,8 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
     largest relative shortfall and the k where it occurs.  Sample sets of at
     most pi*(N-1) points are refused: the products are trigonometric
     polynomials of degree up to N-1 in the boundary parameter, which fewer
-    samples cannot resolve.  So is a ``rel_tol`` outside (0, 1): the
-    shortfall 1 - exp(own - best) of distinct nodes is below 1, so such a
-    tolerance would pass every section.
+    samples cannot resolve.  The shortfall 1 - exp(own - best) of distinct
+    nodes is below 1, so a tolerance that can fail lies in (0, 1).
 
     The sample products run in the linear domain.  All points are first
     scaled by one power of two into the unit disk, which is exact and leaves
@@ -185,8 +178,6 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
     pts = section.points
     samples = boundary.samples
     require_resolving_grid(samples.size, pts.size - 1)
-    if not 0.0 < rel_tol < 1.0:  # a NaN fails too
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     e = math.frexp(max(float(np.abs(samples).max()), float(np.abs(pts).max())))[1]
     sx, sy, px, py = (np.ldexp(v, -e) for v in (samples.real, samples.imag, pts.real, pts.imag))
     logp = np.zeros(samples.size)  # log prod |s - eta_j|**2 over the nodes before the block
@@ -221,7 +212,7 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples, rel_tol: floa
                     shortfall = 1.0 - math.exp(own - b)
                     if shortfall > worst:
                         worst, worst_k = shortfall, k
-    return LejaValidation(worst, worst_k, rel_tol)
+    return LejaValidation(worst, worst_k)
 
 
 def split_section(section: LejaSection) -> SectionSplit:

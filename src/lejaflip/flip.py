@@ -61,21 +61,6 @@ from .disk import LejaSection, canonical_disk_leja, omega0_of_section
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _NEAR_NODE = 1e-8
 
-__all__ = [
-    "SupNormEstimate",
-    "LebesgueReport",
-    "SpecialNStats",
-    "flip_direct",
-    "roots_of_unity_flip_abs",
-    "flip_structured_abs",
-    "allones_block_flip_abs",
-    "sup_norm_on_circle",
-    "lebesgue_constant",
-    "circle_flip_stats",
-    "special_n_statistics",
-    "default_grid",
-]
-
 
 @dataclass(frozen=True)
 class SupNormEstimate:
@@ -83,13 +68,10 @@ class SupNormEstimate:
 
     value: float
     argmax_angle: float
-    coarse_grid_size: int
-    refined: bool
 
 
 @dataclass(frozen=True)
 class LebesgueReport:
-    n_points: int
     constant: float
     argmax_angle: float
     per_node_sup: np.ndarray
@@ -678,9 +660,8 @@ def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters:
     """Sup of |l_k(curve(t))|: :func:`_boundary_stats` with only node k refined."""
     if not 1 <= k <= nodes.size:
         raise ValueError(f"k must be in 1..{nodes.size}, got {k}")
-    grid = default_grid(nodes.size) if grid is None else grid
     node_max, node_arg, _ = _boundary_stats(nodes, curve, node_ts, grid, refine_iters, np.array([k - 1]))
-    return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])), grid, refine_iters > 0)
+    return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])))
 
 
 def _boundary_stats(
@@ -716,7 +697,7 @@ def _boundary_stats(
             leb_max, leb_arg = float(val), float(ang)
     low = ~(node_max > 1.0)
     node_max[low], node_arg[low] = 1.0, node_ts[low]
-    return node_max, node_arg, LebesgueReport(n_points, max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
+    return node_max, node_arg, LebesgueReport(max(leb_max, 1.0), wrap_angle(leb_arg), node_max)
 
 
 def sup_norm_on_circle(points, k: int, coarse_grid: int | None = None, refine_iters: int = 40) -> SupNormEstimate:

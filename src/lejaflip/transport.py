@@ -28,10 +28,8 @@ from .flip import LebesgueReport, SupNormEstimate, _boundary_stats, _boundary_su
 
 @dataclass(frozen=True)
 class ExteriorMap:
-    """Conformal map of the exterior of the unit disk onto an ellipse exterior."""
+    """Phi(z) = c1*z + c2/z, c1 > c2 >= 0: |z| > 1 onto the exterior of the ellipse with semi-axes c1 +- c2."""
 
-    a: float
-    b: float
     c1: float
     c2: float
 
@@ -69,7 +67,7 @@ def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
     """
     if not (b > 0.0 and a >= b):
         raise ValueError("need a >= b > 0")
-    mp = ExteriorMap(float(a), float(b), (a + b) / 2.0, (a - b) / 2.0)
+    mp = ExteriorMap((a + b) / 2.0, (a - b) / 2.0)
     t = 2.0 * np.pi * np.arange(256) / 256
     with np.errstate(all="ignore"):
         img = mp.on_circle(t)
@@ -93,7 +91,7 @@ def transport_sequence(mp: ExteriorMap, section: LejaSection) -> TransportedSect
 def boundary_samples(mp: ExteriorMap, count: int) -> BoundarySamples:
     """Images of ``count`` equispaced circle points; feeds the greedy builder."""
     t = 2.0 * np.pi * np.arange(count) / count
-    return BoundarySamples(mp.on_circle(t), f"ellipse a={mp.a} b={mp.b}, {count} samples")
+    return BoundarySamples(mp.on_circle(t))
 
 
 def chord_ratio(mp: ExteriorMap, z, w):
@@ -110,7 +108,7 @@ def _capacity_scaled(mp: ExteriorMap) -> ExteriorMap:
     of tiny axes, where ``2.0 ** -round(log2 c1)`` overflows.
     """
     e = -round(math.log2(mp.c1))
-    return ExteriorMap(*(math.ldexp(v, e) for v in (mp.a, mp.b, mp.c1, mp.c2)))
+    return ExteriorMap(math.ldexp(mp.c1, e), math.ldexp(mp.c2, e))
 
 
 def _scaled_boundary(ts: TransportedSection):
@@ -124,7 +122,7 @@ def _scaled_boundary(ts: TransportedSection):
     """
     mp = _capacity_scaled(ts.map)
     if (len(ts) - 1) * abs(math.log(mp.c1)) > 200.0:
-        mp = ExteriorMap(mp.a / mp.c1, mp.b / mp.c1, 1.0, mp.c2 / mp.c1)
+        mp = ExteriorMap(1.0, mp.c2 / mp.c1)
     return mp(ts.source.points), mp.on_circle, np.angle(ts.source.points)
 
 

@@ -76,15 +76,15 @@ class TestGreedy:
     def test_greedy_circle_validates(self):
         boundary = circle_samples(4096)
         section = greedy_leja(boundary, 16)
-        report = validate_leja(section, boundary, 10.0 / 4096)
-        assert report.passed
+        report = validate_leja(section, boundary)
+        assert report.max_violation <= 10.0 / 4096
 
     def test_greedy_dense_samples_validate(self):
         # 64 samples per node keep the grid-restricted argmax within tolerance
         for n in (8, 32, 128):
             boundary = circle_samples(64 * n)
             section = greedy_leja(boundary, n, seed_index=3)
-            assert validate_leja(section, boundary, 10.0 / (64 * n)).passed
+            assert validate_leja(section, boundary).max_violation <= 10.0 / (64 * n)
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
@@ -112,29 +112,29 @@ class TestGreedy:
 class TestValidate:
     def test_canonical_passes(self):
         section = canonical_disk_leja(32)
-        report = validate_leja(section, circle_samples(8192), 1e-6)
-        assert report.passed
+        report = validate_leja(section, circle_samples(8192))
+        assert report.max_violation <= 1e-6
         assert report.max_violation <= 1e-10
 
     def test_bad_pair_fails(self):
         # max of |z - 1| over the circle is 2 at z = -1, but |i - 1| is sqrt(2)
         section = LejaSection(np.array([1.0 + 0j, 1j]))
-        report = validate_leja(section, circle_samples(2048), 1e-6)
-        assert not report.passed
+        report = validate_leja(section, circle_samples(2048))
+        assert not report.max_violation <= 1e-6
         assert report.worst_k == 2
         assert report.max_violation == pytest.approx(1 - np.sqrt(2) / 2, abs=1e-3)
 
     def test_single_point_vacuous(self):
-        report = validate_leja(canonical_disk_leja(1), circle_samples(128), 1e-6)
-        assert report.passed and report.max_violation == 0.0
+        report = validate_leja(canonical_disk_leja(1), circle_samples(128))
+        assert report.max_violation <= 1e-6 and report.max_violation == 0.0
 
     def test_refuses_samples_that_cannot_resolve_degree_n_minus_1(self):
         # 10 nodes: products of up to 9 factors need more than 9 pi samples; 29 is the first count that passes
         section = canonical_disk_leja(10)
         for count in (4, 28):
             with pytest.raises(ValueError, match="degree 9"):
-                validate_leja(section, circle_samples(count), 2.5)
-        assert validate_leja(section, circle_samples(29), 1e-6).passed
+                validate_leja(section, circle_samples(count))
+        assert validate_leja(section, circle_samples(29)).max_violation <= 1e-6
 
 
 class TestBoundarySamples:
@@ -144,7 +144,7 @@ class TestBoundarySamples:
         pts[[2, 5]] = pts[[5, 2]]
         section = LejaSection(pts)
         samples = circle_samples(256).samples.copy()
-        assert validate_leja(section, BoundarySamples(samples), 1e-6).max_violation > 0.3
+        assert validate_leja(section, BoundarySamples(samples)).max_violation > 0.3
         for bad in (np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.0)):
             samples[17] = bad
             with pytest.raises(ValueError, match="finite"):
@@ -214,14 +214,14 @@ class TestValidateAgainstLogDomainLoop:
     def test_matches_the_log_domain_loop(self, name):
         section, boundary = _validation_case(name)
         want, want_k = _log_domain_validation(section, boundary)
-        report = validate_leja(section, boundary, 1e-6)
+        report = validate_leja(section, boundary)
         assert report.max_violation == pytest.approx(want, abs=1e-9)
         if want > 1e-6:
             assert report.worst_k == want_k
         if name in ("pair", "swapped", "rotated"):
-            assert not report.passed
+            assert not report.max_violation <= 1e-6
         if name.startswith("canonical") or name.startswith("greedy-1"):
-            assert report.passed
+            assert report.max_violation <= 1e-6
 
 
 class TestSplit:
@@ -239,8 +239,8 @@ class TestSplit:
     def test_six_points(self):
         split = split_section(canonical_disk_leja(6))
         assert split.rho1 == pytest.approx(canonical_disk_leja(6).points[4], abs=1e-14)
-        rep = validate_leja(split.remainder, circle_samples(2048), 1e-6)
-        assert rep.passed
+        rep = validate_leja(split.remainder, circle_samples(2048))
+        assert rep.max_violation <= 1e-6
 
     def test_rejects_powers_of_two(self):
         with pytest.raises(ValueError):

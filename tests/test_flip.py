@@ -164,7 +164,7 @@ class TestStructured:
 
         for n in (6, 11, 13, 21, 44, 100):
             section = nested_block_section(n, chooser)
-            assert validate_leja(section, circle_samples(64 * n), 1e-9).passed
+            assert validate_leja(section, circle_samples(64 * n)).max_violation <= 1e-9
             block = 1 << binary_decompose(n)[0]
             for k in (1, block):
                 for z in unit_rng_points(rng, 6):
