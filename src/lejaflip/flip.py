@@ -13,14 +13,13 @@ uniform angle scan followed by golden-section refinement.
 
 One scan engine serves every boundary curve t -> z(t): exp(it) here and
 Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the grid in node-major
-tiles sized for the L2 cache and evaluates the curve in chunks of about 2**13
-points, keeping only per-node maxima and the Lebesgue maximum: a 64-node
-circle scan's traced peak is 0.75 MB at 2**14 angles and at 2**18.  Every
-point set, chunk or probes, finds its node hits by one searchsorted in the
-sorted nodes.  The same tile kernel serves the refinement probes, which
-compute only the entries they keep, so one linear-domain formula gives every
-|l_k| on a boundary; input outside its double range, non-finite input
-included, raises ValueError.  Grids of at most pi*(N-1) angles are refused.
+tiles sized for the L2 cache, in chunks of about 2**13 points, keeping only
+per-node maxima and the Lebesgue maximum (a 64-node circle scan's traced peak
+is 0.75 MB at 2**14 angles and at 2**18), and finds node hits by one
+searchsorted.  The probes run on the same tile kernel, so one linear-domain
+formula gives every |l_k| on a boundary; input outside its double range,
+non-finite input included, raises ValueError.  Grids of at most pi*(N-1)
+angles are refused.
 
 The tile kernel takes the distances |b - eta_k| from one matmul of per-node
 coefficients with per-point planes.  On the unit circle, with nodes of modulus
@@ -31,20 +30,14 @@ differences 1*x + (-x_k)*1, the bits of a subtraction.
 A scan on the unit circle of a node set at exact dyadic angles
 exp(2*pi*i*m_k/2**s) whose binary blocks are whole root sets (:class:`_Dyadic`:
 canonical sections, and sections turned block by block by admissible roots
-of -1) runs node-major from integer angles instead (:func:`_dyadic_scan`),
+of -1) runs node-major from integer angles instead (:func:`_dyadic_scan`)
 when its node offsets on the grid fall into D <= N/32 residue classes, as on
-every default grid from N = 32 on.  |w| is popcount(N) sines per grid point,
-each node's reciprocal distances are a window of one table per class, the
-Lebesgue sums are banded gemms, each node maximum is taken only where a bound
-allows it, and the node weights come from the block formula in O(N log N).
-w and the distances must come from the same exact angles: near a node they
-cancel, and w from exact angles over the tile's rounded distances moved
-per-node maxima by 1.1e-3 at N = 132.  Rotated, random and
-greedy-on-other-samples node sets, every ellipse, N < 32 and grids with more
-classes keep the tile scan, which is faster there: each class costs the
-dyadic scan a table and its windows, and below N = 32 its fixed costs
-outweigh the tile.  The refinement probes run on the tile kernel for every
-node set.
+every default grid from N = 32 on.  |w| and every class's reciprocal
+distances, the latter from the L/2 + 1 sines of a folded half period
+(L = D*grid), share exact angles, so near a node they cancel (w over the
+tile's rounded distances moved a maximum by 1.1e-3 at N = 132).  Other node
+sets, every ellipse, N < 32, grids with more classes and the refinement
+probes of every node set take the tile.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import binary_decompose, require_resolving_grid, stable_abs_product, wrap_angle
 from .disk import LejaSection, canonical_disk_leja, omega0_of_section
@@ -249,18 +241,19 @@ _TILE = 1 << 16
 #: Grid points per span of a dyadic scan's node maxima, each taken whole or skipped.
 _SPAN = 1 << 6
 
+#: Class-row entries a dyadic scan holds at a time (2 MiB): one group of classes on default grids up to N = 512.
+_TABLE = 1 << 18
+
 #: Points per chunk of a scan, rounded down to whole runs: a scan holds its curve points one chunk at a time.
 _CHUNK = 1 << 13
 
 #: Why a tile is refused: its moduli cannot be formed in double precision.
 _OUT_OF_RANGE = "FLIP moduli leave double range: the nodes or the boundary are too far from unit scale"
 
-#: Largest ||eta| - 1| of a node on the unit circle: a few ulps.  Canonical
-#: nodes and exp(it) samples are within one.
+#: Largest ||eta| - 1| of a node on the unit circle: a few ulps.  Canonical nodes and exp(it) samples are within one.
 _UNIT_ULPS = 4.0 * np.finfo(float).eps
 
-#: Largest |eta_k - exp(2*pi*i*m_k/2**s)| of a node at a dyadic angle: the
-#: roundings of a few complex products, as a section turned block by block has.
+#: Largest |eta_k - exp(2*pi*i*m_k/2**s)| of a node at a dyadic angle: the roundings of a turned section's products.
 _DYADIC_ULPS = 8.0 * np.finfo(float).eps
 
 
@@ -295,35 +288,31 @@ class _Dyadic:
 
     @classmethod
     def of(cls, nodes: np.ndarray) -> _Dyadic | None:
-        """The structure of ``nodes``, or None when a node is off its dyadic angle by more than rounding,
-        two nodes share an angle, or a block is not a whole root set."""
+        """The structure of circle ``nodes``, or None: a node off its dyadic angle, shared angles, a partial block."""
         n = nodes.size
         s = (n - 1).bit_length()
         q = 1 << s
-        if not np.all(np.isfinite(nodes)):
-            return None
         m = np.rint(np.angle(nodes) * (q / (2.0 * np.pi))).astype(np.int64) % q
-        if not (np.all(np.abs(np.exp(1j * (2.0 * np.pi * m / q)) - nodes) <= _DYADIC_ULPS) and np.unique(m).size == n):
+        off = np.abs(np.exp(1j * (2.0 * np.pi * m / q)) - nodes) > _DYADIC_ULPS
+        if off.any() or np.bincount(m).max() > 1:
             return None
-        blocks, lo = [], 0
-        for p in binary_decompose(n):
-            ks = np.arange(lo, lo + (1 << p))
-            powers = (m[ks] << p) % q  # 2**p * m_k mod 2**s: one value per block
-            if np.any(powers != powers[0]):
-                return None
-            blocks.append((p, int(powers[0]), ks))
-            lo += 1 << p
-        return cls(s, m, blocks)
+        exps = binary_decompose(n)
+        sizes = [1 << p for p in exps]
+        powers = (m << np.repeat(exps, sizes)) % q  # 2**p * m_k mod 2**s: one value per block
+        firsts = np.cumsum([0, *sizes[:-1]])
+        if np.any(powers != np.repeat(powers[firsts], sizes)):
+            return None
+        return cls(s, m, [(p, int(powers[lo]), np.arange(lo, lo + size)) for p, lo, size in zip(exps, firsts, sizes)])
 
     def log_weights(self) -> np.ndarray:
         """log |w'(eta_k)| = log(2**p_i * prod_{j != i} |eta_k**(2**p_j) - c_j|) for eta_k in block i, O(N log N)."""
-        q = 1 << self.s
-        out = np.empty(self.m.size)
-        for p, _, ks in self.blocks:
-            out[ks] = p * math.log(2.0)
-            for pj, gj, others in self.blocks:
-                if others[0] != ks[0]:
-                    out[ks] += np.log(_twice_sines((self.m[ks] << pj) - gj, q))
+        p, g = (np.array([b[i] for b in self.blocks]) for i in (0, 1))
+        own = np.repeat(np.arange(p.size), [ks.size for *_, ks in self.blocks])  # each node's block
+        terms = np.log(_twice_sines((self.m << p[:, None]) - g[:, None], 1 << self.s))
+        terms[own, np.arange(own.size)] = 0.0  # a block's own nodes are the roots of its factor
+        out = p[own] * math.log(2.0)
+        for row in terms:  # in block order
+            out += row
         return out
 
     def classes(self, grid: int) -> int:
@@ -339,25 +328,20 @@ class _Flips:
     and their sums and serves the scans; the own one (:meth:`_own_tile`) gives
     one entry per point and serves the per-node refinement probes.
 
-    A tile gets its distances |b_j - eta_k| from one matmul of per-node
-    coefficients with the per-point planes of :meth:`_planes`.  The front end
-    is a property of the boundary: on the unit circle (``curve`` is
-    :func:`_unit_circle`), with every node within ``_UNIT_ULPS`` of modulus 1,
-    the polar form multiplies half-angle values taken from t_j and from the
-    square root of eta_k = e^{i phi_k}, and takes ``abs``:
+    A tile's distances |b_j - eta_k| are one matmul of per-node coefficients
+    with the per-point planes of :meth:`_planes`.  On the unit circle (``curve``
+    is :func:`_unit_circle`), with every node within ``_UNIT_ULPS`` of modulus 1,
+    the polar front end multiplies half-angle values of t_j and of sqrt(eta_k):
 
         |b_j - eta_k| = |2 sin(t_j/2) cos(phi_k/2) - 2 cos(t_j/2) sin(phi_k/2)|.
 
-    Any other boundary or node set takes coordinates: the coefficients
-    (1, -x_k), (1, -y_k) times the planes (x_j, 1), (y_j, 1) give x_j - x_k and
-    y_j - y_k from two exact products, rounded once as a subtraction is; they
-    are squared and added.  A point exactly equal to a node is a hit
-    (:meth:`_runs`); its column becomes the Kronecker column.  From the
-    distances on, everything is shared.  Run it under ``np.errstate(all="ignore")``.
-    On the polar front end, ``dyadic`` is the node set's :class:`_Dyadic`
-    structure, or None; with one, the log-weights come from the block formula,
-    else from the pairwise products.  A node set whose log-weights leave
-    (-280, 280), NaN nodes included, raises :class:`ValueError` when built.
+    Otherwise (1, -x_k), (1, -y_k) times (x_j, 1), (y_j, 1) give x_j - x_k and
+    y_j - y_k, rounded once as a subtraction is, to be squared and added.  A
+    point exactly equal to a node is a hit (:meth:`_runs`), whose column becomes
+    the Kronecker column.  Run it under ``np.errstate(all="ignore")``.  A polar
+    node set's :class:`_Dyadic` structure, or None, is ``dyadic``; with one,
+    the log-weights come from the block formula, else from pairwise products.
+    Log-weights outside (-280, 280), NaN nodes included, raise ValueError.
     """
 
     def __init__(self, nodes: np.ndarray, curve=_unit_circle):
@@ -366,11 +350,11 @@ class _Flips:
         self.order = np.argsort(nodes)
         self.sorted = nodes[self.order]
         self.node_set = frozenset(nodes.tolist())  # the hit lookup of a one-point probe, one hash away
-        self.coords = np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
         # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the unit circle
         half, mod = np.sqrt(nodes), np.abs(nodes)
         polar = curve is _unit_circle and mod.min() >= 1.0 - _UNIT_ULPS and mod.max() <= 1.0 + _UNIT_ULPS
         self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if polar else None
+        self.coords = None if polar else np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
         self.dyadic = _Dyadic.of(nodes) if polar else None
         with np.errstate(all="ignore"):  # infinite nodes give NaN weights, refused below
             log_w = _log_node_weights(nodes) if self.dyadic is None else self.dyadic.log_weights()
@@ -378,8 +362,7 @@ class _Flips:
             raise ValueError(f"node weights leave double range: log-weights {log_w.min():.4g}..{log_w.max():.4g}")
         self.inv_w = np.exp(-log_w)
         self.width = max(64, _TILE // n)
-        self._d = np.empty(3 * n * self.width)
-        self._views: dict[int, tuple] = {}
+        self._views, self._half, self._dist = {}, np.empty(2), np.empty(n)  # tile views, the polar probe's vectors
 
     def _planes(self, ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """(cos(t_j/2), sin(t_j/2)) as (2, size) on the polar front end, else (x_j, 1), (y_j, 1) as (2, 2, size)."""
@@ -392,15 +375,16 @@ class _Flips:
     def _front(self, planes: np.ndarray, hit_j: np.ndarray):
         """The front half of a tile at the points of ``planes`` (cols <= width), which both back halves share.
 
-        ``planes`` is a slice of :meth:`_planes`; the points in ``hit_j`` are
-        nodes.  Returns ``(dist, free, w)``: dist[k, j] is |b_j - eta_k|,
-        squared on coordinates, w[j] its product over the nodes, and ``free``
-        a spare plane of dist's shape.  A hit column has its distances and
-        its product set to 1.
+        ``planes`` is a slice of :meth:`_planes`; the points ``hit_j`` are nodes.
+        Returns ``(dist, free, w)``: dist[k, j] = |b_j - eta_k|, squared on
+        coordinates, w[j] its product over k (1 in a hit column, whose
+        distances are 1), and ``free`` a spare plane of dist's shape.
         """
         cols = planes.shape[-1]
         views = self._views.get(cols)
         if views is None:
+            if not self._views:  # the first tile makes the work planes every tile reuses
+                self._d = np.empty(3 * self.n * self.width)
             d = self._d[: 3 * self.n * cols].reshape(3, self.n, cols)
             views = self._views[cols] = (d[:2], d[0], d[1], d[2])
         d, dx, dy, dist = views
@@ -457,12 +441,11 @@ class _Flips:
         """``(hit_k, hit_j, runs)``: the exact hits curve(ts[hit_j]) == nodes[hit_k], in increasing j, and the runs.
 
         A run ``(start, planes, hit_k, hit_j)`` holds at most ``width`` points
-        from ``start`` on, their slice of :meth:`_planes` and their share of
-        the hits, with j counted from ``start``.  Planes and hits are found
-        once for all of ``ts``, the hits by one ``searchsorted`` of the points
-        in the sorted nodes, on every boundary.  No run after the first has
-        one point: numpy sends a one-column product to gemv, which may round
-        a polar entry unlike gemm.  So the result does not depend on the tile width.
+        from ``start`` on, their slice of :meth:`_planes` and their hits, j
+        counted from ``start``.  Hits are one ``searchsorted`` of all of ``ts``
+        in the sorted nodes.  No run after the first has one point, since numpy
+        sends a one-column product to gemv, which may round a polar entry unlike
+        gemm; so the result does not depend on the tile width.
         """
         ts = np.asarray(ts).reshape(-1)
         cuts = [*range(0, ts.size, self.width), ts.size]
@@ -492,9 +475,11 @@ class _Flips:
             return float(self.tile(self._planes(None, np.array([z], dtype=complex)), self.order[:0])[1][0])
         if not math.isfinite(t):  # math.cos refuses infinities; a NaN angle is refused below
             raise ValueError(_OUT_OF_RANGE)
-        dist = np.abs(self.polar @ (math.cos(0.5 * t), math.sin(0.5 * t)))
+        half, dist = self._half, self._dist
+        half[:] = math.cos(0.5 * t), math.sin(0.5 * t)
+        np.abs(self.polar.dot(half, out=dist), out=dist)
         w = np.multiply.reduce(dist)
-        total = float(self.inv_w @ (w / dist))
+        total = float(self.inv_w.dot(np.divide(w, dist, out=dist)))
         if not (w > 1e-280 and math.isfinite(total)):
             raise ValueError(_OUT_OF_RANGE)
         return total
@@ -504,11 +489,10 @@ def _scan(flips: _Flips, grid: int):
     """One pass of |l_k(flips.curve(t))| over the uniform grid t_j = 2*pi*j/grid.
 
     Returns per-node grid maxima with their parameters, and the grid maximum
-    of the Lebesgue function with its parameter.  Ties resolve toward
-    smaller parameters.  One chunk of whole runs is held at a time; each
-    tile updates the running node maxima, and their parameters and the
-    Lebesgue maximum are taken once per chunk.  So the chunk size changes no
-    result.
+    of the Lebesgue function with its parameter; ties go to smaller
+    parameters.  One chunk of whole runs is held at a time: each tile updates
+    the running node maxima, and their parameters and the Lebesgue maximum
+    are taken once per chunk, so the chunk size changes no result.
     """
     rows = np.arange(flips.n)
     node_max, node_arg = np.zeros(flips.n), np.zeros(flips.n)
@@ -546,50 +530,61 @@ def _floor_hits(node_max: np.ndarray, node_arg: np.ndarray, hit_k: np.ndarray, h
     node_arg[hit_k[first]] = hit_t[first]
 
 
+def _class_rows(grid: int, d_cls: int, classes: np.ndarray) -> np.ndarray:
+    """Row c: 1/(2|sin(pi*(i*D - r)/L)|), L = grid*D, r = classes[c], i = 0..grid-1 (0 at the hit i = r = 0),
+    then its first ``_SPAN`` entries again.  Folded into [0, L/2], i*D - r runs up the residue -r mod D and
+    down +r: sines of the folded half period that class D - r shares, so D classes take its L/2 + 1 once.
+    """
+    period, runs = grid * d_cls, {}
+    rows = np.empty((classes.size, grid + _SPAN))
+    for row, r in zip(rows, classes.tolist()):
+        for rho in {r, -r % d_cls} - runs.keys():  # 2 sin(pi*x/L), x = rho, rho + D, .. <= L/2
+            runs[rho] = 2.0 * np.sin((np.pi / period) * np.arange(rho, period // 2 + 1, d_cls))
+        down, up = runs[r], runs[-r % d_cls][r == 0 :]
+        row[0], row[1 : 1 + up.size], row[1 + up.size : grid] = down[0], up, down[grid - up.size - 1 : 0 : -1]
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, rows[:, :grid], out=rows[:, :grid])
+    rows[classes == 0, 0] = 0.0  # the hit: w is 0 there too, so the node's own entry is 0
+    rows[:, grid:] = rows[:, np.arange(_SPAN) % grid]
+    return rows
+
+
 def _dyadic_scan(flips: _Flips, grid: int):
     """:func:`_scan` on the unit circle for a node set with ``flips.dyadic``, from exact integer angles.
 
-    With D = flips.dyadic.classes(grid), A = grid*D/2**s and L = grid*D, grid
-    angle t_j and node angle phi_k differ by 2*pi*((j - n_k)*D - r_k)/L, where
-    A*m_k = n_k*D + r_k.  So |w(e^{it_j})| is a product of popcount(N) sines,
-    one per block, and the reciprocal distances of node k are the window
-    from (-n_k) mod grid of one doubled table of 1/(2|sin(pi*(i*D - r)/L)|)
-    per class r.  Both come from the same exact angles, so near a node w and
-    the distance cancel as they should.  The Lebesgue function is w times
-    sum_k inv_w[k] * window_k (:func:`_add_windows`), and the node maxima are
-    taken where they can lie (:func:`_window_maxima`).  A node with r_k = 0 is
-    hit at j = n_k, where w and its table entry are 0.  The results, the ties
-    and the refusals are :func:`_scan`'s.
+    With D = flips.dyadic.classes(grid), A = grid*D/2**s and L = grid*D, t_j and
+    phi_k differ by 2*pi*((j - n_k)*D - r_k)/L, where A*m_k = n_k*D + r_k.  So
+    |w(e^{it_j})| is popcount(N) sines, and node k's reciprocal distances, from
+    the same exact angles (near a node they cancel), are the window from
+    (-n_k) mod grid of class r_k's row (:func:`_class_rows`, in ascending groups
+    of classes that fit ``_TABLE``).  The Lebesgue function is w times
+    sum_k inv_w[k] * window_k (:func:`_add_windows`).  Hits are the nodes with
+    r_k = 0, at j = n_k.  Results, ties and refusals are :func:`_scan`'s.
     """
-    dy, n = flips.dyadic, flips.n
-    d_cls = dy.classes(grid)
+    dy, d_cls = flips.dyadic, flips.dyadic.classes(grid)
     a_num, period = grid * d_cls >> dy.s, grid * d_cls
     w = np.ones(grid)
     for p, g, _ in dy.blocks:  # z**(2**p) - c repeats every grid / gcd(grid, 2**p) angles
         cyc = grid // math.gcd(grid, 1 << p)
         w.reshape(-1, cyc)[...] *= _twice_sines(np.arange(cyc) * (d_cls << p) - g * a_num, period)
-    offset = a_num * dy.m
-    res, at = offset % d_cls, offset // d_cls
-    hit = np.flatnonzero(res == 0)
-    start = (-at) % grid
-    w_spans = np.zeros((-(-grid // _SPAN), _SPAN))
-    w_spans.flat[:grid] = w
-    sums, node_max, node_at = np.zeros(grid), np.zeros(n), np.zeros(n, np.intp)
-    table = np.empty(2 * grid + _SPAN)  # doubled, and padded for the last span of a window
+    at, res = np.divmod(a_num * dy.m, d_cls)
+    hit, start, classes = np.flatnonzero(res == 0), (-at) % grid, np.unique(res)
+    w_spans = np.pad(w, (0, -grid % _SPAN)).reshape(-1, _SPAN)
+    sums, doubled, node_max, node_at = np.zeros(grid), np.empty(2 * grid), np.empty(flips.n), np.empty(flips.n, np.intp)
+    per = max(1, _TABLE // (grid + _SPAN))
     with np.errstate(all="ignore"):
-        for r in np.unique(res):
-            np.divide(1.0, _twice_sines(np.arange(-r, period - r, d_cls), period), out=table[:grid])
-            if r == 0:
-                table[0] = 0.0  # the hit: w is 0 there too, so the node's own entry is 0
-            table[grid:] = np.resize(table[:grid], table.size - grid)
-            ks = np.flatnonzero(res == r)
-            best, node_at[ks] = _window_maxima(table, w_spans, grid, start[ks], at[ks])
+        for group in (classes[lo : lo + per] for lo in range(0, classes.size, per)):
+            rows = _class_rows(grid, d_cls, group)
+            ks = np.flatnonzero((res >= group[0]) & (res <= group[-1]))
+            best, node_at[ks] = _window_maxima(rows, w_spans, np.searchsorted(group, res[ks]), start[ks], at[ks])
             node_max[ks] = best * flips.inv_w[ks]
-            for _, _, block in dy.blocks:
-                ks = block[res[block] == r]
-                if ks.size:  # the nodes of one block in one class sit evenly around the circle
-                    ks = ks[np.argsort(start[ks])]
-                    _add_windows(sums, table, flips.inv_w[ks], start[ks])
+            for row, r in zip(rows, group):
+                doubled[:grid] = doubled[grid:] = row[:grid]
+                for _, _, block in dy.blocks:
+                    ks = block[res[block] == r]
+                    if ks.size:  # the nodes of one block in one class sit evenly around the circle
+                        ks = ks[np.argsort(start[ks])]
+                        _add_windows(sums, doubled, flips.inv_w[ks], start[ks])
         leb = np.multiply(w, sums, out=sums)
     w[at[hit]] = np.inf  # the hit columns, where the tile takes the product of the other distances
     if not (w.min() > 1e-280 and math.isfinite(leb.sum())):
@@ -601,55 +596,62 @@ def _dyadic_scan(flips: _Flips, grid: int):
     return node_max, node_arg, float(leb[i]), 2.0 * np.pi * i / grid
 
 
-def _window_maxima(table: np.ndarray, w_spans: np.ndarray, grid: int, start: np.ndarray, at: np.ndarray):
-    """max_j w[j] * table[start[i] + j] per row i, with the first j attaining it; w_spans holds w by span, 0-padded.
+def _window_maxima(rows: np.ndarray, w_spans: np.ndarray, row_of: np.ndarray, start: np.ndarray, at: np.ndarray):
+    """max_j w[j] * row[(start[i] + j) % grid] per node i, row = rows[row_of[i]], with the first j attaining it.
 
-    Row i peaks at its node, at grid point at[i] or between it and the next:
-    its table entry at grid distance d from the node is 1/(2 sin(pi*d/grid)),
-    at most 1/(2x - x**3/3) with x = pi*d/grid.  A span of ``_SPAN`` points
-    k spans from the node's own lies d >= (k - 1)*_SPAN away, or (k - 2)*_SPAN
-    when the last span is short.  A span whose largest w times that bound is
-    below the row's value at the four grid points around its node cannot hold
-    the maximum, so only the other spans are evaluated, with the products a
-    full pass would take.
+    w_spans holds w by span, 0-padded.  Node i peaks at grid point at[i] or the
+    next; at grid distance d its entry is 1/(2 sin(pi*d/grid)) <= 1/(2x - x**3/3),
+    x = pi*d/grid, and a span k spans from the node's own lies d >= (k - 1)*_SPAN
+    away, or (k - 2)*_SPAN when the last span is short.  A span whose largest w
+    times that bound is below the node's value at the four grid points around
+    it cannot hold the maximum; the others are evaluated, with a full pass's
+    products.  The bounds hold for every class, so one pass takes all nodes,
+    each testing only the spans near enough for the largest w to pass.
     """
-    spans = w_spans.shape[0]
+    grid, spans = rows.shape[1] - _SPAN, w_spans.shape[0]
     w_top = w_spans.max(axis=1) * (1.0 + 1e-9)  # the margin covers the rounding of the bound
-    k = np.arange(spans)
-    x = (np.pi * _SPAN / grid) * np.maximum(0, np.minimum(k, spans - k) - 1 - (grid % _SPAN > 0))
-    reach = sliding_window_view(np.tile(2.0 * x - x * x * x / 3.0, 2), spans)  # row s: by span offset from s
-    windows = sliding_window_view(table, _SPAN)
-    w = w_spans.reshape(-1)
+    x = (np.pi * _SPAN / grid) * np.maximum(0, np.arange(spans // 2 + 1) - 1 - (grid % _SPAN > 0))
+    reach = 2.0 * x - x * x * x / 3.0  # by span distance from the node's own
+    flat, w = rows.reshape(-1), w_spans.reshape(-1)
+    windows = np.ndarray((flat.size - _SPAN + 1, _SPAN), flat.dtype, flat, strides=flat.strides * 2)
+    base, own, near = row_of * rows.shape[1], at // _SPAN, at[:, None] + np.arange(-1, 3)
+    floor = (w[near % grid] * flat[base[:, None] + (start[:, None] + near) % grid]).max(axis=1)
+    radius = np.searchsorted(np.minimum.accumulate(reach[::-1])[::-1], w_top.max() * (1.0 + 1e-9) / floor, "right")
+    count = np.minimum(2 * radius - 1, spans)  # the spans a node tests, centred on its own
+    first = np.cumsum(count) - count  # where each node's spans begin among all nodes'
+    edges = [0, *(np.flatnonzero(np.diff(first // (_TILE >> 3))) + 1), start.size]  # ~2**13 bounds a block
     best, best_at = np.empty(start.size), np.empty(start.size, np.intp)
-    rows = max(1, (_TILE >> 3) // spans)  # about 2**13 bounds per block of rows
-    for a in range(0, start.size, rows):
-        st, near = start[a : a + rows], at[a : a + rows, None] + np.arange(-1, 3)
-        floor = (w[near % grid] * table[st[:, None] + near % grid]).max(axis=1)
-        i, c = np.nonzero(w_top >= floor[:, None] * reach[spans - at[a : a + rows] // _SPAN])  # by row, then span
-        vals = windows[st[i] + c * _SPAN] * w_spans[c]
-        top, arg = vals.max(axis=1), vals.argmax(axis=1)
-        row_top = np.maximum.reduceat(top, np.flatnonzero(np.diff(i, prepend=-1)))
-        win = np.flatnonzero(top == row_top[i])  # the spans attaining their row's maximum
-        win = win[np.flatnonzero(np.diff(i[win], prepend=-1))]  # the first of them per row
-        best[a : a + rows], best_at[a : a + rows] = row_top, c[win] * _SPAN + arg[win]
+    for a, b in zip(edges, edges[1:]):
+        i = np.repeat(np.arange(a, b), count[a:b])
+        k = np.arange(first[a], first[a] + i.size) - np.repeat(first[a:b] + radius[a:b] - 1, count[a:b])
+        c = (own[i] + k) % spans
+        keep = w_top[c] >= floor[i] * reach[np.abs(k)]  # by node, then span
+        i, c = i[keep], c[keep]
+        vals = windows[base[i] + (start[i] + c * _SPAN) % grid]
+        vals *= w_spans[c]
+        arg = vals.argmax(axis=1)
+        top, pos = vals[np.arange(arg.size), arg], arg + c * _SPAN
+        cuts = np.searchsorted(i, np.arange(a, b))  # every node keeps its own span
+        best[a:b] = np.maximum.reduceat(top, cuts)
+        pos[top < best[i]] = grid  # only spans at their node's maximum compete for the first point
+        best_at[a:b] = np.minimum.reduceat(pos, cuts)
     return best, best_at
 
 
 def _add_windows(sums: np.ndarray, table: np.ndarray, weights: np.ndarray, start: np.ndarray):
     """sums[j] += sum_u weights[u] * table[start[u] + j], for starts start[0] + u*step with step*len(start) = sums.size.
 
-    With j = a*step + b the sum is sum_u weights[u] * rows[u + a, b] for the
-    rows of ``step`` table entries from start[0]: a banded matrix times those
-    rows, one gemm per block of a.
+    With j = a*step + b the sum is sum_u weights[u] * rows[u + a, b] for the rows of ``step``
+    table entries from start[0]: a banded matrix times those rows, one gemm per block of a.
     """
     count = weights.size
     step = sums.size // count
     assert np.array_equal(start, start[0] + step * np.arange(count))
     rows = table[start[0] : start[0] + (2 * count - 1) * step].reshape(2 * count - 1, step)
     height = min(count, 64)
-    band = np.zeros(2 * height + count - 2)  # band[i, i + u] = weights[u]
-    band[height - 1 : height - 1 + count] = weights
-    band = np.ascontiguousarray(sliding_window_view(band, height + count - 1)[height - 1 :: -1])
+    band = np.zeros((height, height + count))
+    band[:, :count] = weights
+    band = band.reshape(-1)[: height * (height + count - 1)].reshape(height, -1)  # band[i, i + u] = weights[u]
     out = sums.reshape(count, step)
     for a in range(0, count, height):
         h = min(height, count - a)
@@ -669,12 +671,11 @@ def _boundary_stats(
 ) -> tuple[np.ndarray, np.ndarray, LebesgueReport]:
     """Per-node sups with their parameters and the Lebesgue constant on curve(t), from one shared scan.
 
-    ``node_ts`` holds the nodes' own parameters, curve(node_ts) == nodes.  In
-    order: one grid scan; golden refinement in t, around the grid argmax, of
-    the nodes with 0-based indices ``ks``; golden refinement of the Lebesgue
-    maximum; then the floor of each node at its value 1 at its own parameter
-    ``node_ts[k]``.  Returns ``(node_max, node_arg, report)``.  Refuses grids
-    and refine counts that skip checking.
+    ``node_ts`` are the nodes' own parameters, curve(node_ts) == nodes.  In
+    order: one grid scan; golden refinement in t around the grid argmax of the
+    nodes ``ks`` (0-based), then of the Lebesgue maximum; then each node's
+    floor, 1 at ``node_ts[k]``.  Returns ``(node_max, node_arg, report)``.
+    Refuses grids and refine counts that skip checking.
     """
     n_points = nodes.size
     if refine_iters < 0:
@@ -711,10 +712,7 @@ def sup_norm_on_circle(points, k: int, coarse_grid: int | None = None, refine_it
 
 
 def circle_flip_stats(
-    points,
-    coarse_grid: int | None = None,
-    refine_iters: int = 40,
-    per_node_refine: bool = False,
+    points, coarse_grid: int | None = None, refine_iters: int = 40, per_node_refine: bool = False
 ) -> tuple[np.ndarray, LebesgueReport]:
     """Per-node sup estimates and the Lebesgue constant from a shared scan.
 

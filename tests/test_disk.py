@@ -45,7 +45,8 @@ class TestCanonical:
 
     @pytest.mark.parametrize("origin", [1.0, np.exp(0.3j)])
     def test_every_prefix_is_the_shorter_section_bit_for_bit(self, origin):
-        # `bounds --max-n` builds one section and scans its prefixes
+        # a Leja sequence: each section of length n is the first n points of every longer one, to the bit,
+        # so a sweep over N may take prefixes of one section (`bounds --max-n` builds one per N)
         long = canonical_disk_leja(300, origin).points
         for n in range(1, 301):
             assert long[:n].tobytes() == canonical_disk_leja(n, origin).points.tobytes()

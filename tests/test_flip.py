@@ -1041,6 +1041,33 @@ def _mp_moduli(nodes, t, ks):
         return out
 
 
+_TABLE_DEFAULT_GRIDS = [(n, default_grid(n)) for n in range(32, 601)]
+# the grids of TestDyadicScan.test_agrees_on_custom_grids: D = 4, 2, 4, 4, 4, 256 and 256, odd and prime ones included
+_TABLE_CUSTOM_GRIDS = [
+    (200, 17 * 64), (300, 17 * 256), (128, 17 * 32), (120, 17 * 32), (64, 17 * 16), (255, 1001), (255, 1009)
+]
+
+
+def _class_row_mismatches(cases):
+    """The (n, grid, class) whose row of :func:`_class_rows`, for all classes at once, is not
+    1/(2|sin(pi*(i*D - r)/L)|) for i = 0..grid-1 bit for bit, entry 0 of class 0 set to 0, then its
+    first _SPAN entries again."""
+    span, bad = flip_module._SPAN, []
+    for n, grid in cases:
+        d_cls = flip_module._Dyadic.of(canonical_disk_leja(n).points).classes(grid)
+        period = grid * d_cls
+        rows = flip_module._class_rows(grid, d_cls, np.arange(d_cls))
+        assert rows.shape == (d_cls, grid + span)
+        for r, row in enumerate(rows):
+            with np.errstate(divide="ignore"):
+                want = np.divide(1.0, flip_module._twice_sines(np.arange(-r, period - r, d_cls), period))
+            if r == 0:
+                want[0] = 0.0
+            if not (np.array_equal(row[:grid], want) and np.array_equal(row[grid:], np.resize(want, span))):
+                bad.append((n, grid, r))
+    return bad
+
+
 class TestDyadicScan:
     """Sections at exact dyadic angles whose binary blocks are whole root sets scan node-major from integer angles."""
 
@@ -1168,13 +1195,15 @@ class TestDyadicScan:
 
     @pytest.mark.parametrize("span", [3, 64, 5000])  # 5000: one short span on most grids
     def test_node_maxima_skip_only_spans_that_cannot_hold_them(self, span, monkeypatch):
-        # every row's maximum and its first column are those of a full pass over the grid,
-        # also where the grid is no multiple of the span (a short last span)
+        # one pass per scan takes every node, and each node's maximum and its first grid point are
+        # those of a full pass over the grid on its own class row, also where the grid is no multiple
+        # of the span (a short last span)
         real, checked = flip_module._window_maxima, []
 
-        def full_pass(table, w_spans, grid, start, at):
-            got = real(table, w_spans, grid, start, at)
-            vals = w_spans.reshape(-1)[:grid] * table[start[:, None] + np.arange(grid)]
+        def full_pass(rows, w_spans, row_of, start, at):
+            got = real(rows, w_spans, row_of, start, at)
+            grid = rows.shape[1] - span
+            vals = w_spans.reshape(-1)[:grid] * rows[row_of[:, None], (start[:, None] + np.arange(grid)) % grid]
             checked.append(np.array_equal(got[0], vals.max(axis=1)) and np.array_equal(got[1], vals.argmax(axis=1)))
             return got
 
@@ -1182,7 +1211,37 @@ class TestDyadicScan:
         monkeypatch.setattr(flip_module, "_window_maxima", full_pass)
         cases = [(n, default_grid(n)) for n in (1, 2, 3, 16, 100, 255, 256)]
         cases += [(200, 17 * 64), (60, 17 * 16), (255, 1001)]
+        passes = 0
         for n, grid in cases:
-            nodes = canonical_disk_leja(n).points
-            flip_module._dyadic_scan(_Flips(nodes), grid)
-        assert len(checked) >= len(cases) and all(checked)
+            flips = _Flips(canonical_disk_leja(n).points)
+            flip_module._dyadic_scan(flips, grid)
+            dy, d_cls = flips.dyadic, flips.dyadic.classes(grid)
+            classes = np.unique((grid * d_cls >> dy.s) * dy.m % d_cls).size
+            passes += -(-classes // max(1, flip_module._TABLE // (grid + span)))  # one per group of classes
+        assert len(checked) == passes and all(checked)
+
+    @pytest.mark.parametrize("cases", [_TABLE_DEFAULT_GRIDS, _TABLE_CUSTOM_GRIDS], ids=["default", "custom"])
+    def test_class_rows_are_the_per_class_sines_bit_for_bit(self, cases):
+        assert _class_row_mismatches(cases) == []
+
+    def test_planted_off_by_one_class_rows_fail(self, monkeypatch):
+        real = flip_module._class_rows
+
+        def rolled(grid, d_cls, classes):  # every row read one entry late
+            return np.roll(real(grid, d_cls, classes), -1, axis=1)
+
+        def mirrored(grid, d_cls, classes):  # class r given the row of its mirror D - r
+            return real(grid, d_cls, -classes % d_cls)
+
+        for planted in (rolled, mirrored):
+            monkeypatch.setattr(flip_module, "_class_rows", planted)
+            assert _class_row_mismatches(_TABLE_CUSTOM_GRIDS), planted.__name__
+
+    @pytest.mark.parametrize("n, grid", [(255, 1001), (200, 17 * 64), (1001, default_grid(1001))])
+    def test_class_groups_change_no_bit(self, n, grid, monkeypatch):
+        # classes taken one group at a time give the scan of all classes at once, to the bit
+        flips = _Flips(canonical_disk_leja(n).points)
+        whole = flip_module._dyadic_scan(flips, grid)
+        monkeypatch.setattr(flip_module, "_TABLE", grid + flip_module._SPAN)  # one class per group
+        for got, want in zip(flip_module._dyadic_scan(flips, grid), whole):
+            assert np.array_equal(got, want)
