@@ -40,8 +40,6 @@ from .transport import (
     compact_flip_stats,
     ellipse_exterior_map,
     estimate_alper_constant,
-    flip_sup_on_compact,
-    lebesgue_on_compact,
     transport_sequence,
 )
 from .bivariate import (

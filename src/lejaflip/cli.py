@@ -220,6 +220,8 @@ def _cmd_bivariate(args) -> int:
             print(f"fitted log-log slope: {slope:.4f}", file=sys.stderr)
     else:  # decay
         n_values = args.n_range or list(range(2, 13))
+        if min(n_values) < 2:
+            raise ValueError("--decay needs n >= 2: the decay table starts at n = 2")
         table = bv.jackson_decay_experiment(lambda z, w: np.exp(z + w), max(n_values), grid=args.grid)
         failed = not all(e1 < e0 for (_, _, e0), (_, _, e1) in zip(table, table[1:]))  # the whole table, n = 2..max
         rows = [{"n": n, "N": size, "sup_error": err} for n, size, err in table if n in set(n_values)]

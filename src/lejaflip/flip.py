@@ -658,14 +658,6 @@ def _add_windows(sums: np.ndarray, table: np.ndarray, weights: np.ndarray, start
         out[a : a + h] += band[:h, : h + count - 1] @ rows[a : a + h + count - 1]
 
 
-def _boundary_sup(nodes, curve, node_ts, k: int, grid: int | None, refine_iters: int) -> SupNormEstimate:
-    """Sup of |l_k(curve(t))|: :func:`_boundary_stats` with only node k refined."""
-    if not 1 <= k <= nodes.size:
-        raise ValueError(f"k must be in 1..{nodes.size}, got {k}")
-    node_max, node_arg, _ = _boundary_stats(nodes, curve, node_ts, grid, refine_iters, np.array([k - 1]))
-    return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])))
-
-
 def _boundary_stats(
     nodes, curve, node_ts, grid: int | None, refine_iters: int, ks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, LebesgueReport]:
@@ -708,7 +700,11 @@ def sup_norm_on_circle(points, k: int, coarse_grid: int | None = None, refine_it
     the estimate is a true lower bound of the sup and never drops below 1.
     """
     nodes = _as_nodes(points)
-    return _boundary_sup(nodes, _unit_circle, np.angle(nodes), k, coarse_grid, refine_iters)
+    if not 1 <= k <= nodes.size:
+        raise ValueError(f"k must be in 1..{nodes.size}, got {k}")
+    ks = np.array([k - 1])
+    node_max, node_arg, _ = _boundary_stats(nodes, _unit_circle, np.angle(nodes), coarse_grid, refine_iters, ks)
+    return SupNormEstimate(float(node_max[k - 1]), wrap_angle(float(node_arg[k - 1])))
 
 
 def circle_flip_stats(

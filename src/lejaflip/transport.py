@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import UNIT_DISK, BoundarySamples, LejaSection
-from .flip import LebesgueReport, SupNormEstimate, _boundary_stats, _boundary_sup
+from .flip import LebesgueReport, _boundary_stats
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,6 @@ def _scaled_boundary(ts: TransportedSection):
     return mp(ts.source.points), mp.on_circle, np.angle(ts.source.points)
 
 
-def flip_sup_on_compact(
-    ts: TransportedSection,
-    p: int,
-    boundary_grid: int | None = None,
-    refine_iters: int = 40,
-) -> SupNormEstimate:
-    """Sup of the transported FLIP modulus over the image boundary.
-
-    The scan runs over Phi(uniform circle grid) with golden refinement in the
-    circle parameter; the node's own parameter is always a candidate.
-    """
-    return _boundary_sup(*_scaled_boundary(ts), p, boundary_grid, refine_iters)
-
-
 def compact_flip_stats(
     ts: TransportedSection,
     boundary_grid: int | None = None,
@@ -150,21 +136,6 @@ def compact_flip_stats(
     return node_max, report
 
 
-def lebesgue_on_compact(
-    ts: TransportedSection, boundary_grid: int | None = None, refine_iters: int = 40
-) -> LebesgueReport:
-    _, report = compact_flip_stats(ts, boundary_grid, refine_iters)
-    return report
-
-
-def _c_prod(a: np.ndarray, b: complex) -> np.ndarray:
-    """a * b with each part rounded as in a complex scalar product; numpy's array multiply can round otherwise."""
-    out = np.empty(a.shape, complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def estimate_alper_constant(mp: ExteriorMap, w_grid: int = 512, t_grid: int = 512) -> float:
     """sup over |w|=1 of the integral of |Phi'(e^it)/(Phi(e^it)-Phi(w)) - 1/(e^it - w)| dt.
 
@@ -173,8 +144,8 @@ def estimate_alper_constant(mp: ExteriorMap, w_grid: int = 512, t_grid: int = 51
     estimated from second-order central differences of Phi along the circle,
     which keeps trapezoid order for the one substituted node.  A does not
     change under Phi -> s*Phi, so it is computed on the capacity-scaled map.
-    The w angles are taken in blocks of 2**12 integrand entries (64 KB); each value
-    has the operations, in the order, of a loop over single angles.
+    The w angles are taken in blocks of 2**12 integrand entries (64 KB), so a
+    2048 x 2048 grid never holds its 64 MB integrand at once.
     """
     if w_grid < 256 or t_grid < 256:
         raise ValueError("grids must be at least 256")
@@ -184,26 +155,19 @@ def estimate_alper_constant(mp: ExteriorMap, w_grid: int = 512, t_grid: int = 51
     phi_t = mp(zt)
     dphi_t = mp.derivative(zt)
     h = 2.0 * np.pi / t_grid
-    best = 0.0
     rows = max(1, (1 << 12) // t_grid)
+    integrals = np.empty(w_grid)
     for lo in range(0, w_grid, rows):
         w = np.exp(1j * (2.0 * np.pi * np.arange(lo, min(lo + rows, w_grid)) / w_grid))
-        phi_w, phi_p, phi_m = mp(w), mp(_c_prod(w, np.exp(1j * h))), mp(_c_prod(w, np.exp(-1j * h)))
+        phi_w, phi_p, phi_m = mp(w), mp(w * np.exp(1j * h)), mp(w * np.exp(-1j * h))
         with np.errstate(divide="ignore", invalid="ignore"):
             quot = np.subtract(phi_t, phi_w[:, None])
             np.divide(dphi_t, quot, out=quot)
             diff = zt - w[:, None]
             nearest = np.abs(diff).argmin(axis=1)
             integrand = np.abs(np.subtract(quot, np.divide(1.0, diff, out=diff), out=quot))
-        # the substituted node, one angle at a time in Python complex arithmetic
-        angles = zip(nearest, w.tolist(), phi_w.tolist(), phi_p.tolist(), phi_m.tolist())
-        for row, (i, z, pz, pp, pm) in enumerate(angles):
-            d1 = (pp - pm) / (2.0 * h)
-            d2 = (pp - 2.0 * pz + pm) / h**2
-            phi1 = d1 / (1j * z)
-            phi2 = (d2 + z * phi1) / (1j * z) ** 2
-            integrand[row, i] = abs(phi2 / (2.0 * phi1))
-        for value in (np.sum(integrand, axis=1) * h).tolist():
-            if value > best:
-                best = value
-    return best
+            phi1 = (phi_p - phi_m) / (2.0 * h) / (1j * w)
+            phi2 = ((phi_p - 2.0 * phi_w + phi_m) / h**2 + w * phi1) / (1j * w) ** 2
+            integrand[np.arange(w.size), nearest] = np.abs(phi2 / (2.0 * phi1))
+        integrals[lo : lo + w.size] = np.sum(integrand, axis=1) * h
+    return float(np.max(integrals))

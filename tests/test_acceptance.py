@@ -20,13 +20,13 @@ from lejaflip import (
     check_product_formula,
     chord_ratio,
     circle_flip_stats,
+    compact_flip_stats,
     ellipse_exterior_map,
     estimate_alper_constant,
     flip_direct,
     flip_structured_abs,
     interpolate,
     lebesgue_constant,
-    lebesgue_on_compact,
     lex_to_pair,
     omega0_of_section,
     special_n_statistics,
@@ -251,13 +251,13 @@ def test_c13_transport_degenerations():
     identity = ellipse_exterior_map(1.0, 1.0)
     section = canonical_disk_leja(24)
     ts = transport_sequence(identity, section)
-    leb_compact = lebesgue_on_compact(ts)
+    _, leb_compact = compact_flip_stats(ts)
     leb_circle = lebesgue_constant(section)
     assert leb_compact.constant == pytest.approx(leb_circle.constant, abs=1e-9)
     assert np.max(np.abs(leb_compact.per_node_sup - leb_circle.per_node_sup)) <= 1e-9
     for p in (1, 7, 24):
         one = sup_norm_on_circle(section, p).value
-        assert abs(lebesgue_on_compact(ts).per_node_sup[p - 1] - one) <= 1e-9
+        assert abs(leb_compact.per_node_sup[p - 1] - one) <= 1e-9
     alper_circle = estimate_alper_constant(identity, 256, 256)
     assert abs(alper_circle) <= 1e-6
     a, b = 1.2, 0.8

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -291,6 +292,16 @@ class TestBivariateCommand:
         assert code == 0
         assert [int(r["n"]) for r in csv.DictReader(out.splitlines())] == [1, 2]
 
+    def test_decay_refuses_n_below_two(self, capsys):
+        # the decay table starts at n = 2: rows asked for below it were dropped and the run passed
+        for n_range in ("0..3", "1", "-1..2"):
+            code, out, err = run(capsys, "bivariate", "--decay", f"--n={n_range}", "--grid", "24")
+            assert code == 1 and out == "", n_range
+            assert "n >= 2" in err
+        code, out, _ = run(capsys, "bivariate", "--decay", "--n", "2..3", "--grid", "24")
+        assert code == 0
+        assert [int(r["n"]) for r in csv.DictReader(out.splitlines())] == [2, 3]
+
     def test_decay(self, capsys):
         code, out, _ = run(capsys, "bivariate", "--decay", "--n", "2..6", "--grid", "24")
         assert code == 0
@@ -408,10 +419,16 @@ _SMALL = st.integers(min_value=-2, max_value=8)
     grid=st.integers(min_value=-2, max_value=64),
     points=st.integers(min_value=-2, max_value=4),
 )
+@example(mode="--decay", n_max=4, n_range="0..3", grid=24, points=2)
 def test_bivariate_fuzz_exits_with_a_code(mode, n_max, n_range, grid, points):
-    argv = ["bivariate", *([mode] if mode else []), "--n-max", str(n_max), "--n", n_range]
-    argv += ["--grid", str(grid), "--points", str(points), "-o", os.devnull]
-    assert main(argv) in (0, 1, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "rows.json")
+        argv = ["bivariate", *([mode] if mode else []), "--n-max", str(n_max), "--n", n_range]
+        code = main(argv + ["--grid", str(grid), "--points", str(points), "--format", "json", "-o", out])
+        assert code in (0, 1, 2)
+        if code != 1 and mode in ("--lebesgue", "--decay"):  # one row for each requested n, no more
+            with open(out) as f:
+                assert [r["n"] for r in json.load(f)] == cli._parse_range(n_range)
 
 
 class TestTransportCommand:

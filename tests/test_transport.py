@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import mpmath
@@ -13,10 +14,8 @@ from lejaflip import (
     compact_flip_stats,
     ellipse_exterior_map,
     estimate_alper_constant,
-    flip_sup_on_compact,
     greedy_leja,
     lebesgue_constant,
-    lebesgue_on_compact,
     sup_norm_on_circle,
     transport_sequence,
 )
@@ -35,6 +34,29 @@ def alper_closed_form(a, b):
         return 0.0
     m = 4 * c1 * c2 / (c1 + c2) ** 2
     return float(4 * c2 / (c1 + c2) * ellipk(m))
+
+
+def alper_by_angle(mp, w_grid, t_grid):
+    """estimate_alper_constant one w angle at a time, the substituted node in Python complex arithmetic."""
+    mp = _capacity_scaled(mp)
+    zt = np.exp(1j * (2.0 * np.pi * np.arange(t_grid) / t_grid))
+    phi_t, dphi_t = mp(zt), mp.derivative(zt)
+    h = 2.0 * np.pi / t_grid
+    best = 0.0
+    for j in range(w_grid):
+        z = cmath.exp(1j * (2.0 * np.pi * j / w_grid))
+        pz, pp, pm = mp(z), mp(z * cmath.exp(1j * h)), mp(z * cmath.exp(-1j * h))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.abs(dphi_t / (phi_t - pz) - 1.0 / (zt - z))
+        d1 = (pp - pm) / (2.0 * h)
+        d2 = (pp - 2.0 * pz + pm) / h**2
+        phi1 = d1 / (1j * z)
+        phi2 = (d2 + z * phi1) / (1j * z) ** 2
+        integrand[np.abs(zt - z).argmin()] = abs(phi2 / (2.0 * phi1))
+        value = float(np.sum(integrand)) * h
+        if value > best:
+            best = value
+    return best
 
 
 class TestEllipseMap:
@@ -96,29 +118,29 @@ class TestSupOnCompact:
     def test_identity_matches_circle(self):
         section = canonical_disk_leja(12)
         ts = transport_sequence(ellipse_exterior_map(1.0, 1.0), section)
+        sups, _ = compact_flip_stats(ts)
         for p in (1, 5, 12):
-            compact = flip_sup_on_compact(ts, p)
             circle = sup_norm_on_circle(section, p)
-            assert compact.value == pytest.approx(circle.value, abs=1e-9)
+            assert sups[p - 1] == pytest.approx(circle.value, abs=1e-9)
 
     def test_identity_roots_of_unity(self):
         ts = transport_sequence(ellipse_exterior_map(1.0, 1.0), canonical_disk_leja(16))
+        sups, _ = compact_flip_stats(ts)
         for p in (1, 9):
-            assert flip_sup_on_compact(ts, p).value == pytest.approx(1.0, abs=1e-9)
+            assert sups[p - 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_refuses_vacuous_scans(self):
         ts = transport_sequence(ellipse_exterior_map(1.2, 0.8), canonical_disk_leja(8))
         # 8 nodes: degree 7 needs more than 7 pi angles
         for kwargs in ({"boundary_grid": 0}, {"boundary_grid": -1}, {"boundary_grid": 21}, {"refine_iters": -1}):
             with pytest.raises(ValueError):
-                flip_sup_on_compact(ts, 1, **kwargs)
-            with pytest.raises(ValueError):
                 compact_flip_stats(ts, **kwargs)
 
     def test_own_node_floor(self):
         ts = transport_sequence(ellipse_exterior_map(1.3, 0.7), canonical_disk_leja(9))
+        sups, _ = compact_flip_stats(ts)
         for p in (1, 4, 9):
-            assert flip_sup_on_compact(ts, p).value >= 1.0
+            assert sups[p - 1] >= 1.0
 
     def test_growth_slope_below_one(self):
         mp = ellipse_exterior_map(1.2, 0.8)
@@ -176,7 +198,7 @@ class TestCapacityScaling:
     def test_thin_ellipse_lebesgue_matches_mpmath(self):
         mp = ellipse_exterior_map(30.0, 1.0)
         ts = transport_sequence(mp, canonical_disk_leja(64))
-        report = lebesgue_on_compact(ts)
+        _, report = compact_flip_stats(ts)
         z = mp.on_circle(report.argmax_angle)
         with mpmath.workdps(40):
             nodes = [mpmath.mpc(c.real, c.imag) for c in ts.images]
@@ -191,20 +213,20 @@ class TestLebesgueOnCompact:
     def test_identity_matches_circle(self):
         section = canonical_disk_leja(9)
         ts = transport_sequence(ellipse_exterior_map(1.0, 1.0), section)
-        compact = lebesgue_on_compact(ts)
+        _, compact = compact_flip_stats(ts)
         circle = lebesgue_constant(section)
         assert compact.constant == pytest.approx(circle.constant, abs=1e-9)
 
     def test_single_node(self):
         ts = transport_sequence(ellipse_exterior_map(1.2, 0.8), canonical_disk_leja(1))
-        assert lebesgue_on_compact(ts).constant == 1.0
+        assert compact_flip_stats(ts)[1].constant == 1.0
 
     def test_increasing_in_n(self):
         mp = ellipse_exterior_map(1.2, 0.8)
         values = []
         for p in (3, 4, 5, 6):
             ts = transport_sequence(mp, canonical_disk_leja(2**p - 1))
-            values.append(lebesgue_on_compact(ts, refine_iters=10).constant)
+            values.append(compact_flip_stats(ts, refine_iters=10)[1].constant)
         assert np.all(np.isfinite(values))
         assert all(v1 > v0 for v0, v1 in zip(values, values[1:]))
 
@@ -231,6 +253,13 @@ class TestAlperConstant:
         mild = estimate_alper_constant(ellipse_exterior_map(1.2, 0.8), 256, 256)
         strong = estimate_alper_constant(ellipse_exterior_map(2.0, 1.0), 256, 256)
         assert 0.0 < mild < strong
+
+    @pytest.mark.parametrize("a, b", [(1.2, 0.8), (30.0, 1.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("w_grid, t_grid", [(300, 256), (1024, 1024)])  # a short last block; 4-row blocks
+    def test_blocks_match_a_loop_over_single_angles(self, a, b, w_grid, t_grid):
+        mp = ellipse_exterior_map(a, b)
+        want = alper_by_angle(mp, w_grid, t_grid)
+        assert estimate_alper_constant(mp, w_grid, t_grid) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
