@@ -23,12 +23,9 @@ from .flip import (
     LebesgueReport,
     SpecialNStats,
     SupNormEstimate,
-    allones_block_flip_abs,
     circle_flip_stats,
     flip_direct,
-    flip_structured_abs,
     lebesgue_constant,
-    roots_of_unity_flip_abs,
     special_n_statistics,
     sup_norm_on_circle,
 )

@@ -155,10 +155,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_bivariate(args) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be positive")
-    rng = np.random.default_rng(args.seed)
     mode = args.mode or "delta"
+    if mode not in ("lebesgue", "decay"):  # the modes that read --n-max, and not --n
+        if args.n_range is not None:
+            raise ValueError(f"--n is read by --lebesgue and --decay only, not by --{mode}")
+        if args.n_max < 1:
+            raise ValueError("--n-max must be positive")
+    rng = np.random.default_rng(args.seed)
     rows: list[dict] = []
     failed = False
     max_n_nodes = args.n_max

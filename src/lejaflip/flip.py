@@ -1,25 +1,18 @@
 """Fundamental Lagrange interpolation polynomials (FLIPs) of disk Leja sections.
 
-Direct evaluation works for any pairwise-distinct node set.  For unit-disk
-Leja sections whose length is not a power of two, the modulus also factors
-over the binary blocks of the section,
-
-    |l_k(z)| = (1/2**p1) |z**2**p1 - 1| / |z - z_k|
-               * prod_q |z**2**pq + w0**2**pq| / |z_k**2**pq + w0**2**pq|,
-
-with w0 the root of -1 attached to the section.  Sup norms are estimated on
-the unit circle only (the maximum modulus principle makes that exact) by a
-uniform angle scan followed by golden-section refinement.
+Direct evaluation works for any pairwise-distinct node set.  Sup norms are
+estimated on the unit circle only (the maximum modulus principle makes that
+exact) by a uniform angle scan followed by golden-section refinement.
 
 One scan engine serves every boundary curve t -> z(t): exp(it) here and
 Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the grid in node-major
 tiles sized for the L2 cache, in chunks of about 2**13 points, keeping only
 per-node maxima and the Lebesgue maximum (a 64-node circle scan's traced peak
 is 0.75 MB at 2**14 angles and at 2**18), and finds node hits by one
-searchsorted.  The probes run on the same tile kernel, so one linear-domain
-formula gives every |l_k| on a boundary; input outside its double range,
-non-finite input included, raises ValueError.  Grids of at most pi*(N-1)
-angles are refused.
+searchsorted.  The probes run on the same tile kernel unless the node set is
+dyadic (below), so one linear-domain formula gives every |l_k| on a boundary;
+input outside its double range, non-finite input included, raises ValueError.
+Grids of at most pi*(N-1) angles are refused.
 
 The tile kernel takes the distances |b - eta_k| from one matmul of per-node
 coefficients with per-point planes.  On the unit circle, with nodes of modulus
@@ -36,8 +29,10 @@ every default grid from N = 32 on.  |w| and every class's reciprocal
 distances, the latter from the L/2 + 1 sines of a folded half period
 (L = D*grid), share exact angles, so near a node they cancel (w over the
 tile's rounded distances moved a maximum by 1.1e-3 at N = 132).  Other node
-sets, every ellipse, N < 32, grids with more classes and the refinement
-probes of every node set take the tile.
+sets, every ellipse, N < 32 and grids with more classes take the tile.  The
+per-node refinement probes of every such node set, whatever its scan, take
+the block formula (:meth:`_Dyadic.own`): popcount(N) + 2 sines per point, where
+the tile takes N distances.
 """
 
 from __future__ import annotations
@@ -48,10 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import binary_decompose, require_resolving_grid, stable_abs_product, wrap_angle
-from .disk import LejaSection, canonical_disk_leja, omega0_of_section
+from .disk import LejaSection, canonical_disk_leja
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_NEAR_NODE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -119,79 +113,6 @@ def flip_direct(points, k: int, z: complex) -> complex:
     if log_num == float("-inf"):
         return 0.0 + 0.0j
     return math.exp(log_num - log_den) * complex(np.exp(1j * (ph_num - ph_den)))
-
-
-def roots_of_unity_flip_abs(m: int, k: int, z: complex) -> float:
-    """|FLIP| for the m-th roots of unity: (1/m) |z**m - 1| / |z - z_k|.
-
-    Within 1e-8 of the node the removable singularity is evaluated through
-    the power-sum form (1/m) |sum_j z_k**(m-1-j) z**j|.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in 1..{m}, got {k}")
-    z = complex(z)
-    node = complex(np.exp(2j * np.pi * (k - 1) / m))
-    return _unity_quotient_abs(z, node, m) / m
-
-
-def _unity_quotient_abs(z: complex, node: complex, m: int) -> float:
-    """|z**m - node**m| / |z - node| with the series form near the node."""
-    if abs(z - node) < _NEAR_NODE:
-        j = np.arange(m)
-        return float(np.abs(np.sum(node ** (m - 1 - j) * z**j)))
-    return abs(z**m - node**m) / abs(z - node)
-
-
-def flip_structured_abs(section: LejaSection, k: int, z: complex) -> float:
-    """|FLIP| through the binary-block factorization (first-block nodes only).
-
-    Valid for unit-disk Leja sections whose length is not a power of two and
-    for k up to the leading block size 2**p1; agrees with |flip_direct| there.
-    """
-    pts = section.points
-    exps = binary_decompose(pts.size)
-    if len(exps) < 2:
-        raise ValueError("section length is a power of two; use roots_of_unity_flip_abs")
-    block = 1 << exps[0]
-    if not 1 <= k <= block:
-        raise ValueError(f"structured form only covers k in 1..{block}, got {k}")
-    omega = omega0_of_section(section)
-    return _structured_abs(pts[k - 1], exps, omega, complex(z))
-
-
-def _structured_abs(node: complex, exps: list[int], omega: complex, z: complex) -> float:
-    block = 1 << exps[0]
-    value = _unity_quotient_abs(z, node, block) / block
-    for p in exps[1:]:
-        t = 1 << p
-        wt = omega**t
-        value *= abs(z**t + wt) / abs(node**t + wt)
-    return value
-
-
-def allones_block_flip_abs(p1: int, ell: int, z: complex) -> float:
-    """|FLIP| representative for first-block nodes of a section of length 2**(p1+1) - 1.
-
-    With w = exp(i*pi*(2*ell+1)/2**p1) this evaluates
-    |1 - w| / 2**(p1+1) * |z**2**(p1+1) - 1| / (|z - 1| |z - w|),
-    which is the modulus of the FLIP at the node paired with w after rotating
-    the argument by that node.  Removable singularities at z = 1 and z = w are
-    handled by power-sum forms.
-    """
-    if p1 < 0:
-        raise ValueError("p1 must be nonnegative")
-    if not 0 <= ell < (1 << p1):
-        raise ValueError(f"ell must be in 0..{(1 << p1) - 1}, got {ell}")
-    z = complex(z)
-    m = 1 << (p1 + 1)
-    w = complex(np.exp(1j * np.pi * (2 * ell + 1) / (1 << p1)))
-    if abs(z - 1.0) < _NEAR_NODE:
-        quot = _unity_quotient_abs(z, 1.0 + 0.0j, m) / abs(z - w)
-    else:
-        quot = _unity_quotient_abs(z, w, m) / abs(z - 1.0)
-    return abs(1.0 - w) / m * quot
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +192,13 @@ def _twice_sines(x: np.ndarray, period: int) -> np.ndarray:
     return 2.0 * np.sin((np.pi / period) * np.minimum(x, period - x, out=x))
 
 
+def _sin_pi_abs(x: np.ndarray) -> np.ndarray:
+    """sin(pi*|x|) for x in [-1/2, 1/2], in place: no relative accuracy is lost."""
+    np.abs(x, out=x)
+    x *= np.pi
+    return np.sin(x, out=x)
+
+
 class _Dyadic:
     """A node set at exact dyadic angles whose binary blocks are whole root sets: the dyadic scan's input.
 
@@ -285,6 +213,10 @@ class _Dyadic:
 
     def __init__(self, s: int, m: np.ndarray, blocks: list):
         self.s, self.m, self.blocks = s, m, blocks  # blocks: (p_i, g_i, node indices) per block
+        self.block_of = np.repeat(np.arange(len(blocks)), [ks.size for *_, ks in blocks])  # each node's block
+        # for :meth:`own`, per block: 2**p_i, and c_i = exp(2*pi*i*g_i/2**s) in turns, g_i/2**s
+        self.sizes = np.array([float(1 << p) for p, _, _ in blocks])
+        self.turns = np.array([g / (1 << s) for _, g, _ in blocks])
 
     @classmethod
     def of(cls, nodes: np.ndarray) -> _Dyadic | None:
@@ -307,13 +239,43 @@ class _Dyadic:
     def log_weights(self) -> np.ndarray:
         """log |w'(eta_k)| = log(2**p_i * prod_{j != i} |eta_k**(2**p_j) - c_j|) for eta_k in block i, O(N log N)."""
         p, g = (np.array([b[i] for b in self.blocks]) for i in (0, 1))
-        own = np.repeat(np.arange(p.size), [ks.size for *_, ks in self.blocks])  # each node's block
         terms = np.log(_twice_sines((self.m << p[:, None]) - g[:, None], 1 << self.s))
-        terms[own, np.arange(own.size)] = 0.0  # a block's own nodes are the roots of its factor
-        out = p[own] * math.log(2.0)
+        terms[self.block_of, np.arange(self.m.size)] = 0.0  # a block's own nodes are the roots of its factor
+        out = p[self.block_of] * math.log(2.0)
         for row in terms:  # in block order
             out += row
         return out
+
+    def own(self, ts, ks: np.ndarray, inv_w: np.ndarray) -> np.ndarray:
+        """|l_{ks[i]}(exp(i*ts[i]))| for paired angles and 0-based node indices, popcount(N) + 2 sines per point.
+
+        ``inv_w`` is 1/|w'(eta_k)| by node, from :meth:`log_weights`.  In turns
+        u = t/(2*pi), rounded once and exact from then on, so every factor keeps
+        its relative accuracy: block j's |z**(2**p_j) - c_j| is 2|sin(pi*r)|, r =
+        2**p_j*u - g_j/2**s folded into [-1/2, 1/2] by rint (folding by floor
+        loses all relative accuracy for tiny negative r: 1e-12 before node 1
+        of N = 3 it gave 1 + 3.2e-4), and node k's own block gives the quotient
+        |z**(2**p_i) - c_i| / |z - eta_k| = 2|sin(pi*2**p_i*d)| / 2|sin(pi*d)|,
+        d = u - m_k/2**s folded, with its limit 2**p_i at d = 0.  Non-finite
+        angles raise ValueError.
+        """
+        u = np.asarray(ts, dtype=float) / (2.0 * np.pi)
+        if not np.all(np.isfinite(u)):
+            raise ValueError(_OUT_OF_RANGE)
+        u -= np.rint(u)  # exact, and keeps 2**p*u far from overflow
+        r = self.sizes[:, None] * u  # one row per block
+        r -= np.rint(r)
+        r -= self.turns[:, None]
+        r -= np.rint(r)
+        r = _sin_pi_abs(r)  # |z**(2**p_j) - c_j| / 2
+        block, d = self.block_of[ks], u - self.m[ks] / (1 << self.s)  # exact division: m_k/2**s in turns
+        d -= np.rint(d)
+        num = self.sizes[block] * d
+        num -= np.rint(num)
+        num, den = _sin_pi_abs(num), _sin_pi_abs(d)
+        # the own block's row takes the quotient, 2**p_i (its limit) where d = 0
+        r[block, np.arange(u.size)] = np.divide(num, den, out=self.sizes[block], where=den > 0.0)
+        return inv_w[ks] * 2.0 ** (len(self.blocks) - 1) * np.multiply.reduce(r, axis=0)
 
     def classes(self, grid: int) -> int:
         """D = 2**s / gcd(grid, 2**s): the node offsets on a grid of ``grid`` angles fall into D residue classes."""
@@ -326,7 +288,8 @@ class _Flips:
     Its methods take the parameters t.  A tile is one front half (:meth:`_front`)
     and one of two back halves: the full one (:meth:`tile`) gives every |l_k|
     and their sums and serves the scans; the own one (:meth:`_own_tile`) gives
-    one entry per point and serves the per-node refinement probes.
+    one entry per point and serves the per-node refinement probes of node sets
+    without ``dyadic`` structure, whose probes take :meth:`_Dyadic.own`.
 
     A tile's distances |b_j - eta_k| are one matmul of per-node coefficients
     with the per-point planes of :meth:`_planes`.  On the unit circle (``curve``
@@ -681,8 +644,9 @@ def _boundary_stats(
         h = 2.0 * np.pi / grid
         with np.errstate(all="ignore"):
             if ks.size:
-                mid = node_arg[ks]
-                val, ang = _golden_max_vec(lambda ts: flips.own(ts, ks), mid - h, mid + h, refine_iters)
+                mid, dy = node_arg[ks], flips.dyadic
+                probe = (lambda ts: flips.own(ts, ks)) if dy is None else (lambda ts: dy.own(ts, ks, flips.inv_w))
+                val, ang = _golden_max_vec(probe, mid - h, mid + h, refine_iters)
                 up = val > node_max[ks]
                 node_max[ks[up]], node_arg[ks[up]] = val[up], ang[up]
             val, ang = _golden_max(flips.lebesgue_at, leb_arg - h, leb_arg + h, refine_iters)

@@ -10,7 +10,6 @@ from lejaflip import (
     UNIFORM_FLIP_BOUND,
     UNIFORM_FLIP_BOUND_2D,
     LejaSection,
-    allones_block_flip_abs,
     bivariate_lebesgue,
     build_array,
     canonical_disk_leja,
@@ -24,7 +23,6 @@ from lejaflip import (
     ellipse_exterior_map,
     estimate_alper_constant,
     flip_direct,
-    flip_structured_abs,
     interpolate,
     lebesgue_constant,
     lex_to_pair,
@@ -36,8 +34,7 @@ from lejaflip import (
     verify_2d_leja,
 )
 from lejaflip.bivariate import _flip_on_axes
-from lejaflip.core import binary_decompose
-from lejaflip.flip import _log_node_weights
+from lejaflip.flip import _Flips
 
 MAX_SWEEP = 512
 
@@ -102,59 +99,60 @@ def test_c04_special_n_window():
     assert averages[10] < averages[4]
 
 
+def _block_flips(nodes, ts, ks):
+    """|l_{ks[i]}(exp(i*ts[i]))| from the block-formula evaluator of a node set at dyadic angles."""
+    flips = _Flips(nodes)
+    assert flips.dyadic is not None
+    return flips.dyadic.own(np.asarray(ts, dtype=float), np.asarray(ks), flips.inv_w)
+
+
 def test_c05_closed_form_spot_value():
     for p1 in range(2, 9):
         n = 2 ** (p1 + 1) - 1
         target = math.cos(math.pi / 2 ** (p1 + 2)) / (2**p1 * math.sin(math.pi / 2 ** (p1 + 2)))
         rotated_arg = complex(np.exp(1j * np.pi / 2 ** (p1 + 1)))
-        # the explicit representative at the stated argument
-        value = allones_block_flip_abs(p1, 0, rotated_arg)
+        # the paper's representative |1 - w| / 2^(p1+1) * |y^2^(p1+1) - 1| / (|y - 1| |y - w|),
+        # label w = exp(i pi/2^p1), at the stated argument
+        w, m = complex(np.exp(1j * np.pi / 2**p1)), 2 ** (p1 + 1)
+        value = abs(1.0 - w) / m * abs(rotated_arg**m - 1.0) / (abs(rotated_arg - 1.0) * abs(rotated_arg - w))
         assert value == pytest.approx(target, rel=1e-9)
-        # the actual FLIP: the node paired with the label exp(i pi/2^p1), its
-        # argument rotated by that node
+        # the actual FLIP: the node paired with that label, its argument rotated by that node
         section = canonical_disk_leja(n)
         omega = omega0_of_section(section)
-        node = omega / complex(np.exp(1j * np.pi / 2**p1))
+        node = omega / w
         k = int(np.argmin(np.abs(section.points - node))) + 1
         assert abs(section.points[k - 1] - node) < 1e-12
         z = section.points[k - 1] * rotated_arg
         assert abs(flip_direct(section.points, k, z)) == pytest.approx(target, rel=1e-9)
-        assert flip_structured_abs(section, k, z) == pytest.approx(target, rel=1e-9)
+        t = np.angle(section.points[k - 1]) + np.pi / 2 ** (p1 + 1)
+        assert _block_flips(section.points, [t], [k - 1])[0] == pytest.approx(target, rel=1e-9)
         print(f"criterion 5: p1={p1} |l|={value:.9f} target={target:.9f}")
 
 
 def test_c06_structured_equals_direct(canonical_points):
+    # the block-formula evaluator against log-domain direct moduli, every node of every
+    # section; the section of length n sums the first n columns of the canonical points' logs
     rng = np.random.default_rng(0)
-    zs = np.exp(2j * np.pi * rng.random(128))
+    ts = 2.0 * np.pi * rng.random(128)
+    zs = np.exp(1j * ts)
+    dist = np.abs(canonical_points[:, None] - canonical_points[None, :])
+    np.fill_diagonal(dist, 1.0)
+    log_w = np.cumsum(np.log(dist), axis=1)  # log_w[k, n - 1]: node k's log-weight in the section of length n
+    logd = np.log(np.abs(zs[:, None] - canonical_points[None, :]))
+    log_prod = np.cumsum(logd, axis=1)
     worst = 0.0
     for n in range(3, 1025):
-        exps = binary_decompose(n)
-        if len(exps) < 2:
-            continue
-        pts = canonical_points[:n]
-        block = 1 << exps[0]
-        section = LejaSection(pts)
-        omega = omega0_of_section(section)
-        # direct moduli for all first-block nodes at once
-        log_w = _log_node_weights(pts)
-        logd = np.log(np.abs(zs[:, None] - pts[None, :]))
-        direct = np.exp(logd.sum(axis=1)[:, None] - logd[:, :block] - log_w[None, :block])
-        # structured moduli
-        structured = np.abs(zs[:, None] ** block - 1.0) / np.abs(zs[:, None] - pts[None, :block]) / block
-        for p in exps[1:]:
-            t = 1 << p
-            wt = omega**t
-            structured = structured * (np.abs(zs**t + wt)[:, None] / np.abs(pts[None, :block] ** t + wt))
-        rel = np.abs(direct - structured) / np.maximum(direct, 1e-300)
+        direct = np.exp(log_prod[:, n - 1, None] - logd[:, :n] - log_w[None, :n, n - 1])
+        structured = _block_flips(canonical_points[:n], np.repeat(ts, n), np.tile(np.arange(n), ts.size))
+        rel = np.abs(direct - structured.reshape(ts.size, n)) / np.maximum(direct, 1e-300)
         worst = max(worst, float(rel.max()))
     print(f"criterion 6: worst relative difference = {worst:.2e}")
     assert worst <= 1e-8
-    # spot-check the vectorized comparison against the public evaluators
+    # spot-check the vectorized comparison against the public evaluator
     section = LejaSection(canonical_points[:13])
-    for k in (1, 5, 8):
+    for k in (1, 5, 8, 13):
         v1 = abs(flip_direct(section.points, k, zs[0]))
-        v2 = flip_structured_abs(section, k, zs[0])
-        assert v1 == pytest.approx(v2, rel=1e-9)
+        assert v1 == pytest.approx(_block_flips(section.points, ts[:1], [k - 1])[0], rel=1e-9)
 
 
 @pytest.fixture(scope="session")

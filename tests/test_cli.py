@@ -156,6 +156,9 @@ class TestBoundsCommand:
         for r in rows:
             assert r["lebesgue_relerr"] <= 1e-6 and _FLOOR - 1e-6 < r["max_sup"] <= 2.0 + 1e-6
             assert r["sum_sup"] > r["N"] and r["min_sup"] >= 1.0
+            x = math.pi / 2 ** (r["p"] + 1)  # c05's closed form
+            closed_form = math.cos(x) / (2 ** (r["p"] - 1) * math.sin(x))
+            assert r["max_sup"] == pytest.approx(closed_form, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "column, value",
@@ -398,6 +401,18 @@ class TestBivariateCommand:
             assert code == 1, argv
             assert "error" in err and out == ""
 
+    def test_n_max_is_checked_only_by_the_modes_that_read_it(self, capsys):
+        code, out, _ = run(capsys, "bivariate", "--lebesgue", "--n-max", "0", "--n", "2..3", "--grid", "24")
+        assert code == 0
+        assert [int(r["n"]) for r in csv.DictReader(out.splitlines())] == [2, 3]
+
+    def test_modes_without_n_refuse_it(self, capsys):
+        # only --lebesgue and --decay read --n; the others ignored it without a word
+        for mode in ([], ["--delta"], ["--oracle"], ["--factorization"], ["--verify-2d-leja"]):
+            code, out, err = run(capsys, "bivariate", *mode, "--n", "0..3", "--n-max", "7")
+            assert code == 1 and out == "", mode
+            assert "--n is read by --lebesgue and --decay only" in err
+
     def test_delta_refuses_sizes_short_of_the_seven_closed_forms(self, capsys):
         for n_max in ("1", "6"):
             code, out, err = run(capsys, "bivariate", "--delta", "--n-max", n_max)
@@ -420,12 +435,16 @@ _SMALL = st.integers(min_value=-2, max_value=8)
     points=st.integers(min_value=-2, max_value=4),
 )
 @example(mode="--decay", n_max=4, n_range="0..3", grid=24, points=2)
+@example(mode="--delta", n_max=7, n_range="0..3", grid=24, points=2)
 def test_bivariate_fuzz_exits_with_a_code(mode, n_max, n_range, grid, points):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "rows.json")
-        argv = ["bivariate", *([mode] if mode else []), "--n-max", str(n_max), "--n", n_range]
+        reads_n = mode in ("--lebesgue", "--decay")
+        argv = ["bivariate", *([mode] if mode else []), "--n-max", str(n_max), *(["--n", n_range] if reads_n else [])]
         code = main(argv + ["--grid", str(grid), "--points", str(points), "--format", "json", "-o", out])
         assert code in (0, 1, 2)
+        if not reads_n:  # a mode that does not read --n refuses it
+            assert main(argv + ["--n", n_range, "--grid", str(grid), "--points", str(points), "-o", out]) == 1
         if code != 1 and mode in ("--lebesgue", "--decay"):  # one row for each requested n, no more
             with open(out) as f:
                 assert [r["n"] for r in json.load(f)] == cli._parse_range(n_range)

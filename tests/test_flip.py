@@ -8,18 +8,15 @@ import pytest
 from lejaflip import (
     UNIFORM_FLIP_BOUND,
     LejaSection,
-    allones_block_flip_abs,
     canonical_disk_leja,
     circle_flip_stats,
     circle_samples,
     compact_flip_stats,
     ellipse_exterior_map,
     flip_direct,
-    flip_structured_abs,
     greedy_leja,
     lebesgue_constant,
     omega0_of_section,
-    roots_of_unity_flip_abs,
     special_n_statistics,
     sup_norm_on_circle,
     transport_sequence,
@@ -27,7 +24,7 @@ from lejaflip import (
 )
 from lejaflip import flip as flip_module
 from lejaflip.core import binary_decompose
-from lejaflip.flip import _boundary_stats, _Flips, _log_node_weights, _scan, _unit_circle, default_grid
+from lejaflip.flip import _boundary_stats, _Dyadic, _Flips, _log_node_weights, _scan, _unit_circle, default_grid
 from lejaflip.transport import _scaled_boundary
 
 
@@ -50,6 +47,11 @@ def nested_block_section(n, chooser):
         scale *= chooser(q, exps[q - 1])
         pts = np.concatenate([pts, scale * canonical_disk_leja(1 << p).points])
     return LejaSection(pts)
+
+
+def _turning_chooser(q, p):
+    """An admissible root of -1 per block of :func:`nested_block_section`, not the canonical one."""
+    return np.exp(1j * np.pi * (2 * (q % (1 << p)) + 1) / (1 << p))
 
 
 class TestFlipDirect:
@@ -103,83 +105,82 @@ class TestFlipDirect:
                 assert abs(total - 1.0) <= 1e-10
 
 
+def block_flips(nodes, ts, ks):
+    """|l_{ks[i]}(exp(i*ts[i]))| from the block-formula evaluator of a node set at dyadic angles."""
+    flips = _Flips(np.asarray(nodes, dtype=complex))
+    assert flips.dyadic is not None
+    return flips.dyadic.own(np.asarray(ts, dtype=float), np.asarray(ks), flips.inv_w)
+
+
+def allones_representative(p1, ell, y):
+    """The paper's |l_k(z_k*y)| for a first-block node z_k of a section of length 2**(p1+1) - 1.
+
+    w = exp(i*pi*(2*ell+1)/2**p1) is the node's label omega0/z_k:
+    |1 - w| / 2**(p1+1) * |y**2**(p1+1) - 1| / (|y - 1| |y - w|).
+    """
+    w, m = np.exp(1j * np.pi * (2 * ell + 1) / 2**p1), 2 ** (p1 + 1)
+    return abs(1.0 - w) / m * abs(y**m - 1.0) / (abs(y - 1.0) * abs(y - w))
+
+
 class TestRootsOfUnityFlip:
     def test_node_value_via_series(self):
-        assert roots_of_unity_flip_abs(8, 1, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_half_at_origin(self):
-        assert roots_of_unity_flip_abs(2, 1, 0.0) == pytest.approx(0.5, abs=1e-15)
+        # at its node the own block's quotient takes its limit 2**p, the power sum
+        # sum_j z_k**(m-1-j) z**j at z = z_k
+        pts = canonical_disk_leja(8).points
+        assert block_flips(pts, [0.0], [0])[0] == pytest.approx(1.0, abs=1e-14)
+        assert block_flips(pts, np.angle(pts), np.arange(8)) == pytest.approx(np.ones(8), abs=1e-14)
 
     def test_matches_direct(self):
         rng = np.random.default_rng(2)
         m = 32
         pts = np.exp(2j * np.pi * np.arange(m) / m)
-        for z in unit_rng_points(rng, 10):
-            for k in (1, 7, 32):
-                assert roots_of_unity_flip_abs(m, k, z) == pytest.approx(
-                    abs(flip_direct(pts, k, z)), rel=1e-11
-                )
-
-    def test_series_switch_is_continuous(self):
-        m, k = 64, 9
-        node = np.exp(2j * np.pi * (k - 1) / m)
-        near = node * np.exp(1j * 5e-9)   # inside the series window
-        far = node * np.exp(1j * 5e-8)    # outside it
-        assert roots_of_unity_flip_abs(m, k, near) == pytest.approx(1.0, abs=1e-6)
-        assert roots_of_unity_flip_abs(m, k, far) == pytest.approx(1.0, abs=1e-5)
+        ts = rng.uniform(0.0, 2.0 * np.pi, 10)
+        for k in (1, 7, 32):
+            want = [abs(flip_direct(pts, k, np.exp(1j * t))) for t in ts]
+            assert block_flips(pts, ts, np.full(10, k - 1)) == pytest.approx(want, rel=1e-11)
 
 
 class TestStructured:
     def test_matches_direct_spot(self):
+        # every node, the later blocks' too
         rng = np.random.default_rng(3)
         for n in (3, 5, 6, 7, 9, 12, 13, 100, 255):
             section = canonical_disk_leja(n)
-            block = 1 << binary_decompose(n)[0]
-            for k in (1, max(1, block // 2), block):
-                for z in unit_rng_points(rng, 8):
-                    direct = abs(flip_direct(section.points, k, z))
-                    structured = flip_structured_abs(section, k, z)
-                    assert abs(direct - structured) <= 1e-9 * max(1.0, direct) + 1e-12
+            ts = rng.uniform(0.0, 2.0 * np.pi, 8)
+            got = block_flips(section.points, np.repeat(ts, n), np.tile(np.arange(n), 8))
+            direct = np.array([abs(flip_direct(section.points, k + 1, np.exp(1j * t))) for t in ts for k in range(n)])
+            assert np.all(np.abs(direct - got) <= 1e-9 * np.maximum(1.0, direct) + 1e-12)
 
     def test_node_value(self):
         section = canonical_disk_leja(6)
-        assert flip_structured_abs(section, 2, section.points[1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_tail_indices(self):
-        with pytest.raises(ValueError):
-            flip_structured_abs(canonical_disk_leja(6), 5, 0.3 + 0.1j)
-
-    def test_rejects_power_of_two(self):
-        with pytest.raises(ValueError):
-            flip_structured_abs(canonical_disk_leja(8), 1, 0.5)
+        assert block_flips(section.points, [np.angle(section.points[1])], [1])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_non_canonical_sections(self):
         # block scalings other than the canonical ones still give valid
         # sections; the block factorization must follow the observed scalings
         rng = np.random.default_rng(8)
 
-        def chooser(q, p):
-            return np.exp(1j * np.pi * (2 * (q % (1 << p)) + 1) / (1 << p))
-
         for n in (6, 11, 13, 21, 44, 100):
-            section = nested_block_section(n, chooser)
+            section = nested_block_section(n, _turning_chooser)
             assert validate_leja(section, circle_samples(64 * n)).max_violation <= 1e-9
-            block = 1 << binary_decompose(n)[0]
-            for k in (1, block):
-                for z in unit_rng_points(rng, 6):
-                    direct = abs(flip_direct(section.points, k, z))
-                    assert flip_structured_abs(section, k, z) == pytest.approx(
-                        direct, rel=1e-9, abs=1e-12
-                    )
+            ts = rng.uniform(0.0, 2.0 * np.pi, 6)
+            got = block_flips(section.points, np.repeat(ts, n), np.tile(np.arange(n), 6))  # recognised as dyadic
+            want = [abs(flip_direct(section.points, k + 1, np.exp(1j * t))) for t in ts for k in range(n)]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestAllOnesBlock:
-    # closed form cos(pi/2^(p1+2)) / (2^p1 sin(pi/2^(p1+2))) at z = exp(i pi/2^(p1+1))
+    # closed form cos(pi/2^(p1+2)) / (2^p1 sin(pi/2^(p1+2))) at z = z_k exp(i pi/2^(p1+1)),
+    # where the label omega0/z_k of node k is exp(i pi/2^p1)
     @pytest.mark.parametrize("p1", [2, 4, 6])
     def test_closed_form(self, p1):
-        z = np.exp(1j * np.pi / 2 ** (p1 + 1))
+        y = np.exp(1j * np.pi / 2 ** (p1 + 1))
         want = math.cos(math.pi / 2 ** (p1 + 2)) / (2**p1 * math.sin(math.pi / 2 ** (p1 + 2)))
-        assert allones_block_flip_abs(p1, 0, z) == pytest.approx(want, rel=1e-12)
+        assert allones_representative(p1, 0, y) == pytest.approx(want, rel=1e-12)
+        section = canonical_disk_leja(2 ** (p1 + 1) - 1)
+        k = int(np.argmin(np.abs(section.points - omega0_of_section(section) / np.exp(1j * np.pi / 2**p1))))
+        got = block_flips(section.points, [np.angle(section.points[k]) + np.pi / 2 ** (p1 + 1)], [k])[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_is_a_flip_modulus_after_rotation(self):
         # |l_k(z_k * y)| of the section of length 2^(p1+1)-1 equals the
@@ -194,8 +195,88 @@ class TestAllOnesBlock:
             ell = int(round((np.angle(ratio) / np.pi * 2**p1 - 1) / 2)) % 2**p1
             for y in unit_rng_points(rng, 4):
                 lhs = abs(flip_direct(section.points, k, section.points[k - 1] * y))
-                rhs = allones_block_flip_abs(p1, ell, y)
+                rhs = allones_representative(p1, ell, y)
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+                t = np.angle(section.points[k - 1]) + np.angle(y)
+                assert block_flips(section.points, [t], [k - 1])[0] == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+class TestBlockEvaluator:
+    """The per-node refinement probes of a node set at dyadic angles: popcount(N) + 2 sines per point."""
+
+    @pytest.mark.parametrize("name", ["canonical-255", "canonical-4095", "turned-255"])
+    def test_matches_40_digit_values(self, name):
+        # the exact dyadic node set's FLIPs; at a refined argmax the angle's rounding
+        # does not move |l_k| to first order, while at a random angle t, where it does by
+        # up to N ulps, the reference point is the evaluator's: exp(2*pi*i*u), u = t/(2*pi)
+        # rounded once
+        kind, n = name.split("-")
+        n = int(n)
+        section = canonical_disk_leja(n) if kind == "canonical" else nested_block_section(n, _turning_chooser)
+        nodes = section.points
+        flips = _Flips(nodes)
+        dy = flips.dyadic
+        assert dy is not None
+        probed = np.array([0, 1, n // 3, n - 1])  # node n - 1 is a block of one
+        _, node_arg, _ = _boundary_stats(nodes, _unit_circle, np.angle(nodes), None, 40, probed)
+        ts = np.concatenate([node_arg[probed], np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, 2 * probed.size)])
+        ks = np.tile(probed, 3)
+        got = dy.own(ts, ks, flips.inv_w)
+        with mpmath.workdps(40):
+            exact = [mpmath.expjpi(mpmath.mpf(2 * int(m)) / (1 << dy.s)) for m in dy.m]
+            for i, (t, k) in enumerate(zip(ts, ks)):
+                at = mpmath.expj(t) if i < probed.size else mpmath.expjpi(2 * mpmath.mpf(t / (2.0 * np.pi)))
+                want = mpmath.fprod(abs(at - o) / abs(exact[k] - o) for j, o in enumerate(exact) if j != k)
+                assert got[i] == pytest.approx(float(want), rel=1e-13, abs=0.0), (i, k)
+
+    def test_node_values(self):
+        # each FLIP is 1 at its own node, through the quotient's limit, and vanishes
+        # at the others to the rounding of the angle; no RuntimeWarning at d = 0
+        for nodes in (
+            canonical_disk_leja(3).points,
+            canonical_disk_leja(100).points,
+            nested_block_section(44, _turning_chooser).points,
+        ):
+            n = nodes.size
+            own = block_flips(nodes, np.angle(nodes), np.arange(n))
+            assert own == pytest.approx(np.ones(n), abs=1e-13)
+            for step in (-1e-12, 1e-12):  # tiny turns on either side keep their relative accuracy
+                assert block_flips(nodes, np.angle(nodes) + step, np.arange(n)) == pytest.approx(np.ones(n), abs=1e-9)
+            others = block_flips(nodes, np.repeat(np.angle(nodes), n), np.tile(np.arange(n), n))
+            others[:: n + 1] = 0.0
+            assert others.max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_angles(self, bad):
+        flips = _Flips(canonical_disk_leja(13).points)
+        with pytest.raises(ValueError, match="FLIP moduli leave double range"):
+            flips.dyadic.own(np.array([0.5, bad]), np.array([0, 1]), flips.inv_w)
+
+    def test_huge_angles_stay_in_range(self):
+        # whole turns are taken off before any power of two multiplies the turn, so nothing overflows
+        got = block_flips(canonical_disk_leja(37).points, [1e300, -1e300, 2.0**60], [0, 36, 5])
+        assert np.all((got >= 0.0) & (got <= UNIFORM_FLIP_BOUND))
+
+    def test_probes_take_the_block_formula_exactly_when_dyadic(self, monkeypatch):
+        taken = []
+        tile_own, block_own = _Flips.own, _Dyadic.own
+        monkeypatch.setattr(_Flips, "own", lambda self, *a: taken.append("tile") or tile_own(self, *a))
+        monkeypatch.setattr(_Dyadic, "own", lambda self, *a: taken.append("block") or block_own(self, *a))
+        cases = {
+            "canonical-7": (canonical_disk_leja(7).points, "block"),  # N < 32: a tile scan, block probes
+            "canonical-100": (canonical_disk_leja(100).points, "block"),
+            "turned-21": (nested_block_section(21, _turning_chooser).points, "block"),
+            "rotated-100": (canonical_disk_leja(100, np.exp(0.3j)).points, "tile"),
+            "random-20": (unit_rng_points(np.random.default_rng(6), 20), "tile"),
+        }
+        for name, (nodes, probe) in cases.items():
+            taken.clear()
+            circle_flip_stats(nodes, per_node_refine=True)
+            assert set(taken) == {probe}, name
+        taken.clear()
+        ts = transport_sequence(ellipse_exterior_map(1.2, 0.8), canonical_disk_leja(16))
+        compact_flip_stats(ts)
+        assert set(taken) == {"tile"}
 
 
 class TestSupNorm:
@@ -270,6 +351,13 @@ class TestSpecialN:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             special_n_statistics(1)
+
+    @pytest.mark.parametrize("p", range(2, 12))
+    def test_max_sup_is_the_closed_form(self, p):
+        # c05's closed form cos(x) / (2**(p-1) sin x), x = pi/2**(p+1), attained by the first block
+        x = math.pi / 2 ** (p + 1)
+        closed_form = math.cos(x) / (2 ** (p - 1) * math.sin(x))
+        assert special_n_statistics(p).max_sup == pytest.approx(closed_form, rel=1e-13, abs=0.0)
 
     def test_lebesgue_matches_plain_scan(self):
         # per-node refinement does not touch the Lebesgue maximum
