@@ -11,12 +11,9 @@ from .disk import (
     BoundarySamples,
     LejaSection,
     LejaValidation,
-    SectionSplit,
     canonical_disk_leja,
     circle_samples,
     greedy_leja,
-    omega0_of_section,
-    split_section,
     validate_leja,
 )
 from .flip import (
@@ -33,7 +30,6 @@ from .transport import (
     ExteriorMap,
     TransportedSection,
     boundary_samples,
-    chord_ratio,
     compact_flip_stats,
     ellipse_exterior_map,
     estimate_alper_constant,
@@ -52,10 +48,8 @@ from .bivariate import (
     check_product_formula,
     flip_case,
     flip_via_vdm_ratio,
-    interpolate,
     jackson_decay_experiment,
     lex_to_pair,
-    pair_to_lex,
     schiffer_siciak,
     shape_of,
     triangular_number,

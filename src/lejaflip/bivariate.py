@@ -42,13 +42,6 @@ def lex_to_pair(j: int) -> tuple[int, int]:
     return d - t + 1, t - 1
 
 
-def pair_to_lex(k: int, l: int) -> int:
-    """Position of the monomial z**k w**l in the graded ordering."""
-    if k < 0 or l < 0:
-        raise ValueError("exponents must be nonnegative")
-    return triangular_number(k + l - 1) + l + 1
-
-
 def shape_of(n_nodes: int) -> tuple[int, int]:
     """The unique (n, m) with N_{n-1} < N <= N_n and m = N - N_{n-1} - 1."""
     if n_nodes < 1:
@@ -175,36 +168,22 @@ def _flip_tables(arr: IntertwiningArray, zs: np.ndarray, ws: np.ndarray, pairs: 
         yield p, q, ztab, wtabs[q][w_ub + 1]
 
 
-def _flip_on_axes(arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """FLIP values on the tensor grid zs x ws, shape (len(zs), len(ws)): one gemm."""
-    _, _, ztab, wtab = next(_flip_tables(arr, zs, ws, [(p, q)]))
-    return ztab.T @ wtab
-
-
-def _flip_at_points(arr: IntertwiningArray, p: int, q: int, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """FLIP values at the points (zs[i], ws[i])."""
-    _, _, ztab, wtab = next(_flip_tables(arr, zs, ws, [(p, q)]))
-    return (ztab * wtab).sum(axis=0)
-
-
-def bivariate_flip(arr: IntertwiningArray, p: int, q: int, z: complex, w: complex) -> complex:
+def bivariate_flip(arr: IntertwiningArray, p: int, q: int, z, w) -> complex | np.ndarray:
     """FLIP of Omega_N at source indices (p, q), evaluated at (z, w).
 
     Equals 1 at (eta_p, theta_q) and 0 at every other node; the selected
-    closed form is reported by :func:`flip_case`.
+    closed form is reported by :func:`flip_case`.  z and w may be arrays of
+    one shape.  The terms are summed in order, so a point's value has the
+    same bits whatever else is evaluated with it.
     """
     _require_member(arr, p, q)
-    val = _flip_at_points(arr, p, q, np.array([z], dtype=complex), np.array([w], dtype=complex))
-    return complex(val[0])
-
-
-def interpolate(arr: IntertwiningArray, f: Callable[[complex, complex], complex], z: complex, w: complex) -> complex:
-    """Lagrange interpolant sum_p f(H_p) l_{H_p}(z, w)."""
-    total = 0.0 + 0.0j
-    zs, ws = np.array([z], dtype=complex), np.array([w], dtype=complex)
-    for j, (_, _, ztab, wtab) in enumerate(_flip_tables(arr, zs, ws, arr.pairs()), start=1):
-        total += complex(f(*arr.node(j))) * complex((ztab * wtab).sum(axis=0)[0])
-    return total
+    zs, ws = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    _, _, ztab, wtab = next(_flip_tables(arr, zs.ravel(), ws.ravel(), [(p, q)]))
+    val = ztab[0] * wtab[0]
+    for zrow, wrow in zip(ztab[1:], wtab[1:]):
+        val += zrow * wrow
+    val = val.reshape(zs.shape)
+    return complex(val) if val.ndim == 0 else val
 
 
 def _interp_grid(arr: IntertwiningArray, values: np.ndarray, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -222,7 +201,7 @@ def bivariate_lebesgue(arr: IntertwiningArray, grid: int) -> float:
     require_resolving_grid(grid, arr.n)
     axis = np.exp(2j * np.pi * np.arange(grid) / grid)
     total = np.zeros((grid, grid))
-    # the _flip_on_axes gemm, into one buffer for every term: two fewer grid-sized temporaries per FLIP
+    # one gemm per FLIP, into one buffer for every FLIP: two fewer grid-sized temporaries each
     flip, mod = np.empty((grid, grid), dtype=complex), np.empty((grid, grid))
     for _, _, ztab, wtab in _flip_tables(arr, axis, axis, arr.pairs()):
         total += np.abs(np.matmul(ztab.T, wtab, out=flip), out=mod)
@@ -370,7 +349,7 @@ def check_oracle(arr: IntertwiningArray, rng: np.random.Generator, points: int) 
     worst = 0.0
     for jp, (p, q) in enumerate(arr.pairs(), start=1):
         zs, ws = angles[jp - 1, :, 0], angles[jp - 1, :, 1]
-        direct = _flip_at_points(arr, p, q, zs, ws)
+        direct = bivariate_flip(arr, p, q, zs, ws)
         oracle = flip_via_vdm_ratio(arr, jp, zs, ws)
         worst = np.maximum(worst, _max_rel_gap(oracle, direct))  # a NaN stays
     return float(worst)

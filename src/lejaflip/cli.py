@@ -64,12 +64,25 @@ def _emit(rows: list[dict] | dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _resolve(args, mode: str, unread: tuple[str, ...], **defaults) -> None:
+    """Refuse each option of ``unread`` that was given, as ``mode`` never reads it; fill in ``defaults``."""
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by {mode}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 # ---------------------------------------------------------------------------
 
 
 def _cmd_leja(args) -> int:
     if args.n_points < 1:
         raise ValueError("-N must be positive")
+    greedy = args.ellipse or args.greedy
+    unread = ("origin_angle",) if greedy else ("seed_index",)
+    _resolve(args, "a greedy section" if greedy else "the canonical section", unread, seed_index=0, origin_angle=0.0)
     if args.ellipse:
         boundary = tp.boundary_samples(tp.ellipse_exterior_map(*args.ellipse), args.samples)
     else:
@@ -77,7 +90,7 @@ def _cmd_leja(args) -> int:
     tol = args.tol if args.tol is not None else 10.0 / args.samples
     if not 0.0 < tol < 1.0:  # shortfalls of distinct nodes are below 1, so tol >= 1 passes every section; NaN fails
         raise ValueError(f"rel_tol must be in (0, 1), got {tol}")
-    if args.ellipse or args.greedy:
+    if greedy:
         section = greedy_leja(boundary, args.n_points, args.seed_index)
     else:
         origin = complex(math.cos(args.origin_angle), math.sin(args.origin_angle))
@@ -112,17 +125,14 @@ def _bounds_row(n_points: int, grid: int | None, refine: int) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    if not args.special_n and (args.p_range is not None or args.avg):
-        raise ValueError("--p and --avg check the special-n sweep; they need --special-n")
-    if not args.special_n and args.max_n < 1:
-        raise ValueError("--max-n must be positive")
     rows: list[dict] = []
     failed = False
     # every rule below is written as the passing case, so a NaN fails it
     if args.special_n:
+        _resolve(args, "--special-n", ("max_n",))
         floor = 4.0 * math.cos(math.pi / 8.0) / math.pi
         prev_avg = math.inf
-        for p in args.p_range or list(range(2, 9)):
+        for p in args.p or list(range(2, 9)):
             n_points = 2**p - 1
             stats = special_n_statistics(p, args.grid, args.refine)
             rel = abs(stats.lebesgue - n_points) / n_points
@@ -144,6 +154,9 @@ def _cmd_bounds(args) -> int:
             failed = failed or not (rel <= 1e-6 and window and trend)
             prev_avg = stats.avg_sup
     else:
+        _resolve(args, "bounds without --special-n", ("p", "avg"), max_n=64)
+        if args.max_n < 1:
+            raise ValueError("--max-n must be positive")
         rows = [_bounds_row(nn, args.grid, args.refine) for nn in range(1, args.max_n + 1)]
         failed = not all(
             r["max_sup"] <= UNIFORM_FLIP_BOUND + 1e-6
@@ -156,11 +169,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_bivariate(args) -> int:
     mode = args.mode or "delta"
-    if mode not in ("lebesgue", "decay"):  # the modes that read --n-max, and not --n
-        if args.n_range is not None:
-            raise ValueError(f"--n is read by --lebesgue and --decay only, not by --{mode}")
-        if args.n_max < 1:
-            raise ValueError("--n-max must be positive")
+    unread = {"delta": ("n", "grid", "points"), "oracle": ("n", "grid"), "factorization": ("n", "grid"),
+              "verify-2d-leja": ("n", "points"), "lebesgue": ("n_max", "points"), "decay": ("n_max", "points")}
+    _resolve(args, f"--{mode}", unread[mode], n_max=15, grid=128, points=16)
+    if args.n_max < 1:  # the default 15, or a value given to a mode that reads it
+        raise ValueError("--n-max must be positive")
     rng = np.random.default_rng(args.seed)
     rows: list[dict] = []
     failed = False
@@ -209,7 +222,7 @@ def _cmd_bivariate(args) -> int:
         )
         failed = not rep.max_shortfall <= 1e-6
     elif mode == "lebesgue":
-        n_values = args.n_range or list(range(2, 11))
+        n_values = args.n or list(range(2, 11))
         if min(n_values) < 1:
             raise ValueError("--lebesgue needs n >= 1: at n = 0 the envelope C*n(n+1)(n+2) is 0 and Lambda is 1")
         for n in n_values:
@@ -222,7 +235,7 @@ def _cmd_bivariate(args) -> int:
             slope = float(np.polyfit(np.log([r["N"] for r in rows]), np.log([r["lebesgue"] for r in rows]), 1)[0])
             print(f"fitted log-log slope: {slope:.4f}", file=sys.stderr)
     else:  # decay
-        n_values = args.n_range or list(range(2, 13))
+        n_values = args.n or list(range(2, 13))
         if min(n_values) < 2:
             raise ValueError("--decay needs n >= 2: the decay table starts at n = 2")
         table = bv.jackson_decay_experiment(lambda z, w: np.exp(z + w), max(n_values), grid=args.grid)
@@ -235,11 +248,10 @@ def _cmd_bivariate(args) -> int:
 def _cmd_transport(args) -> int:
     a, b = args.ellipse
     emap = tp.ellipse_exterior_map(a, b)
-    if not args.alper and args.max_n < 2:
-        raise ValueError("--max-n must be at least 2, the smallest N the sweep checks")
     rows: list[dict] = []
     failed = False
     if args.alper:
+        _resolve(args, "--alper", ("max_n", "grid", "refine"), w_grid=256, t_grid=256)
         base = tp.estimate_alper_constant(emap, args.w_grid, args.t_grid)
         doubled = tp.estimate_alper_constant(emap, 2 * args.w_grid, 2 * args.t_grid)
         rows.append(
@@ -253,6 +265,9 @@ def _cmd_transport(args) -> int:
         )
         failed = a == b and not abs(doubled) <= 1e-6  # a NaN fails
     else:
+        _resolve(args, "transport without --alper", ("w_grid", "t_grid"), max_n=64, refine=40)
+        if args.max_n < 2:
+            raise ValueError("--max-n must be at least 2, the smallest N the sweep checks")
         n_values = [n for n in (2**k for k in range(1, 30)) if n <= args.max_n]
         for n_points in n_values:
             ts = tp.transport_sequence(emap, canonical_disk_leja(n_points))
@@ -289,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", dest="n_points", type=int, required=True)
     p.add_argument("--greedy", action="store_true", help="greedy construction (implied for --ellipse)")
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--seed-index", type=int, default=0)
-    p.add_argument("--origin-angle", type=float, default=0.0)
+    p.add_argument("--seed-index", type=int, default=None, help="greedy sections only (default 0)")
+    p.add_argument("--origin-angle", type=float, default=None, help="canonical sections only (default 0)")
     p.add_argument("--tol", type=float, default=None, help="validation tolerance in (0, 1) (default 10/samples)")
     common(p)
     p.set_defaults(func=_cmd_leja)
@@ -304,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
             "sum_sup, avg_sup, max_sup, min_sup"
         ),
     )
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--max-n", type=int, default=None, help="without --special-n only (default 64)")
     p.add_argument("--special-n", action="store_true")
-    p.add_argument("--p", dest="p_range", type=_parse_range, default=None, metavar="LO..HI")
-    p.add_argument("--avg", action="store_true", help="also require avg_sup > 1 and decreasing")
+    p.add_argument("--p", type=_parse_range, default=None, metavar="LO..HI")
+    p.add_argument("--avg", action="store_true", default=None, help="also require avg_sup > 1 and decreasing")
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--refine", type=int, default=40)
     common(p)
@@ -329,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     modes.add_argument("--verify-2d-leja", dest="mode", action="store_const", const="verify-2d-leja")
     modes.add_argument("--lebesgue", dest="mode", action="store_const", const="lebesgue")
     modes.add_argument("--decay", dest="mode", action="store_const", const="decay")
-    p.add_argument("--n-max", type=int, default=15)
-    p.add_argument("--n", dest="n_range", type=_parse_range, default=None, metavar="LO..HI")
-    p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--points", type=int, default=16)
+    p.add_argument("--n-max", type=int, default=None, help="all but --lebesgue and --decay (default 15)")
+    p.add_argument("--n", type=_parse_range, default=None, metavar="LO..HI", help="--lebesgue and --decay only")
+    p.add_argument("--grid", type=int, default=None, help="--verify-2d-leja, --lebesgue, --decay (default 128)")
+    p.add_argument("--points", type=int, default=None, help="--oracle and --factorization only (default 16)")
     common(p)
     p.set_defaults(func=_cmd_bivariate, mode=None)
 
@@ -345,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--ellipse", nargs=2, type=float, metavar=("A", "B"), required=True)
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--max-n", type=int, default=None, help="without --alper only (default 64)")
     p.add_argument("--alper", action="store_true")
-    p.add_argument("--w-grid", type=int, default=256)
-    p.add_argument("--t-grid", type=int, default=256)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--refine", type=int, default=40)
+    p.add_argument("--w-grid", type=int, default=None, help="--alper only (default 256)")
+    p.add_argument("--t-grid", type=int, default=None, help="--alper only (default 256)")
+    p.add_argument("--grid", type=int, default=None, help="without --alper only")
+    p.add_argument("--refine", type=int, default=None, help="without --alper only (default 40)")
     common(p)
     p.set_defaults(func=_cmd_transport)
 

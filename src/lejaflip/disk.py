@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import binary_decompose, require_resolving_grid
+from .core import require_resolving_grid
 
 UNIT_TOL = 1e-12
 
@@ -52,19 +52,6 @@ class LejaSection:
 
     def __len__(self) -> int:
         return self.points.size
-
-
-@dataclass(frozen=True)
-class SectionSplit:
-    """Leading roots-of-unity block, its successor point, and the rescaled tail."""
-
-    roots_block: np.ndarray
-    rho1: complex
-    remainder: LejaSection
-
-    def __post_init__(self):
-        if abs(self.rho1 ** self.roots_block.size + 1.0) > 1e-10:
-            raise ValueError("first tail point is not a root of -1 of the block order")
 
 
 @dataclass(frozen=True)
@@ -213,45 +200,3 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples) -> LejaValida
                     if shortfall > worst:
                         worst, worst_k = shortfall, k
     return LejaValidation(worst, worst_k)
-
-
-def split_section(section: LejaSection) -> SectionSplit:
-    """Peel off the leading power-of-two block.
-
-    Requires the length not to be a pure power of two.  The first tail point
-    ``rho1`` satisfies rho1**(2**p1) = -1 and rescales the tail back to a
-    section starting at 1.
-    """
-    pts = section.points
-    n_points = pts.size
-    p1 = binary_decompose(n_points)[0]
-    block = 1 << p1
-    if n_points == block:
-        raise ValueError("section length is a power of two; nothing to split")
-    rho1 = complex(pts[block])
-    remainder = LejaSection(pts[block:] / rho1, compact_tag=section.compact_tag)
-    return SectionSplit(pts[:block].copy(), rho1, remainder)
-
-
-def omega0_of_section(section: LejaSection) -> complex:
-    """Root of -1 of order 2**p1 attached to the section's block structure.
-
-    Computed as the product of the observed leading point of each recursive
-    tail block; the final block is a complete set of roots of unity, so its
-    factor is fixed to exp(i*pi/2**p_n), which leaves every derived quantity
-    (the powers used in structured evaluation and the admissible successor
-    set) unchanged.
-    """
-    pts = section.points
-    exps = binary_decompose(pts.size)
-    if len(exps) < 2:
-        raise ValueError("section length is a power of two; omega0 is undefined")
-    omega = 1.0 + 0.0j
-    cur = pts
-    for p in exps[:-1]:
-        block = 1 << p
-        rho = complex(cur[block])
-        omega *= rho
-        cur = cur[block:] / rho
-    omega *= complex(np.exp(1j * np.pi / (1 << exps[-1])))
-    return omega

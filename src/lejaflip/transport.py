@@ -94,13 +94,6 @@ def boundary_samples(mp: ExteriorMap, count: int) -> BoundarySamples:
     return BoundarySamples(mp.on_circle(t))
 
 
-def chord_ratio(mp: ExteriorMap, z, w):
-    """|Phi(z) - Phi(w)| / |z - w| for distinct circle points."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return np.abs(mp(z) - mp(w)) / np.abs(z - w)
-
-
 def _capacity_scaled(mp: ExteriorMap) -> ExteriorMap:
     """s*Phi for s = 2**-round(log2 c1), whose capacity c1*s is near 1.
 

@@ -16,10 +16,8 @@ from lejaflip import (
     check_product_formula,
     flip_case,
     flip_via_vdm_ratio,
-    interpolate,
     jackson_decay_experiment,
     lex_to_pair,
-    pair_to_lex,
     schiffer_siciak,
     shape_of,
     triangular_number,
@@ -29,7 +27,7 @@ from lejaflip import (
     verify_2d_leja,
 )
 from lejaflip import bivariate
-from lejaflip.bivariate import _flip_at_points, _flip_on_axes, _flip_terms, _interp_grid, _prefix_tables
+from lejaflip.bivariate import _flip_tables, _flip_terms, _interp_grid, _prefix_tables
 
 
 def leja_sources(n_entries, rotate=0.0):
@@ -43,6 +41,17 @@ def random_unit(rng):
 
 def f_entire(z, w):
     return np.exp(z - 2 * w)
+
+
+def interpolant(arr, f, z, w):
+    """Lagrange interpolant sum_p f(H_p) l_{H_p}(z, w) at one point, from the library's grid sum."""
+    values = np.array([complex(f(*arr.node(j))) for j in range(1, arr.N + 1)])
+    return complex(_interp_grid(arr, values, np.array([z]), np.array([w]))[0, 0])
+
+
+def graded_position(k, l):
+    """Position of the monomial z**k w**l in the graded ordering."""
+    return triangular_number(k + l - 1) + l + 1
 
 
 def seven_form_terms(n, m, p, q):
@@ -114,11 +123,11 @@ class TestIndexing:
     @given(st.integers(min_value=1, max_value=100_000))
     def test_bijection_from_index(self, j):
         k, l = lex_to_pair(j)
-        assert pair_to_lex(k, l) == j
+        assert graded_position(k, l) == j
 
     @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300))
     def test_bijection_from_pair(self, k, l):
-        assert lex_to_pair(pair_to_lex(k, l)) == (k, l)
+        assert lex_to_pair(graded_position(k, l)) == (k, l)
 
     def test_degree_block_ends(self):
         # the isqrt degree has no fix-up step, so check both ends of every degree block
@@ -187,8 +196,10 @@ class TestDeltaProperty:
 
     def test_rejects_non_member(self):
         arr = build_array(leja_sources(4), leja_sources(4), 5)
-        with pytest.raises(ValueError):
-            bivariate_flip(arr, 2, 1, 0.1, 0.2)
+        for p, q in ((2, 1), (-1, 0), (0, 3)):
+            for z, w in ((0.1, 0.2), (np.full(3, 0.1), np.full(3, 0.2))):  # scalars and arrays alike
+                with pytest.raises(ValueError):
+                    bivariate_flip(arr, p, q, z, w)
 
     def test_degree_membership(self):
         # recover tensor coefficients through an inverse FFT on roots-of-unity
@@ -210,6 +221,33 @@ class TestDeltaProperty:
                         if a + b > 2 * g - 2:
                             continue
                         assert abs(coeff[a, b]) <= 1e-9, (n_nodes, p, q, a, b)
+
+
+class TestArrayFlip:
+    def test_output_shape_follows_the_input(self):
+        arr = build_array(leja_sources(5), leja_sources(5, 0.37), 9)
+        z, w = np.exp(0.3j * np.arange(12)).reshape(3, 4), np.exp(-0.7j * np.arange(12)).reshape(3, 4)
+        assert isinstance(bivariate_flip(arr, 1, 1, 0.2 + 0.1j, -0.3j), complex)
+        assert isinstance(bivariate_flip(arr, 1, 1, np.array(0.2 + 0.1j), np.array(-0.3j)), complex)
+        assert bivariate_flip(arr, 1, 1, z[0], w[0]).shape == (4,)
+        assert bivariate_flip(arr, 1, 1, z, w).shape == (3, 4)
+        assert bivariate_flip(arr, 1, 1, z[:1, :1], w[:1, :1]).shape == (1, 1)
+        assert bivariate_flip(arr, 1, 1, z[:, :1], w[:1, :]).shape == (3, 4)  # broadcast, as the oracle does
+
+    def test_entries_equal_per_point_calls_bit_for_bit(self):
+        eta, theta = leja_sources(8), leja_sources(8, 0.37)
+        rng = np.random.default_rng(21)
+        z = 1.5 * rng.random((2, 5)) * np.exp(2j * np.pi * rng.random((2, 5)))
+        w = 1.5 * rng.random((2, 5)) * np.exp(2j * np.pi * rng.random((2, 5)))
+        cases = set()
+        for n_nodes in range(1, 37):
+            arr = build_array(eta, theta, n_nodes)
+            for p, q in arr.pairs():
+                cases.add(flip_case(arr, p, q))
+                got = bivariate_flip(arr, p, q, z, w)
+                want = [bivariate_flip(arr, p, q, complex(a), complex(b)) for a, b in zip(z.flat, w.flat)]
+                assert got.tobytes() == np.array(want).reshape(z.shape).tobytes(), (n_nodes, p, q)
+        assert cases == ALL_CASES
 
 
 class TestTermRule:
@@ -275,31 +313,26 @@ class TestSharedTables:
         grid = 32
         axis = np.exp(2j * np.pi * np.arange(grid) / grid)
         rng = np.random.default_rng(17)
-        z, w = complex(0.3, -0.4), complex(-0.7, 0.2)
         cases = set()
         for n_nodes in range(1, 22):
             arr = build_array(eta, theta, n_nodes)
             pairs = arr.pairs()
             values = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
             ks, ls = np.array(pairs).T
-            worst, acc, total, interp = 0.0, np.zeros((grid, grid), dtype=complex), np.zeros((grid, grid)), 0j
+            worst, acc, total = 0.0, np.zeros((grid, grid), dtype=complex), np.zeros((grid, grid))
             for j, (p, q) in enumerate(pairs):
                 cases.add(flip_case(arr, p, q))
                 ztab, wtab = per_flip_tables(arr, p, q, arr.eta[: arr.n + 1], arr.theta[: arr.n + 1])
                 vals = (ztab.T @ wtab)[ks, ls]
                 worst = max(worst, float(np.max(np.abs(vals - ((ks == p) & (ls == q))))))
                 ztab, wtab = per_flip_tables(arr, p, q, axis, axis)
-                assert np.array_equal(_flip_on_axes(arr, p, q, axis, axis), ztab.T @ wtab)
                 acc += values[j] * (ztab.T @ wtab)
                 total += np.abs(ztab.T @ wtab)
                 ztab, wtab = per_flip_tables(arr, p, q, axis[:7], axis[3:10])
-                assert np.array_equal(_flip_at_points(arr, p, q, axis[:7], axis[3:10]), (ztab * wtab).sum(axis=0))
-                ztab, wtab = per_flip_tables(arr, p, q, np.array([z]), np.array([w]))
-                interp += complex(f_entire(*arr.node(j + 1))) * complex((ztab * wtab).sum(axis=0)[0])
+                assert np.array_equal(bivariate_flip(arr, p, q, axis[:7], axis[3:10]), (ztab * wtab).sum(axis=0))
             assert check_delta(arr)[0] == worst, n_nodes
             assert np.array_equal(_interp_grid(arr, values, axis, axis), acc), n_nodes
             assert bivariate_lebesgue(arr, grid) == float(total.max()), n_nodes
-            assert interpolate(arr, f_entire, z, w) == interp, n_nodes
         assert cases == ALL_CASES
 
     def test_array_loops_build_two_tables_per_array(self, monkeypatch):
@@ -314,7 +347,7 @@ class TestSharedTables:
         for run in (
             lambda: check_delta(arr),
             lambda: bivariate_lebesgue(arr, 24),
-            lambda: interpolate(arr, f_entire, 0.1j, 0.2),
+            lambda: _interp_grid(arr, np.ones(15), np.array([0.1j]), np.array([0.2])),
         ):
             builds.clear()
             run()
@@ -338,8 +371,10 @@ class TestContractionKernels:
                 cases.add(flip_case(arr, p, q))
                 want = outer_sum_flip(arr, p, q, zs, ws)
                 scale = max(1.0, float(np.max(np.abs(want))))
-                assert np.max(np.abs(_flip_on_axes(arr, p, q, zs, ws) - want)) <= 1e-13 * scale
-                assert np.max(np.abs(_flip_at_points(arr, p, q, zs, ws) - np.diag(want))) <= 1e-13 * scale
+                _, _, ztab, wtab = next(_flip_tables(arr, zs, ws, [(p, q)]))
+                assert np.max(np.abs(ztab.T @ wtab - want)) <= 1e-13 * scale
+                assert np.max(np.abs(bivariate_flip(arr, p, q, zs[:, None], ws[None, :]) - want)) <= 1e-13 * scale
+                assert np.max(np.abs(bivariate_flip(arr, p, q, zs, ws) - np.diag(want))) <= 1e-13 * scale
         assert cases == ALL_CASES
 
     def test_check_delta_matches_scalar_loop(self):
@@ -368,7 +403,7 @@ class TestContractionKernels:
     def test_check_delta_and_check_oracle_carry_a_nan(self, monkeypatch):
         # Python's max drops a NaN that comes second, so a fold with it would report 0
         arr = build_array(leja_sources(6), leja_sources(6, 0.37), 10)
-        tables, at_points = bivariate._prefix_tables, bivariate._flip_at_points
+        tables, flip = bivariate._prefix_tables, bivariate.bivariate_flip
 
         def nan_for_skip_two(points, skips, top, x):
             tabs = tables(points, skips, top, x)
@@ -376,13 +411,13 @@ class TestContractionKernels:
             return tabs
 
         def nan_at_one(arr, p, q, zs, ws):
-            vals = at_points(arr, p, q, zs, ws)
+            vals = flip(arr, p, q, zs, ws)
             return vals * np.nan if (p, q) == (1, 1) else vals
 
         monkeypatch.setattr(bivariate, "_prefix_tables", nan_for_skip_two)
         assert math.isnan(check_delta(arr)[0])
         monkeypatch.setattr(bivariate, "_prefix_tables", tables)
-        monkeypatch.setattr(bivariate, "_flip_at_points", nan_at_one)
+        monkeypatch.setattr(bivariate, "bivariate_flip", nan_at_one)
         assert math.isnan(check_oracle(arr, np.random.default_rng(3), 4))
 
     def test_check_oracle_matches_scalar_loop(self):
@@ -546,14 +581,14 @@ class TestInterpolation:
         rng = np.random.default_rng(3)
         for _ in range(8):
             z, w = random_unit(rng), random_unit(rng)
-            assert interpolate(arr, lambda zz, ww: 1.0, z, w) == pytest.approx(1.0, abs=1e-10)
+            assert interpolant(arr, lambda zz, ww: 1.0, z, w) == pytest.approx(1.0, abs=1e-10)
 
     def test_reproduces_zw(self):
         arr = build_array(leja_sources(4), leja_sources(4, 0.37), 5)
         rng = np.random.default_rng(4)
         for _ in range(32):
             z, w = random_unit(rng), random_unit(rng)
-            got = interpolate(arr, lambda zz, ww: zz * ww, z, w)
+            got = interpolant(arr, lambda zz, ww: zz * ww, z, w)
             assert got == pytest.approx(z * w, abs=1e-10)
 
     def test_residual_of_next_monomial_factors(self):
@@ -565,7 +600,7 @@ class TestInterpolation:
             monomial = lambda z, w: z**k_next * w**l_next
             for _ in range(4):
                 z, w = random_unit(rng), random_unit(rng)
-                residual = monomial(z, w) - interpolate(arr, monomial, z, w)
+                residual = monomial(z, w) - interpolant(arr, monomial, z, w)
                 assert residual == pytest.approx(vdm_extension_factor(arr, z, w), abs=1e-9)
 
     def test_projector_idempotent(self):
@@ -573,7 +608,7 @@ class TestInterpolation:
         arr = build_array(eta, theta, 7)
         f = lambda z, w: np.exp(z) * np.cos(w)
         interp_at_nodes = {
-            (round(z.real, 12), round(z.imag, 12), round(w.real, 12), round(w.imag, 12)): interpolate(arr, f, z, w)
+            (round(z.real, 12), round(z.imag, 12), round(w.real, 12), round(w.imag, 12)): interpolant(arr, f, z, w)
             for z, w in map(tuple, arr.nodes)
         }
 
@@ -583,7 +618,7 @@ class TestInterpolation:
         rng = np.random.default_rng(6)
         for _ in range(8):
             z, w = random_unit(rng), random_unit(rng)
-            assert interpolate(arr, from_nodes, z, w) == pytest.approx(interpolate(arr, f, z, w), abs=1e-10)
+            assert interpolant(arr, from_nodes, z, w) == pytest.approx(interpolant(arr, f, z, w), abs=1e-10)
 
 
 class TestBivariateLebesgue:

@@ -401,8 +401,13 @@ class TestBivariateCommand:
             assert code == 1, argv
             assert "error" in err and out == ""
 
-    def test_n_max_is_checked_only_by_the_modes_that_read_it(self, capsys):
-        code, out, _ = run(capsys, "bivariate", "--lebesgue", "--n-max", "0", "--n", "2..3", "--grid", "24")
+    def test_modes_without_n_max_refuse_it(self, capsys):
+        # --lebesgue and --decay read --n, not --n-max: they ran whatever --n-max said
+        for mode in ("--lebesgue", "--decay"):
+            code, out, err = run(capsys, "bivariate", mode, "--n-max", "0", "--n", "2..3", "--grid", "24")
+            assert code == 1 and out == "", mode
+            assert f"--n-max is not read by {mode}" in err
+        code, out, _ = run(capsys, "bivariate", "--lebesgue", "--n", "2..3", "--grid", "24")
         assert code == 0
         assert [int(r["n"]) for r in csv.DictReader(out.splitlines())] == [2, 3]
 
@@ -411,7 +416,7 @@ class TestBivariateCommand:
         for mode in ([], ["--delta"], ["--oracle"], ["--factorization"], ["--verify-2d-leja"]):
             code, out, err = run(capsys, "bivariate", *mode, "--n", "0..3", "--n-max", "7")
             assert code == 1 and out == "", mode
-            assert "--n is read by --lebesgue and --decay only" in err
+            assert f"--n is not read by {(mode or ['--delta'])[0]}" in err
 
     def test_delta_refuses_sizes_short_of_the_seven_closed_forms(self, capsys):
         for n_max in ("1", "6"):
@@ -423,7 +428,45 @@ class TestBivariateCommand:
         assert int(list(csv.DictReader(out.splitlines()))[-1]["cases_seen"]) == 7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--special-n", "--p", "2..3", "--max-n", "0"],
+        ["bivariate", "--delta", "--n-max", "7", "--points", "0"],
+        ["bivariate", "--delta", "--n-max", "7", "--grid", "24"],
+        ["bivariate", "--oracle", "--n-max", "4", "--grid", "24"],
+        ["bivariate", "--factorization", "--n-max", "4", "--grid", "24"],
+        ["bivariate", "--verify-2d-leja", "--n-max", "4", "--points", "2"],
+        ["bivariate", "--lebesgue", "--n", "2..3", "--grid", "24", "--points", "0"],
+        ["bivariate", "--decay", "--n", "2..3", "--grid", "24", "--points", "2"],
+        ["transport", "--ellipse", "1.2", "0.8", "--max-n", "4", "--w-grid", "3"],
+        ["transport", "--ellipse", "1.2", "0.8", "--max-n", "4", "--t-grid", "3"],
+        ["transport", "--alper", "--ellipse", "1.2", "0.8", "--grid", "3"],
+        ["transport", "--alper", "--ellipse", "1.2", "0.8", "--refine", "3"],
+        ["transport", "--alper", "--ellipse", "1.2", "0.8", "--max-n", "4"],
+        ["leja", "--disk", "-N", "8", "--greedy", "--origin-angle", "1"],
+        ["leja", "--ellipse", "1.2", "0.8", "-N", "8", "--origin-angle", "1"],
+        ["leja", "--disk", "-N", "8", "--seed-index", "99999"],
+    ],
+)
+def test_refuses_an_option_the_mode_never_reads(capsys, argv):
+    # the last option is one the mode never reads: it used to be ignored without a word
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"error: {argv[-2]} is not read by" in err
+    assert run(capsys, *argv[:-2])[0] == 0
+
+
 _SMALL = st.integers(min_value=-2, max_value=8)
+
+#: The options each bivariate mode reads (no mode flag runs --delta).
+_BIVARIATE_READS = {
+    "--oracle": ("--n-max", "--points"),
+    "--factorization": ("--n-max", "--points"),
+    "--verify-2d-leja": ("--n-max", "--grid"),
+    "--lebesgue": ("--n", "--grid"),
+    "--decay": ("--n", "--grid"),
+}
 
 
 @settings(max_examples=120, deadline=None)
@@ -437,14 +480,15 @@ _SMALL = st.integers(min_value=-2, max_value=8)
 @example(mode="--decay", n_max=4, n_range="0..3", grid=24, points=2)
 @example(mode="--delta", n_max=7, n_range="0..3", grid=24, points=2)
 def test_bivariate_fuzz_exits_with_a_code(mode, n_max, n_range, grid, points):
+    options = {"--n-max": str(n_max), "--n": n_range, "--grid": str(grid), "--points": str(points)}
+    reads = _BIVARIATE_READS.get(mode, ("--n-max",))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "rows.json")
-        reads_n = mode in ("--lebesgue", "--decay")
-        argv = ["bivariate", *([mode] if mode else []), "--n-max", str(n_max), *(["--n", n_range] if reads_n else [])]
-        code = main(argv + ["--grid", str(grid), "--points", str(points), "--format", "json", "-o", out])
+        argv = ["bivariate", *([mode] if mode else []), *(x for option in reads for x in (option, options[option]))]
+        code = main(argv + ["--format", "json", "-o", out])
         assert code in (0, 1, 2)
-        if not reads_n:  # a mode that does not read --n refuses it
-            assert main(argv + ["--n", n_range, "--grid", str(grid), "--points", str(points), "-o", out]) == 1
+        for option in (o for o in options if o not in reads):  # an option the mode does not read is refused
+            assert main(argv + [option, options[option], "-o", out]) == 1
         if code != 1 and mode in ("--lebesgue", "--decay"):  # one row for each requested n, no more
             with open(out) as f:
                 assert [r["n"] for r in json.load(f)] == cli._parse_range(n_range)
@@ -482,9 +526,9 @@ class TestTransportCommand:
             code, out, err = run(capsys, "transport", "--ellipse", "1.2", "0.8", "--max-n", max_n, "--format", "json")
             assert code == 1 and out == "", max_n
             assert "--max-n must be at least 2" in err
-        code, out, _ = run(capsys, "transport", "--alper", "--ellipse", "1.2", "0.8", "--max-n", "1")
-        assert code == 0  # --alper does not sweep N
-        assert len(list(csv.DictReader(out.splitlines()))) == 1
+        code, out, err = run(capsys, "transport", "--alper", "--ellipse", "1.2", "0.8", "--max-n", "1")
+        assert code == 1 and out == ""  # --alper does not sweep N, so it refuses --max-n
+        assert "--max-n is not read by --alper" in err
 
     def test_rejects_bad_axes(self, capsys):
         for axes in (["0.5", "1.0"], ["1", "5e-324"], ["1e308", "1e308"]):  # b < a; b lost against a; a + b overflows
@@ -549,8 +593,9 @@ def test_bounds_fuzz_exits_with_a_code(special, max_n, p_range, avg, grid, refin
 @example(axes=(1e-300, 1e-300), n_points=24, samples=300, greedy=True, seed_index=0, tol=None)
 def test_leja_fuzz_exits_with_a_code(axes, n_points, samples, greedy, seed_index, tol):
     argv = ["leja", *(["--ellipse", repr(axes[0]), repr(axes[1])] if axes else ["--disk"])]
-    argv += ["-N", str(n_points), "--samples", str(samples), "--seed-index", str(seed_index)]
-    argv += [*(["--greedy"] if greedy else []), *(["--tol", repr(tol)] if tol is not None else [])]
+    argv += ["-N", str(n_points), "--samples", str(samples), *(["--greedy"] if greedy else [])]
+    argv += ["--seed-index", str(seed_index)] if axes or greedy else []  # the canonical section has no seed
+    argv += ["--tol", repr(tol)] if tol is not None else []
     assert main(argv + ["-o", os.devnull]) in (0, 1, 2)
 
 
@@ -566,9 +611,11 @@ def test_leja_fuzz_exits_with_a_code(axes, n_points, samples, greedy, seed_index
 @example(axes=(1e-310, 1e-310), alper=True, max_n=16, grid=None, refine=3, w_grid=256)
 @example(axes=(1e-310, 1e-310), alper=False, max_n=16, grid=None, refine=3, w_grid=256)
 def test_transport_fuzz_exits_with_a_code(axes, alper, max_n, grid, refine, w_grid):
-    argv = ["transport", "--ellipse", repr(axes[0]), repr(axes[1]), *(["--alper"] if alper else [])]
-    argv += ["--max-n", str(max_n), "--refine", str(refine), "--w-grid", str(w_grid), "--t-grid", "256"]
-    argv += ["--grid", str(grid)] if grid is not None else []
+    argv = ["transport", "--ellipse", repr(axes[0]), repr(axes[1])]
+    if alper:
+        argv += ["--alper", "--w-grid", str(w_grid), "--t-grid", "256"]
+    else:
+        argv += ["--max-n", str(max_n), "--refine", str(refine), *(["--grid", str(grid)] if grid is not None else [])]
     assert main(argv + ["-o", os.devnull]) in (0, 1, 2)
 
 

@@ -11,15 +11,23 @@ from lejaflip import (
     circle_samples,
     ellipse_exterior_map,
     greedy_leja,
-    omega0_of_section,
-    split_section,
     validate_leja,
 )
 from lejaflip.core import binary_decompose
+from lejaflip.flip import _Dyadic
 
 
 def as_angle_set(points):
     return np.sort(np.mod(np.angle(points), 2 * np.pi))
+
+
+def blocks_of(points):
+    """(p_i, c_i, node indices) per binary block of a node set, or None.
+
+    Block i holds every root of z**(2**p_i) = c_i; ``_Dyadic.of`` reads the blocks off exact dyadic angles.
+    """
+    d = _Dyadic.of(np.asarray(points, dtype=complex))
+    return None if d is None else [(p, np.exp(2j * np.pi * g / (1 << d.s)), ks) for p, g, ks in d.blocks]
 
 
 class TestCanonical:
@@ -226,82 +234,84 @@ class TestValidateAgainstLogDomainLoop:
 
 
 class TestSplit:
+    """The leading block of a section, the point after it and the rescaled tail."""
+
     def test_three_points(self):
-        split = split_section(canonical_disk_leja(3))
-        assert np.allclose(split.roots_block, [1, -1], atol=1e-14)
-        assert split.rho1 == pytest.approx(1j, abs=1e-14)
-        assert np.allclose(split.remainder.points, [1.0], atol=1e-14)
+        pts = canonical_disk_leja(3).points
+        (p1, c1, lead), (p2, c2, tail) = blocks_of(pts)
+        assert (p1, list(lead), p2, list(tail)) == (1, [0, 1], 0, [2])
+        assert np.allclose(pts[lead], [1, -1], atol=1e-14) and c1 == 1
+        assert pts[2] == pytest.approx(1j, abs=1e-14)  # a root of -1 of the leading block's order 2
+        assert c2 == pytest.approx(pts[2], abs=1e-14)  # a one-node block is the root of z = c
 
     def test_five_points_remainder(self):
-        split = split_section(canonical_disk_leja(5))
-        assert len(split.remainder) == 1
-        assert split.remainder.points[0] == pytest.approx(1.0, abs=1e-14)
+        pts = canonical_disk_leja(5).points
+        sizes = [ks.size for _, _, ks in blocks_of(pts)]
+        assert sizes == [4, 1]
+        assert np.allclose(pts[4:] / pts[4], [1.0], atol=1e-14)
 
     def test_six_points(self):
-        split = split_section(canonical_disk_leja(6))
-        assert split.rho1 == pytest.approx(canonical_disk_leja(6).points[4], abs=1e-14)
-        rep = validate_leja(split.remainder, circle_samples(2048))
+        pts = canonical_disk_leja(6).points
+        assert [ks.size for _, _, ks in blocks_of(pts)] == [4, 2]
+        assert abs(pts[4] ** 4 + 1.0) <= 1e-14
+        tail = pts[4:] / pts[4]
+        ((p, c, _),) = blocks_of(tail)  # the rescaled tail is a canonical section again
+        assert p == 1 and c == 1
+        rep = validate_leja(LejaSection(tail), circle_samples(2048))
         assert rep.max_violation <= 1e-6
-
-    def test_rejects_powers_of_two(self):
-        with pytest.raises(ValueError):
-            split_section(canonical_disk_leja(8))
 
     def test_rejects_sloppy_block_successor(self):
         # point 3 must be a square root of -1 for a 3-point section
         angles = np.array([0.0, np.pi, np.pi / 2 + 1e-4])
-        with pytest.raises(ValueError):
-            split_section(LejaSection(np.exp(1j * angles)))
+        assert blocks_of(LejaSection(np.exp(1j * angles)).points) is None
 
     def test_reassembly_all_sizes(self):
         big = canonical_disk_leja(4096).points
-        for n in range(3, 4097):
-            if n & (n - 1) == 0:
-                continue
-            section = LejaSection(big[:n])
-            split = split_section(section)
-            rebuilt = np.concatenate([split.roots_block, split.rho1 * split.remainder.points])
-            assert np.max(np.abs(rebuilt - section.points)) <= 1e-14
+        for n in range(1, 4097):
+            d = _Dyadic.of(big[:n])
+            assert [p for p, _, _ in d.blocks] == binary_decompose(n)  # a power of two is one block
+            assert np.array_equal(np.concatenate([ks for *_, ks in d.blocks]), np.arange(n))
+            rebuilt = np.exp(2j * np.pi * d.m / (1 << d.s))
+            assert np.max(np.abs(rebuilt - big[:n])) <= 1e-14
 
 
 class TestOmega0:
+    """omega0, the root of -1 attached to a section: omega0**(2**p_last) = -c_last, so omega0 = -c_last for odd N."""
+
     def test_three_points(self):
-        w = omega0_of_section(canonical_disk_leja(3))
+        w = -blocks_of(canonical_disk_leja(3).points)[-1][1]
         assert w**2 == pytest.approx(-1.0, abs=1e-12)
         assert w == pytest.approx(-1j, abs=1e-12)  # the canonical fourth point
 
     def test_six_points(self):
-        w = omega0_of_section(canonical_disk_leja(6))
-        assert abs(w**4 + 1) <= 1e-10
-
-    def test_rejects_powers_of_two(self):
-        with pytest.raises(ValueError):
-            omega0_of_section(canonical_disk_leja(16))
+        (p1, _, _), (p2, c2, _) = blocks_of(canonical_disk_leja(6).points)
+        for w in np.sqrt(-c2) * np.array([1, -1]):  # both roots of w**2 = -c_last
+            assert abs(w ** (1 << p1) + 1) <= 1e-10
+        assert abs(canonical_disk_leja(7).points[6] ** (1 << p2) + c2) <= 1e-10
 
     def test_distance_product_factorization(self):
-        # prod_j |z - eta_j| collapses onto the block powers and stays <= 2**n
+        # prod_j |z - eta_j| collapses onto the block powers and stays <= 2**popcount(n)
         rng = np.random.default_rng(4)
         for n in (3, 6, 13, 44, 100, 255, 1000):
             pts = canonical_disk_leja(n).points
-            w = omega0_of_section(LejaSection(pts))
-            exps = binary_decompose(n)
+            blocks = blocks_of(pts)
             for z in np.exp(2j * np.pi * rng.random(12)):
                 direct = np.prod(np.abs(z - pts))
-                factored = np.prod([abs(z ** (1 << p) + w ** (1 << p)) for p in exps])
+                factored = np.prod([abs(z ** (1 << p) - c) for p, c, _ in blocks])
                 assert factored == pytest.approx(direct, rel=1e-9)
-                assert direct <= 2.0 ** len(exps) + 1e-9
+                assert direct <= 2.0 ** len(blocks) + 1e-9
 
     def test_postconditions_sweep(self):
         big = canonical_disk_leja(4097).points
         for n in (n for n in range(3, 4097) if n & (n - 1)):
-            section = LejaSection(big[:n])
-            w = omega0_of_section(section)
-            exps = binary_decompose(n)
-            assert abs(abs(w) - 1.0) <= 1e-12
-            assert abs(w ** (1 << exps[0]) + 1.0) <= 1e-10
-            # the next canonical point must lie in w * (2**p_n-th roots of unity)
-            ratio = big[n] / w
-            assert abs(ratio ** (1 << exps[-1]) - 1.0) <= 1e-10
+            blocks = blocks_of(big[:n])
+            (p1, c1, _), (p_last, c_last, _) = blocks[0], blocks[-1]
+            assert c1 == 1
+            assert abs(big[1 << p1] ** (1 << p1) + 1.0) <= 1e-10  # the first point after the leading block
+            # the next canonical point is a root of z**(2**p_last) = -c_last
+            assert abs(big[n] ** (1 << p_last) + c_last) <= 1e-10
+            if n % 2:
+                assert abs((-c_last) ** (1 << p1) + 1.0) <= 1e-10
 
 
 class TestSerialization:

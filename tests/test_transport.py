@@ -9,7 +9,6 @@ from scipy.special import ellipk
 from lejaflip import (
     boundary_samples,
     canonical_disk_leja,
-    chord_ratio,
     circle_flip_stats,
     compact_flip_stats,
     ellipse_exterior_map,
@@ -109,7 +108,8 @@ class TestDistortion:
         z = np.exp(2j * np.pi * rng.random(10_000))
         w = np.exp(2j * np.pi * rng.random(10_000))
         keep = np.abs(z - w) > 1e-12
-        ratios = chord_ratio(mp, z[keep], w[keep])
+        z, w = z[keep], w[keep]
+        ratios = np.abs(mp(z) - mp(w)) / np.abs(z - w)  # the chord ratio |Phi(z) - Phi(w)| / |z - w|
         assert ratios.min() >= b * (1 - 1e-9)
         assert ratios.max() <= a * (1 + 1e-9)
 
