@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import require_resolving_grid
+from .disk import canonical_disk_leja
 
 #: Largest node count accepted by the determinant-ratio oracle.
 DEFAULT_ORACLE_CAP = 21
@@ -60,11 +61,6 @@ class IntertwiningArray:
     n: int
     m: int
     nodes: np.ndarray  # shape (N, 2)
-
-    def node(self, j: int) -> tuple[complex, complex]:
-        """1-based access to H_j."""
-        z, w = self.nodes[j - 1]
-        return complex(z), complex(w)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Source-index pairs (p, q) of the nodes, in order."""
@@ -444,8 +440,6 @@ def jackson_decay_experiment(
     pi*n_max angles per axis, which cannot resolve the degree-n_max
     interpolants.
     """
-    from .disk import canonical_disk_leja
-
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     require_resolving_grid(grid, n_max)

@@ -9,16 +9,15 @@ Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the grid in node-major
 tiles sized for the L2 cache, in chunks of about 2**13 points, keeping only
 per-node maxima and the Lebesgue maximum (a 64-node circle scan's traced peak
 is 0.75 MB at 2**14 angles and at 2**18), and finds node hits by one
-searchsorted.  The probes run on the same tile kernel unless the node set is
-dyadic (below), so one linear-domain formula gives every |l_k| on a boundary;
-input outside its double range, non-finite input included, raises ValueError.
-Grids of at most pi*(N-1) angles are refused.
+searchsorted.  The per-node probes run on the same tile kernel unless the
+node set is dyadic (below), and the one-point Lebesgue probe takes the
+distances |b - eta_k| by complex abs, so one linear-domain formula gives every
+|l_k| on a boundary; input outside its double range, non-finite input
+included, raises ValueError.  Grids of at most pi*(N-1) angles are refused.
 
-The tile kernel takes the distances |b - eta_k| from one matmul of per-node
-coefficients with per-point planes.  On the unit circle, with nodes of modulus
-1 to a few ulps, a distance is 2|sin((t - phi_k)/2)| from half-angle values of
-the angle itself; any other boundary, every ellipse included, takes coordinate
-differences 1*x + (-x_k)*1, the bits of a subtraction.
+The tile kernel takes the distances |b - eta_k| on every boundary from one
+matmul of per-node coefficients with per-point planes: coordinate differences
+1*x + (-x_k)*1, the bits of a subtraction.
 
 A scan on the unit circle of a node set at exact dyadic angles
 exp(2*pi*i*m_k/2**s) whose binary blocks are whole root sets (:class:`_Dyadic`:
@@ -171,9 +170,6 @@ _CHUNK = 1 << 13
 #: Why a tile is refused: its moduli cannot be formed in double precision.
 _OUT_OF_RANGE = "FLIP moduli leave double range: the nodes or the boundary are too far from unit scale"
 
-#: Largest ||eta| - 1| of a node on the unit circle: a few ulps.  Canonical nodes and exp(it) samples are within one.
-_UNIT_ULPS = 4.0 * np.finfo(float).eps
-
 #: Largest |eta_k - exp(2*pi*i*m_k/2**s)| of a node at a dyadic angle: the roundings of a turned section's products.
 _DYADIC_ULPS = 8.0 * np.finfo(float).eps
 
@@ -220,7 +216,9 @@ class _Dyadic:
 
     @classmethod
     def of(cls, nodes: np.ndarray) -> _Dyadic | None:
-        """The structure of circle ``nodes``, or None: a node off its dyadic angle, shared angles, a partial block."""
+        """The structure of circle ``nodes``, or None: a node not finite or off its angle, shared angles, a partial block."""
+        if not np.all(np.isfinite(nodes)):
+            return None
         n = nodes.size
         s = (n - 1).bit_length()
         q = 1 << s
@@ -292,19 +290,15 @@ class _Flips:
     without ``dyadic`` structure, whose probes take :meth:`_Dyadic.own`.
 
     A tile's distances |b_j - eta_k| are one matmul of per-node coefficients
-    with the per-point planes of :meth:`_planes`.  On the unit circle (``curve``
-    is :func:`_unit_circle`), with every node within ``_UNIT_ULPS`` of modulus 1,
-    the polar front end multiplies half-angle values of t_j and of sqrt(eta_k):
-
-        |b_j - eta_k| = |2 sin(t_j/2) cos(phi_k/2) - 2 cos(t_j/2) sin(phi_k/2)|.
-
-    Otherwise (1, -x_k), (1, -y_k) times (x_j, 1), (y_j, 1) give x_j - x_k and
-    y_j - y_k, rounded once as a subtraction is, to be squared and added.  A
-    point exactly equal to a node is a hit (:meth:`_runs`), whose column becomes
-    the Kronecker column.  Run it under ``np.errstate(all="ignore")``.  A polar
-    node set's :class:`_Dyadic` structure, or None, is ``dyadic``; with one,
-    the log-weights come from the block formula, else from pairwise products.
-    Log-weights outside (-280, 280), NaN nodes included, raise ValueError.
+    with the per-point planes of :meth:`_planes`, on every boundary: (1, -x_k),
+    (1, -y_k) times (x_j, 1), (y_j, 1) give x_j - x_k and y_j - y_k, rounded once
+    as a subtraction is, to be squared and added.  A point exactly equal to a
+    node is a hit (:meth:`_runs`), whose column becomes the Kronecker column.
+    Run it under ``np.errstate(all="ignore")``.  On the unit circle (``curve``
+    is :func:`_unit_circle`) the node set's :class:`_Dyadic` structure, or None,
+    is ``dyadic``; with one, the log-weights come from the block formula, else
+    from pairwise products.  Log-weights outside (-280, 280), NaN nodes
+    included, raise ValueError.
     """
 
     def __init__(self, nodes: np.ndarray, curve=_unit_circle):
@@ -313,24 +307,19 @@ class _Flips:
         self.order = np.argsort(nodes)
         self.sorted = nodes[self.order]
         self.node_set = frozenset(nodes.tolist())  # the hit lookup of a one-point probe, one hash away
-        # coefficients of (cos(t/2), sin(t/2)) in 2 sin((t - phi_k)/2); None off the unit circle
-        half, mod = np.sqrt(nodes), np.abs(nodes)
-        polar = curve is _unit_circle and mod.min() >= 1.0 - _UNIT_ULPS and mod.max() <= 1.0 + _UNIT_ULPS
-        self.polar = 2.0 * np.stack((-half.imag, half.real), axis=1) if polar else None
-        self.coords = None if polar else np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
-        self.dyadic = _Dyadic.of(nodes) if polar else None
+        self.coords = np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
+        self.dyadic = _Dyadic.of(nodes) if curve is _unit_circle else None
         with np.errstate(all="ignore"):  # infinite nodes give NaN weights, refused below
             log_w = _log_node_weights(nodes) if self.dyadic is None else self.dyadic.log_weights()
         if not np.all(np.abs(log_w) < 280.0):
             raise ValueError(f"node weights leave double range: log-weights {log_w.min():.4g}..{log_w.max():.4g}")
         self.inv_w = np.exp(-log_w)
         self.width = max(64, _TILE // n)
-        self._views, self._half, self._dist = {}, np.empty(2), np.empty(n)  # tile views, the polar probe's vectors
+        self._views, self._diff, self._dist = {}, np.empty(n, complex), np.empty(n)  # tile views, the probe's vectors
 
-    def _planes(self, ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(cos(t_j/2), sin(t_j/2)) as (2, size) on the polar front end, else (x_j, 1), (y_j, 1) as (2, 2, size)."""
-        if self.polar is not None:
-            return np.array((np.cos(0.5 * ts), np.sin(0.5 * ts)))
+    @staticmethod
+    def _planes(pts: np.ndarray) -> np.ndarray:
+        """(x_j, 1), (y_j, 1) as (2, 2, size): the points' factors of the coordinate differences."""
         planes = np.ones((2, 2, pts.size))
         planes[:, 0] = pts.real, pts.imag
         return planes
@@ -339,9 +328,9 @@ class _Flips:
         """The front half of a tile at the points of ``planes`` (cols <= width), which both back halves share.
 
         ``planes`` is a slice of :meth:`_planes`; the points ``hit_j`` are nodes.
-        Returns ``(dist, free, w)``: dist[k, j] = |b_j - eta_k|, squared on
-        coordinates, w[j] its product over k (1 in a hit column, whose
-        distances are 1), and ``free`` a spare plane of dist's shape.
+        Returns ``(dist, free, w)``: dist[k, j] = |b_j - eta_k|**2, w[j] its
+        product over k (1 in a hit column, whose distances are 1), and ``free``
+        a spare plane of dist's shape.
         """
         cols = planes.shape[-1]
         views = self._views.get(cols)
@@ -351,16 +340,12 @@ class _Flips:
             d = self._d[: 3 * self.n * cols].reshape(3, self.n, cols)
             views = self._views[cols] = (d[:2], d[0], d[1], d[2])
         d, dx, dy, dist = views
-        if planes.ndim == 2:
-            np.matmul(self.polar, planes, out=dist)
-            np.abs(dist, out=dist)
-        else:
-            np.matmul(self.coords, planes, out=d)
-            np.multiply(d, d, out=d)
-            np.add(dx, dy, out=dist)
+        np.matmul(self.coords, planes, out=d)
+        np.multiply(d, d, out=d)
+        np.add(dx, dy, out=dist)
         if hit_j.size:
             dist[:, hit_j] = 1.0  # the back halves write the Kronecker columns
-        return dist, dx, np.multiply.reduce(dist, axis=0)  # w squared on coordinates, like the distances
+        return dist, dx, np.multiply.reduce(dist, axis=0)  # w squared, like the distances
 
     def tile(self, planes: np.ndarray, hit_j: np.ndarray):
         """``(vals, sums)`` at the points of ``planes`` (cols <= width).
@@ -373,8 +358,7 @@ class _Flips:
         """
         dist, vals, w = self._front(planes, hit_j)
         np.divide(w, dist, out=vals)
-        if planes.ndim == 3:
-            np.sqrt(vals, out=vals)
+        np.sqrt(vals, out=vals)
         sums = self.inv_w @ vals
         if not (w.min() > 1e-280 and math.isfinite(sums.sum())):
             raise ValueError(_OUT_OF_RANGE)
@@ -391,9 +375,7 @@ class _Flips:
         the finiteness checked on the entries computed.
         """
         dist, _, w = self._front(planes, hit_j)
-        out = w / dist[ks, np.arange(ks.size)]
-        if planes.ndim == 3:
-            np.sqrt(out, out=out)
+        out = np.sqrt(w / dist[ks, np.arange(ks.size)])
         out *= self.inv_w[ks]
         if not (w.min() > 1e-280 and math.isfinite(out.sum())):
             raise ValueError(_OUT_OF_RANGE)
@@ -406,19 +388,17 @@ class _Flips:
         A run ``(start, planes, hit_k, hit_j)`` holds at most ``width`` points
         from ``start`` on, their slice of :meth:`_planes` and their hits, j
         counted from ``start``.  Hits are one ``searchsorted`` of all of ``ts``
-        in the sorted nodes.  No run after the first has one point, since numpy
-        sends a one-column product to gemv, which may round a polar entry unlike
-        gemm; so the result does not depend on the tile width.
+        in the sorted nodes.  Every product in the matmul is by 1 or -1 and
+        exact, so gemv (a one-point run) and gemm both round x_j - x_k once, and
+        the result does not depend on the tile width.
         """
         ts = np.asarray(ts).reshape(-1)
         cuts = [*range(0, ts.size, self.width), ts.size]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-            cuts[-2] -= 1
         pts = self.curve(ts)
         at = np.minimum(np.searchsorted(self.sorted, pts), self.n - 1)
         hit_j = np.flatnonzero(self.sorted[at] == pts)
         hit_k = self.order[at[hit_j]]
-        planes = self._planes(ts, pts)
+        planes = self._planes(pts)
         edges = np.searchsorted(hit_j, cuts)
         pairs = zip(cuts, cuts[1:], edges, edges[1:])
         runs = [(a, planes[..., a:b], hit_k[i:j], hit_j[i:j] - a) for a, b, i, j in pairs]
@@ -430,17 +410,11 @@ class _Flips:
         return np.concatenate([self._own_tile(*run, ks[start : start + run[0].shape[-1]]) for start, *run in runs])
 
     def lebesgue_at(self, t: float) -> float:
-        """sum_k |l_k(curve(t))| at one parameter, O(N); on the polar front end in six numpy calls."""
+        """sum_k |l_k(curve(t))| at one parameter, O(N), from the distances |curve(t) - eta_k| by complex abs."""
         z = self.curve(t)
         if z in self.node_set:  # a hit: the sum is l_k(eta_k) = 1
             return 1.0
-        if self.polar is None:
-            return float(self.tile(self._planes(None, np.array([z], dtype=complex)), self.order[:0])[1][0])
-        if not math.isfinite(t):  # math.cos refuses infinities; a NaN angle is refused below
-            raise ValueError(_OUT_OF_RANGE)
-        half, dist = self._half, self._dist
-        half[:] = math.cos(0.5 * t), math.sin(0.5 * t)
-        np.abs(self.polar.dot(half, out=dist), out=dist)
+        dist = np.abs(np.subtract(self.nodes, z, out=self._diff), out=self._dist)
         w = np.multiply.reduce(dist)
         total = float(self.inv_w.dot(np.divide(w, dist, out=dist)))
         if not (w > 1e-280 and math.isfinite(total)):
@@ -461,7 +435,7 @@ def _scan(flips: _Flips, grid: int):
     node_max, node_arg = np.zeros(flips.n), np.zeros(flips.n)
     leb_max, leb_arg = 0.0, 0.0
     step = max(1, _CHUNK // flips.width) * flips.width
-    edges = [*range(0, max(1, grid - 1), step), grid]  # a one-point last chunk joins the one before, as a run does
+    edges = [*range(0, grid, step), grid]
     hits = []
     with np.errstate(all="ignore"):
         for lo, hi in zip(edges, edges[1:]):

@@ -45,7 +45,7 @@ def f_entire(z, w):
 
 def interpolant(arr, f, z, w):
     """Lagrange interpolant sum_p f(H_p) l_{H_p}(z, w) at one point, from the library's grid sum."""
-    values = np.array([complex(f(*arr.node(j))) for j in range(1, arr.N + 1)])
+    values = np.array([complex(f(*arr.nodes[j - 1])) for j in range(1, arr.N + 1)])
     return complex(_interp_grid(arr, values, np.array([z]), np.array([w]))[0, 0])
 
 
@@ -149,19 +149,19 @@ class TestIndexing:
 class TestBuildArray:
     def test_single_node(self):
         arr = build_array(leja_sources(3), leja_sources(3, 0.3), 1)
-        assert arr.node(1) == (1 + 0j, complex(np.exp(0.3j)))
+        assert tuple(arr.nodes[0]) == (1 + 0j, complex(np.exp(0.3j)))
 
     def test_five_nodes_order(self):
         eta, theta = leja_sources(4), leja_sources(4, 0.3)
         arr = build_array(eta, theta, 5)
         want = [(eta[0], theta[0]), (eta[1], theta[0]), (eta[0], theta[1]), (eta[2], theta[0]), (eta[1], theta[1])]
         for j, (z, w) in enumerate(want, start=1):
-            assert arr.node(j) == (complex(z), complex(w))
+            assert tuple(arr.nodes[j - 1]) == (complex(z), complex(w))
 
     def test_sixth_node_closes_block(self):
         eta, theta = leja_sources(4), leja_sources(4, 0.3)
         arr = build_array(eta, theta, 6)
-        assert arr.node(6) == (complex(eta[0]), complex(theta[2]))
+        assert tuple(arr.nodes[5]) == (complex(eta[0]), complex(theta[2]))
 
     def test_rejects_short_sources(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestDeltaProperty:
             for p, q in pairs:
                 cases.add(flip_case(arr, p, q))
                 for j, (k, l) in enumerate(pairs, start=1):
-                    val = bivariate_flip(arr, p, q, *arr.node(j))
+                    val = bivariate_flip(arr, p, q, *arr.nodes[j - 1])
                     want = 1.0 if (k, l) == (p, q) else 0.0
                     assert abs(val - want) <= 1e-10, (n_nodes, p, q, k, l)
         assert cases == {"top", "edge-qm", "edge-qlt", "low-left", "low-right", "low-qm", "low-qgt"}
@@ -388,7 +388,7 @@ class TestContractionKernels:
                 cases.add(flip_case(arr, p, q))
                 for j, (k, l) in enumerate(pairs, start=1):
                     want = 1.0 if (k, l) == (p, q) else 0.0
-                    worst = max(worst, abs(bivariate_flip(arr, p, q, *arr.node(j)) - want))
+                    worst = max(worst, abs(bivariate_flip(arr, p, q, *arr.nodes[j - 1]) - want))
             got, got_cases = check_delta(arr)
             assert got_cases == cases
             assert abs(got - worst) <= 1e-13
@@ -503,8 +503,8 @@ class TestOracleEquivalence:
 
     def test_ratio_at_nodes(self):
         arr = build_array(leja_sources(5), leja_sources(5, 0.37), 8)
-        assert flip_via_vdm_ratio(arr, 3, *arr.node(3)) == pytest.approx(1.0, abs=1e-10)
-        assert flip_via_vdm_ratio(arr, 3, *arr.node(5)) == pytest.approx(0.0, abs=1e-10)
+        assert flip_via_vdm_ratio(arr, 3, *arr.nodes[2]) == pytest.approx(1.0, abs=1e-10)
+        assert flip_via_vdm_ratio(arr, 3, *arr.nodes[4]) == pytest.approx(0.0, abs=1e-10)
 
     def test_oracle_cap(self):
         arr = build_array(leja_sources(8), leja_sources(8, 0.37), 28)
@@ -728,7 +728,7 @@ class TestJacksonDecay:
         for n in range(2, 13):
             eta = canonical_disk_leja(n + 1).points
             arr = build_array(eta, eta, triangular_number(n))
-            values = np.array([complex(f(*arr.node(j))) for j in range(1, arr.N + 1)])
+            values = np.array([complex(f(*arr.nodes[j - 1])) for j in range(1, arr.N + 1)])
             want.append((n, arr.N, float(np.max(np.abs(_interp_grid(arr, values, axis, axis) - target)))))
         calls.clear()
         rows = jackson_decay_experiment(f, 12, grid=grid)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -423,6 +424,17 @@ class TestRefusesVacuousScans:
                 with pytest.raises(ValueError, match="FLIP moduli leave double range"):
                     flips.own(np.array([good, t]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(-np.inf, 1.0)])
+    def test_non_finite_circle_nodes_warn_nothing(self, bad):
+        # a non-finite node has no dyadic angle: the circle kernel refuses it without a RuntimeWarning
+        nodes = canonical_disk_leja(64).points.copy()
+        nodes[5] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="node weights leave double range"):
+                _Flips(nodes)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_overflowed_products_are_refused(self):
         # node weights in range, but 1e200 away the squared distances overflow
         nodes = canonical_disk_leja(8).points
@@ -533,26 +545,15 @@ class TestScanEngine:
         assert np.allclose(got, _abs_flips_at_points_log(nodes, curve(ts), ks), rtol=1e-10, atol=0.0)
 
 
-def _whole_set_cuts(size, width):
-    """Run cuts of a whole point set: ``width`` apart, and no run after the first with one point."""
-    cuts = [*range(0, size, width), size]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        cuts[-2] -= 1
-    return cuts
-
-
 def _whole_set_scan(flips, grid):
     """The scan as it was before it streamed its grid in chunks: the planes of the
     whole grid at once, its hits by brute force, and the running maxima with their
     angles and the Lebesgue maximum updated after every tile."""
     ang = 2.0 * np.pi * np.arange(grid) / grid
     bpts = flips.curve(ang)
-    cuts = _whole_set_cuts(grid, flips.width)
-    if flips.polar is None:
-        planes = np.ones((2, 2, grid))
-        planes[:, 0] = bpts.real, bpts.imag
-    else:  # half-angle values straight from the angles
-        planes = np.array((np.cos(ang / 2.0), np.sin(ang / 2.0)))
+    cuts = [*range(0, grid, flips.width), grid]
+    planes = np.ones((2, 2, grid))
+    planes[:, 0] = bpts.real, bpts.imag
     hit_j, hit_k = np.nonzero(bpts[:, None] == flips.nodes[None, :])
     edges = np.searchsorted(hit_j, cuts)
     rows = np.arange(flips.n)
@@ -582,11 +583,11 @@ def _stream_case(name):
         return _scan_case(name)
     if name == "scaled-ellipse-30x1-1024":  # 64-point runs, two chunks
         return (*_scan_case(name)[:3], 1 << 14)
-    if name == "late-off-circle":  # a custom curve, on the circle in the first chunks only: it takes coordinates
+    if name == "late-off-circle":  # a custom curve, on the circle in the first chunks only
         nodes = _scan_case("random-100")[0]
         return nodes, lambda t: _unit_circle(t) * np.where(t > 5.0, 1.0 + 1e-9, 1.0), np.angle(nodes), 1 << 14
-    # 1024-point runs and one point more, which the last two runs share: at 8193 the
-    # moved cut ends the first chunk, at 9217 it falls inside the second
+    # 1024-point runs and a one-point run, which takes gemv: at 8193 it is a chunk
+    # of its own, at 9217 it ends the second chunk
     nodes = canonical_disk_leja(64).points
     return nodes, _unit_circle, np.angle(nodes), int(name.split("-")[1])
 
@@ -621,26 +622,6 @@ class TestStreamedScan:
         ang = 2.0 * np.pi * np.arange(grid) / grid
         hits = {"canonical-256": 256, "scaled-ellipse-30x1-1024": 1024}
         assert np.isin(curve(ang), nodes).sum() == hits.get(name, 1 if name.startswith("grid") else 0)
-        assert (flips.polar is None) == (name in ("scaled-ellipse-30x1-1024", "late-off-circle"))
-
-    @pytest.mark.parametrize("name", ["grid-8193", "grid-9217", "scaled-ellipse-30x1-1024", "single-node"])
-    def test_chunks_fall_into_the_whole_grid_runs(self, name, monkeypatch):
-        # a one-point run would take gemv, which the value comparison above may not see
-        nodes, curve, _, grid = _stream_case(name)
-        sizes, runs = [], _Flips._runs
-
-        def spy(flips, ts):
-            out = runs(flips, ts)
-            sizes.extend(run[1].shape[-1] for run in out[2])
-            return out
-
-        monkeypatch.setattr(_Flips, "_runs", spy)
-        flips = _Flips(nodes, curve)
-        for chunk in (1, 1000, 1 << 13, 1 << 30):
-            monkeypatch.setattr(flip_module, "_CHUNK", chunk)
-            sizes.clear()
-            _scan(flips, grid)
-            assert np.cumsum([0, *sizes]).tolist() == _whole_set_cuts(grid, flips.width)
 
     @pytest.mark.parametrize("name", ["circle", "scaled-ellipse-30x1"])
     def test_peak_memory_does_not_grow_with_the_grid(self, name):
@@ -734,7 +715,6 @@ class TestHitLookup:
             nodes = nodes.copy()
             nodes[:12] = np.exp(1j * ang[[0, grid - 1, *np.random.default_rng(grid).choice(grid, 10, replace=False)]])
         flips = _Flips(nodes)
-        assert flips.polar is not None
         want_j, want_k = np.nonzero(np.exp(1j * ang)[:, None] == nodes[None, :])
         assert want_j.size >= {"rotated-256": 0, "random-100": 12}.get(name, 1)  # canonical: node 1 at t = 0
         for step in (grid, 1 << 13, 997, 7):
@@ -747,7 +727,9 @@ class TestHitLookup:
 
     def test_underflowed_distance_is_refused(self):
         # |b - eta_1|^2 underflows to 0 although b != eta_1: the node weights
-        # are in range, but the tile's distance product is not above 1e-280
+        # are in range, but the tile's distance product is not above 1e-280.
+        # The one-point probe takes |b - eta_1| = 1e-200 by complex abs, unsquared,
+        # so it has a value there
         nodes = np.array([1e-200, 1.0, -1.0, 0.5j], dtype=complex)
         b = np.full(4, 2e-200 + 0j)
         flips = _Flips(nodes, _points)
@@ -756,9 +738,9 @@ class TestHitLookup:
             with pytest.raises(ValueError, match="double range"):
                 flips.own(b, np.arange(4))
             with pytest.raises(ValueError, match="double range"):
-                flips.lebesgue_at(b[0])
-            with pytest.raises(ValueError, match="double range"):
                 _scan(_Flips(nodes, lambda t: np.full(t.size, 2e-200 + 0j)), 16)
+            leb = flips.lebesgue_at(b[0])
+        assert leb == pytest.approx(_abs_flips_at_points_log(nodes, b, np.arange(4)).sum(), rel=1e-12)
 
 
 class TestNodeWeights:
@@ -784,45 +766,33 @@ class TestNodeWeights:
         assert peak < 8e6
 
 
-def _coordinate_flips(nodes):
-    """The unit circle as a custom curve takes coordinates: the reference for the polar front end."""
-    return _Flips(nodes, lambda t: _unit_circle(t))
-
-
 class TestFrontEnds:
-    """The front end is a property of the boundary: polar on the unit circle with unit nodes, else coordinates."""
-
-    def test_unit_nodes_and_points_take_the_polar_form(self):
-        rng = np.random.default_rng(10)
-        for nodes in (
-            canonical_disk_leja(37).points,
-            canonical_disk_leja(256, np.exp(0.3j)).points,
-            unit_rng_points(rng, 100),
-            greedy_leja(circle_samples(4096), 50).points,
-        ):
-            assert _Flips(nodes).polar is not None
-            assert _Flips(nodes).curve is _unit_circle
+    """One coordinate front end serves every boundary; the dyadic structure is the unit circle's alone."""
 
     def test_other_nodes_and_points_take_coordinates(self):
         rng = np.random.default_rng(11)
         unit = canonical_disk_leja(37).points
+        assert _Flips(unit).dyadic is not None
         for nodes in (0.9 * rng.random(50) * unit_rng_points(rng, 50), unit * (1.0 + 1e-9)):
-            assert _Flips(nodes).polar is None
-        assert _coordinate_flips(unit).polar is None  # the circle, but not as the kernel knows it
+            assert _Flips(nodes).dyadic is None
+        assert _Flips(unit, lambda t: _unit_circle(t)).dyadic is None  # the circle, but not as the kernel knows it
         for a, b, n in ((1.2, 0.8, 64), (30.0, 1.0, 128), (30.0, 1.0, 1024), (1.0, 1.0, 37)):
             ts = transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(n))
             nodes, curve, _ = _scaled_boundary(ts)
-            assert _Flips(nodes, curve).polar is None
+            assert _Flips(nodes, curve).dyadic is None
             if a == 30.0:  # unscaled, the thin ellipse's node weights leave the kernel's range
                 _assert_refused(ts.images)
             else:
-                assert _Flips(ts.images, ts.map.on_circle).polar is None
+                assert _Flips(ts.images, ts.map.on_circle).dyadic is None
 
     @pytest.mark.parametrize("turn", [0.0, 0.1234])  # nodes on the default grid, and nodes rotated off it
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 64, 255, 256])
     def test_polar_scan_matches_coordinate_scan(self, n, turn):
+        # the circle in polar form, exp(it) as the kernel knows it, and the same circle as a
+        # custom curve take one tile front end; a dyadic node set's weights come from the
+        # block formula on the first and from pairwise products on the second
         nodes = canonical_disk_leja(n, np.exp(1j * turn)).points
-        want = _scan(_coordinate_flips(nodes), default_grid(n))
+        want = _scan(_Flips(nodes, lambda t: _unit_circle(t)), default_grid(n))
         got = _scan(_Flips(nodes), default_grid(n))
         assert np.allclose(got[0], want[0], rtol=1e-13, atol=0.0)
         assert got[2] == pytest.approx(want[2], rel=1e-13, abs=0.0)
@@ -831,13 +801,13 @@ class TestFrontEnds:
     @pytest.mark.parametrize("n", [7, 64, 255])
     def test_equal_axes_ellipse_matches_the_circle(self, a, n):
         # a = b: the scaled map is exactly z, so the nodes and the boundary points are
-        # the circle's, but the ellipse takes coordinates where the circle takes angles
+        # the circle's, but only the circle takes the dyadic scan and probes
         section = canonical_disk_leja(n)
         ts = transport_sequence(ellipse_exterior_map(a, a), section)
         nodes, curve, node_ts = _scaled_boundary(ts)
         t = 2.0 * np.pi * np.arange(default_grid(n)) / default_grid(n)
         assert np.array_equal(nodes, section.points) and np.array_equal(curve(t), _unit_circle(t))
-        assert _Flips(nodes, curve).polar is None and _Flips(nodes).polar is not None
+        assert _Flips(nodes, curve).dyadic is None and _Flips(nodes).dyadic is not None
         sups, report = compact_flip_stats(ts)
         want_sups, want = circle_flip_stats(section, per_node_refine=True)
         assert np.allclose(sups, want_sups, rtol=1e-13, atol=0.0)
@@ -860,13 +830,13 @@ class TestFrontEnds:
         report = lebesgue_constant(nodes)  # refined, so the argmax lies off the grid
         t = report.argmax_angle
         flips = _Flips(nodes)
-        assert flips.polar is not None
         with np.errstate(all="ignore"):
             l_100 = flips.own(t, np.array([100]))[0]
             leb = flips.lebesgue_at(t)  # the lean one-point probe
         with mpmath.workdps(40):
             mp_nodes = [mpmath.mpc(c.real, c.imag) for c in nodes]
-            at = mpmath.expj(t)  # the kernel evaluates at the angle, not at a rounded point
+            z = _unit_circle(t)
+            at = mpmath.mpc(z.real, z.imag)  # the kernel evaluates at the rounded point exp(1j*t)
             moduli = [
                 mpmath.fprod(abs(at - other) / abs(node - other) for other in mp_nodes if other != node)
                 for node in mp_nodes
@@ -913,7 +883,7 @@ def _full_tile_entries(flips, ts, ks):
 class TestProbes:
     @pytest.mark.parametrize("name", ["canonical-256", "scaled-ellipse-30x1-1024", "ellipse-30x1-128"])
     def test_own_is_the_full_tile_entry_bit_for_bit(self, name):
-        # polar and coordinate tiles, several tiles each
+        # circle and ellipse tiles, several tiles each
         nodes, curve, _, grid = _scan_case(name)
         if name == "ellipse-30x1-128":
             return _assert_refused(nodes)
@@ -929,7 +899,6 @@ class TestProbes:
             want = _full_tile_entries(flips, ts, ks)
         assert np.array_equal(got, want)
         assert got[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
-        assert (flips.polar is not None) == (name == "canonical-256")
 
     @pytest.mark.parametrize("name", ["random-7", "random-100", "random-700", "ellipse-30x1-128"])
     def test_tiled_probe_matches_log_domain_points(self, name):
@@ -953,10 +922,27 @@ class TestProbes:
         want = _abs_flips_at_points_log(nodes, np.full(37, np.exp(0.123j)), np.arange(37)).sum()
         assert np.exp(1j * (np.pi / 4.0)) == nodes[4]  # node 5 sits at angle pi/4
         with np.errstate(all="ignore"):
-            polar, points = (_Flips(nodes), 0.123, np.pi / 4.0), (_Flips(nodes, _points), np.exp(0.123j), nodes[4])
-            for flips, at, on_node in (polar, points):
-                assert flips.lebesgue_at(at) == pytest.approx(want, rel=1e-12)  # polar, then coordinates
+            angles, points = (_Flips(nodes), 0.123, np.pi / 4.0), (_Flips(nodes, _points), np.exp(0.123j), nodes[4])
+            for flips, at, on_node in (angles, points):
+                assert flips.lebesgue_at(at) == pytest.approx(want, rel=1e-12)  # angles, then points
                 assert flips.lebesgue_at(on_node) == 1.0
+
+    @pytest.mark.parametrize("name", ["canonical-255", "rotated-256", "scaled-ellipse-30x1-1024", "ellipse-1.2x0.8-512"])
+    def test_lebesgue_probe_matches_the_tile_sums(self, name):
+        # the one-point probe's complex-abs distances against the tile's coordinate squares
+        if name.startswith("canonical"):
+            nodes, curve = canonical_disk_leja(255).points, _unit_circle
+        elif name.startswith("rotated"):
+            nodes, curve = canonical_disk_leja(256, np.exp(0.1234j)).points, _unit_circle
+        else:
+            a, b, n = (30.0, 1.0, 1024) if "30x1" in name else (1.2, 0.8, 512)
+            nodes, curve, _ = _scaled_boundary(transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(n)))
+        flips = _Flips(nodes, curve)
+        ts = np.random.default_rng(nodes.size).uniform(0.0, 2.0 * np.pi, 200)
+        with np.errstate(all="ignore"):
+            want = np.concatenate([flips.tile(planes, hit_j)[1] for _, planes, _, hit_j in flips._runs(ts)[2]])
+            got = np.array([flips.lebesgue_at(t) for t in ts])
+        assert np.allclose(got, want, rtol=2e-14, atol=0.0)
 
 
 class TestGoldenSection:
@@ -982,8 +968,6 @@ class _SubtractFlips(_Flips):
     broadcast subtract (x_j, y_j) - (x_k, y_k), squared and added."""
 
     def _front(self, planes, hit_j):
-        if planes.ndim == 2:
-            return super()._front(planes, hit_j)
         d = np.subtract(planes[:, :1], np.array((self.nodes.real, self.nodes.imag))[:, :, None])
         np.multiply(d, d, out=d)
         dist = d[0] + d[1]
@@ -1029,8 +1013,7 @@ class TestCoordinateFront:
         pts = pts.copy()
         pts[[0, 5, -1]] = nodes[[0, 1, nodes.size - 1]]  # hits in the first and the last tile
         flips, ref = _Flips(nodes, _points), _SubtractFlips(nodes, _points)
-        assert flips.polar is None
-        planes = flips._planes(None, pts)
+        planes = flips._planes(pts)
         diff = np.subtract(np.array((pts.real, pts.imag))[:, None, :], np.array((nodes.real, nodes.imag))[:, :, None])
         assert np.array_equal(np.matmul(flips.coords, planes), diff)
         ks = np.random.default_rng(nodes.size).integers(0, nodes.size, pts.size)
@@ -1082,8 +1065,8 @@ def _dyadic_gaps(nodes, grid):
 
 
 def _naive_block_scan(flips, grid):
-    """The block product w over :func:`_scan`'s polar gemm distances, with its hits: w from exact angles,
-    |2 sin(t/2) cos(phi/2) - 2 cos(t/2) sin(phi/2)| from rounded ones, so near a node they do not cancel."""
+    """The block product w over :func:`_scan`'s gemm distances, with its hits: w from exact angles,
+    |exp(it) - eta_k| from rounded coordinates, so near a node they do not cancel."""
     dy = flips.dyadic
     d_cls = dy.classes(grid)
     period = grid * d_cls
@@ -1093,7 +1076,8 @@ def _naive_block_scan(flips, grid):
         w *= flip_module._twice_sines((j << p) * d_cls - g * (period >> dy.s), period)
     ang = 2.0 * np.pi * np.arange(grid) / grid
     hit_k, hit_j, _ = flips._runs(ang)
-    dist = np.abs(flips.polar @ np.array((np.cos(0.5 * ang), np.sin(0.5 * ang))))
+    diff = flips.coords @ flips._planes(flips.curve(ang))
+    dist = np.sqrt(diff[0] ** 2 + diff[1] ** 2)
     dist[:, hit_j] = 1.0
     with np.errstate(all="ignore"):
         vals = w / dist * flips.inv_w[:, None]
@@ -1237,7 +1221,7 @@ class TestDyadicScan:
 
     def test_planted_naive_block_product_fails_the_agreement(self, monkeypatch):
         # w from exact angles over distances from rounded ones: at a grid point on a node
-        # that is not bitwise a hit, w is exactly 0 where the gemm distance is 2e-18
+        # that is not bitwise a hit, w is exactly 0 where the gemm distance is 2.8e-17 or more
         monkeypatch.setattr(flip_module, "_dyadic_scan", _naive_block_scan)
         node_gap, _ = _dyadic_gaps(canonical_disk_leja(132).points, default_grid(132))
         assert node_gap > 1e-4
