@@ -10,7 +10,7 @@ maximize the distance product over a fixed sample set instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,12 @@ _BLOCK = 16
 
 #: A product below this may have passed through subnormals and lost bits.
 _TINY = 1e-280
+
+#: Samples per chunk of :func:`_lattice_samples`: 64 KB complex temporaries.
+_CHUNK = 1 << 12
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,17 @@ class LejaSection:
 
 @dataclass(frozen=True)
 class BoundarySamples:
-    """Discretization of a compact's boundary used for sup/argmax scans."""
+    """Discretization of a compact's boundary used for sup/argmax scans.
+
+    ``lattice`` is (c1, c2) when sample j is the image of exp(2*pi*1j*j/M),
+    M = len(samples), under Phi(z) = c1*z + c2/z, c1 > c2 >= 0, as evaluated
+    in double precision.  Only :func:`circle_samples` and
+    :func:`lejaflip.transport.boundary_samples` set it; a sample set built
+    from literal points has None.
+    """
 
     samples: np.ndarray
+    lattice: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.samples, dtype=complex)
@@ -76,12 +90,80 @@ class BoundarySamples:
         return self.samples.size
 
 
-def circle_samples(count: int) -> BoundarySamples:
-    """``count`` equispaced points on the unit circle, starting at 1."""
+def _lattice_samples(count: int, c1: float, c2: float, image) -> BoundarySamples:
+    """``image(t)`` at t = 2*pi*j/count, with the lattice (c1, c2) attached.
+
+    ``image`` must be the map t -> Phi(exp(it)), Phi(z) = c1*z + c2/z, as the
+    caller evaluates it.  The samples are built ``_CHUNK`` at a time into one
+    array; each is the same arithmetic on the same angle as one whole-array
+    call, so bit for bit the same.
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    ang = 2.0 * np.pi * np.arange(count) / count
-    return BoundarySamples(np.exp(1j * ang))
+    pts = np.empty(count, dtype=complex)
+    for lo in range(0, count, _CHUNK):
+        pts[lo : lo + _CHUNK] = image(2.0 * np.pi * np.arange(lo, min(lo + _CHUNK, count)) / count)
+    boundary = BoundarySamples(pts)
+    object.__setattr__(boundary, "lattice", (float(c1), float(c2)))
+    return boundary
+
+
+def circle_samples(count: int) -> BoundarySamples:
+    """``count`` equispaced points on the unit circle, starting at 1."""
+    return _lattice_samples(count, 1.0, 0.0, lambda t: np.exp(1j * t))
+
+
+def _lattice_tables(boundary: BoundarySamples):
+    """A[k] = 4 sin(pi*k/M)**2 and B[k] = (1 - q)**2 + 4q sin(pi*k/M)**2, q = c2/c1; B is None on the circle.
+
+    On the lattice |s_i - s_m|**2 = c1**2 * A[(i - m) % M] * B[(i + m) % M]
+    by the Joukowski factorization Phi(z) - Phi(w) = (z - w)(c1 - c2/(z*w)).
+    The sines are taken at angles up to pi/2 and mirrored, which keeps their
+    relative accuracy near k = M.
+    """
+    c1, c2 = boundary.lattice
+    n = len(boundary)
+    half = np.sin(np.pi * np.arange(n // 2 + 1) / n)
+    a = np.empty(n)
+    a[: half.size] = half
+    a[half.size :] = half[n - half.size : 0 : -1]
+    a *= a
+    a *= 4.0
+    if c2 == 0.0:
+        return a, None
+    q = c2 / c1
+    b = np.multiply(a, q)
+    b += (1.0 - q) ** 2
+    return a, b
+
+
+def _shifted(op, acc: np.ndarray, m: int, a: np.ndarray, b) -> None:
+    """acc[i] = op(acc[i], a[(i - m) % M]), then the same with b[(i + m) % M] unless b is None; in place, by slices."""
+    n = acc.size
+    op(acc[m:], a[: n - m], out=acc[m:])
+    op(acc[:m], a[n - m :], out=acc[:m])
+    if b is not None:
+        op(acc[: n - m], b[m:], out=acc[: n - m])
+        op(acc[n - m :], b[:m], out=acc[n - m :])
+
+
+def _lattice_index(boundary: BoundarySamples, pts: np.ndarray) -> np.ndarray:
+    """Sample index of each point that equals (==) a lattice sample, else -1.
+
+    The index is read off the point's angle in the circle parameter and kept
+    only where that sample is the point itself.
+    """
+    out = np.full(pts.size, -1, dtype=np.int64)
+    if boundary.lattice is None:
+        return out
+    c1, c2 = boundary.lattice
+    n = len(boundary)
+    with np.errstate(over="ignore"):
+        t = np.arctan2(pts.imag / (c1 - c2), pts.real / (c1 + c2))
+    m = np.rint(t * (n / (2.0 * np.pi))).astype(np.int64) % n
+    hit = boundary.samples[m] == pts
+    out[hit] = m[hit]
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,11 +193,48 @@ def canonical_disk_leja(n_points: int, origin: complex = 1.0 + 0.0j) -> LejaSect
     return LejaSection(origin * np.exp(1j * np.pi * frac), compact_tag=UNIT_DISK)
 
 
+def _window(boundary: BoundarySamples) -> tuple[float, float]:
+    """(a, b) of the greedy score window eps_k = a*k + b*k**2, see :func:`greedy_leja`; (0, 0) without a lattice."""
+    if boundary.lattice is None:
+        return 0.0, 0.0
+    c1, c2 = boundary.lattice
+    n = len(boundary)
+    sigma = 64.0 * _U * (c1 + c2)
+    dmin = 2.0 * (c1 - c2) * math.sin(math.pi / n)
+    lam = 1.0 + max(abs(math.log(dmin)), abs(math.log(2.0 * (c1 + c2))))
+    lam_t = math.log(n) + (1.0 - c2 / c1) ** -2
+    return 4.0 * sigma / dmin + 32.0 * _U * (1.0 + lam + lam_t), _U * (lam + 4.0 * lam_t)
+
+
 def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -> LejaSection:
     """Greedy section over a boundary sample set.
 
     Each new point maximizes the product of distances to the previous points,
-    restricted to the samples; ties break toward the lowest sample index.
+    restricted to the samples; ties break toward the lowest sample index.  The
+    picks are those of the running sum of log|s - eta_j|, each term a complex
+    abs and a log of the samples' difference, summed in pick order.
+
+    Samples score by that sum itself when they have no lattice.  On a lattice
+    (c1, c2) of M samples they score by sum_j la[(i - m_j) % M] + lb[(i + m_j) % M],
+    la = log(A)/2 and lb = log(B)/2 from :func:`_lattice_tables`: the sum
+    less k*log c1 with no logarithm per sample and node.  After k picks the
+    sum and the score (plus k*log c1) each lie within eps_k of the exact
+    lattice value, so the sum's argmax scores within 2*eps_k of the top
+    score.  Every sample there is re-evaluated by the running sum, the first
+    of its maxima is picked, and the picks are the sum's, bit for bit.  With
+    u = 2**-53,
+
+        eps_k = k*(4*sigma/D + 32u*(1 + lam + lam_t)) + k**2 * u*(lam + 4*lam_t),
+
+    where sigma = 64u*(c1 + c2) bounds a stored sample's distance from its
+    lattice point (the rounding of t, exp and Phi, with a factor 2 to
+    spare), D = 2(c1 - c2) sin(pi/M) is the least lattice distance,
+    lam = 1 + max(|ln D|, |ln 2(c1 + c2)|) bounds the sum's terms and
+    lam_t = ln M + (1 - q)**-2, q = c2/c1, the tables'.  The k terms are the
+    coordinates' rounding over D (valid while 2*sigma <= D/2, so for M up to
+    about 2e14*(c1 - c2)/(c1 + c2)) and the rounding of the tables and of
+    each log; the k**2 terms are the two k-term accumulations.  Without a
+    lattice the window is 0 and only exact ties are re-evaluated.
     """
     samples = boundary.samples
     if n_points < 1:
@@ -126,15 +245,29 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
         raise ValueError("seed_index out of range")
     chosen = np.empty(n_points, dtype=np.int64)
     chosen[0] = seed_index
-    diff, term = np.empty_like(samples), np.empty(samples.size)
-    # running log of prod_{j<k} |s - eta_j|; chosen samples drop to -inf
+    a, b = _window(boundary)
+    score = np.zeros(samples.size)  # chosen samples drop to -inf
     with np.errstate(divide="ignore"):
-        logp = np.log(np.abs(samples - samples[seed_index]))
+        if boundary.lattice is None:
+            diff, term = np.empty_like(samples), np.empty(samples.size)
+        else:
+            la, lb = _lattice_tables(boundary)
+            for t in (la, lb):
+                if t is not None:
+                    np.log(t, out=t)
+                    t *= 0.5
         for k in range(1, n_points):
-            idx = int(np.argmax(logp))
+            m = int(chosen[k - 1])
+            if boundary.lattice is None:
+                score += np.log(np.abs(np.subtract(samples, samples[m], out=diff), out=term), out=term)
+            else:
+                _shifted(np.add, score, m, la, lb)
+            idx = int(np.argmax(score))
+            near = np.flatnonzero(score >= score[idx] - 2.0 * k * (a + b * k))
+            if near.size > 1:
+                terms = np.log(np.abs(samples[near, None] - samples[chosen[:k]]))
+                idx = int(near[np.argmax(np.cumsum(terms, axis=1)[:, -1])])
             chosen[k] = idx
-            np.subtract(samples, samples[idx], out=diff)
-            logp += np.log(np.abs(diff, out=term), out=term)
     on_circle = np.max(np.abs(np.abs(samples[chosen]) - 1.0)) <= UNIT_TOL
     tag = UNIT_DISK if on_circle else SAMPLED_COMPACT
     return LejaSection(samples[chosen], compact_tag=tag)
@@ -158,17 +291,31 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples) -> LejaValida
     q = exp(logp - m) * prod_{block} |s - eta_j|**2, with logp its log
     product before the block and m the largest logp, so the k-th maximum is
     m + log max q: no logarithm per sample and node, and one per sample per
-    block to carry logp on.  A sample on a node drops to -inf.  A block
-    where some other sample's q, or some maximum, falls below ``_TINY``
-    (it may have lost bits to underflow) runs in the log domain instead.
+    block to carry logp on.  A node that equals a sample of the boundary's
+    lattice exactly multiplies q by its row c1**2 * A * B in two shifted
+    slices of the tables of :func:`_lattice_tables` (c1 scaled with the
+    points); any other node by dx**2 + dy**2.  A sample on a node drops to
+    -inf.  A block where some other sample's q, or some maximum, falls below
+    ``_TINY`` (it may have lost bits to underflow) runs in the log domain
+    instead: the log of a table row, which cannot underflow for samples of
+    the boundary, or 2*log(hypot(dx, dy)).  The sample coordinates and the
+    direct rows' buffers are made only for a section with nodes off the
+    lattice, which keeps 1 MB off the peak at 65,536 samples.
     """
     pts = section.points
     samples = boundary.samples
     require_resolving_grid(samples.size, pts.size - 1)
     e = math.frexp(max(float(np.abs(samples).max()), float(np.abs(pts).max())))[1]
-    sx, sy, px, py = (np.ldexp(v, -e) for v in (samples.real, samples.imag, pts.real, pts.imag))
+    px, py = np.ldexp(pts.real, -e), np.ldexp(pts.imag, -e)
+    on = _lattice_index(boundary, pts[:-1])
+    if (on >= 0).any():
+        ta, tb = _lattice_tables(boundary)
+        ta *= math.ldexp(boundary.lattice[0], -e) ** 2
+    if (on < 0).any():
+        sx, sy = np.ldexp(samples.real, -e), np.ldexp(samples.imag, -e)
+        dx, dy = np.empty(samples.size), np.empty(samples.size)
     logp = np.zeros(samples.size)  # log prod |s - eta_j|**2 over the nodes before the block
-    q, dx, dy = np.empty(samples.size), np.empty(samples.size), np.empty(samples.size)
+    q = np.empty(samples.size)
     worst, worst_k = 0.0, 0
     with np.errstate(divide="ignore"):
         for j0 in range(0, pts.size - 1, _BLOCK):
@@ -177,11 +324,14 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples) -> LejaValida
             np.exp(np.subtract(logp, m, out=q), out=q)
             rows = []
             for j in block:
-                np.subtract(sx, px[j], out=dx)
-                np.multiply(dx, dx, out=dx)
-                np.subtract(sy, py[j], out=dy)
-                np.multiply(dy, dy, out=dy)
-                q *= np.add(dx, dy, out=dx)
+                if on[j] >= 0:
+                    _shifted(np.multiply, q, int(on[j]), ta, tb)
+                else:
+                    np.subtract(sx, px[j], out=dx)
+                    np.multiply(dx, dx, out=dx)
+                    np.subtract(sy, py[j], out=dy)
+                    np.multiply(dy, dy, out=dy)
+                    q *= np.add(dx, dy, out=dx)
                 rows.append(float(q.max()))
             low = np.flatnonzero(q <= _TINY)
             low = low[logp[low] > -np.inf]
@@ -191,7 +341,12 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples) -> LejaValida
             else:
                 best = []
                 for j in block:
-                    logp += 2.0 * np.log(np.hypot(sx - px[j], sy - py[j]))
+                    if on[j] >= 0:  # q is free until the next block
+                        q.fill(1.0)
+                        _shifted(np.multiply, q, int(on[j]), ta, tb)
+                        logp += np.log(q, out=q)
+                    else:
+                        logp += 2.0 * np.log(np.hypot(sx - px[j], sy - py[j]))
                     best.append(float(logp.max()) / 2.0)
             for k, b in zip(range(j0 + 2, block.stop + 2), best):
                 own = float(np.sum(np.log(np.hypot(px[k - 1] - px[: k - 1], py[k - 1] - py[: k - 1]))))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import UNIT_DISK, BoundarySamples, LejaSection
+from .disk import UNIT_DISK, BoundarySamples, LejaSection, _lattice_samples
 from .flip import LebesgueReport, _boundary_stats
 
 
@@ -89,9 +89,8 @@ def transport_sequence(mp: ExteriorMap, section: LejaSection) -> TransportedSect
 
 
 def boundary_samples(mp: ExteriorMap, count: int) -> BoundarySamples:
-    """Images of ``count`` equispaced circle points; feeds the greedy builder."""
-    t = 2.0 * np.pi * np.arange(count) / count
-    return BoundarySamples(mp.on_circle(t))
+    """Images of ``count`` equispaced circle points, on their lattice; feeds :func:`greedy_leja`."""
+    return _lattice_samples(count, mp.c1, mp.c2, mp.on_circle)
 
 
 def _capacity_scaled(mp: ExteriorMap) -> ExteriorMap:

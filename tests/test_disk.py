@@ -13,6 +13,7 @@ from lejaflip import (
     greedy_leja,
     validate_leja,
 )
+from lejaflip import disk
 from lejaflip.core import binary_decompose
 from lejaflip.flip import _Dyadic
 
@@ -187,14 +188,119 @@ def _log_domain_validation(section, boundary):
     return worst, worst_k
 
 
+def _log_domain_greedy(boundary, n_points, seed_index=0):
+    """The greedy loop greedy_leja ran before its lattice scores, verbatim: the picked sample indices."""
+    samples = boundary.samples
+    chosen = np.empty(n_points, dtype=np.int64)
+    chosen[0] = seed_index
+    diff, term = np.empty_like(samples), np.empty(samples.size)
+    # running log of prod_{j<k} |s - eta_j|; chosen samples drop to -inf
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.abs(samples - samples[seed_index]))
+        for k in range(1, n_points):
+            idx = int(np.argmax(logp))
+            chosen[k] = idx
+            np.subtract(samples, samples[idx], out=diff)
+            logp += np.log(np.abs(diff, out=term), out=term)
+    return chosen
+
+
+_AXES = {"1.2x0.8": (1.2, 0.8), "30x1": (30.0, 1.0), "1e300": (1e300, 1e299), "1e-300": (1e-300, 1e-300)}
+
+
+def _lattice_boundary(name, count):
+    """circle_samples, or boundary_samples of a named ellipse."""
+    return circle_samples(count) if name == "circle" else boundary_samples(ellipse_exterior_map(*_AXES[name]), count)
+
+
+class TestGreedyAgainstLogDomainLoop:
+    """Lattice scores with re-evaluation inside the window pick what the running log sum picks, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["circle", *_AXES])
+    @pytest.mark.parametrize("count", [512, 8192])
+    @pytest.mark.parametrize("size", ["1", "2", "M/8"])
+    def test_same_picks(self, name, count, size):
+        boundary = _lattice_boundary(name, count)
+        assert boundary.lattice is not None
+        n = count // 8 if size == "M/8" else int(size)
+        for seed in (0, 1, 5, count // 3):
+            want = boundary.samples[_log_domain_greedy(boundary, n, seed)]
+            assert greedy_leja(boundary, n, seed).points.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("name", ["1.2x0.8", "30x1"])
+    def test_literal_copy_picks_the_same(self, name):
+        boundary = _lattice_boundary(name, 4096)
+        free = BoundarySamples(boundary.samples.copy())
+        assert free.lattice is None
+        assert greedy_leja(free, 300, 7).points.tobytes() == greedy_leja(boundary, 300, 7).points.tobytes()
+
+    def test_zero_window_changes_a_pick(self, monkeypatch):
+        # on 512 circle samples from seed 0 the seventh pick, sample 64 (angle pi/4), ties sample 320
+        # (5pi/4) in exact arithmetic; the running sum and the table scores round that tie apart
+        # in opposite directions, so only the window's re-evaluation keeps 64
+        boundary = circle_samples(512)
+        want = boundary.samples[_log_domain_greedy(boundary, 64)]
+        assert greedy_leja(boundary, 64).points.tobytes() == want.tobytes()
+        monkeypatch.setattr(disk, "_window", lambda boundary: (0.0, 0.0))
+        got = greedy_leja(boundary, 64).points
+        assert got[:6].tobytes() == want[:6].tobytes()
+        assert got[6] != want[6]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("count", [29, 4096, 65536])
+    def test_samples_equal_the_whole_array_forms(self, count):
+        # the constructors build their samples in chunks, bitwise equal to one whole-array call
+        ang = 2.0 * np.pi * np.arange(count) / count
+        assert circle_samples(count).samples.tobytes() == np.exp(1j * ang).tobytes()
+        for a, b in ((1.2, 0.8), (30.0, 1.0)):
+            mp = ellipse_exterior_map(a, b)
+            boundary = boundary_samples(mp, count)
+            assert boundary.samples.tobytes() == mp.on_circle(ang).tobytes()
+            assert boundary.lattice == (mp.c1, mp.c2)
+        assert circle_samples(count).lattice == (1.0, 0.0)
+
+    def test_only_the_constructors_set_it(self):
+        samples = circle_samples(64).samples
+        assert BoundarySamples(samples).lattice is None
+        with pytest.raises(TypeError):
+            BoundarySamples(samples, lattice=(1.0, 0.0))
+
+    @pytest.mark.parametrize("name", ["1.2x0.8", "30x1"])
+    def test_table_identity_on_random_pairs(self, name):
+        # |s_i - s_m|**2 = c1**2 * A[(i - m) % M] * B[(i + m) % M] from the stored samples, within twice
+        # greedy_leja's per-term rounding bound in log (the k = 1 term of its window)
+        boundary = _lattice_boundary(name, 65536)
+        s, count = boundary.samples, len(boundary)
+        c1 = boundary.lattice[0]
+        a, b = disk._lattice_tables(boundary)
+        i, m = np.random.default_rng(5).integers(0, count, (2, 4000))
+        i, m = i[i != m], m[i != m]
+        m[:8] = (i[:8] + np.array([1, -1, 2, -2, 3, count // 2, count // 4, -count // 4])) % count  # nearest pairs too
+        got = np.log(c1**2 * a[(i - m) % count] * b[(i + m) % count])
+        want = np.log(np.abs(s[i] - s[m]) ** 2)
+        assert np.max(np.abs(got - want)) <= 2.0 * disk._window(boundary)[0]
+
+    def test_off_lattice_node_takes_the_direct_row(self):
+        boundary = circle_samples(4096)
+        pts = canonical_disk_leja(64).points.copy()
+        pts[5] = complex(np.nextafter(pts[5].real, 2.0), pts[5].imag)  # one ulp off sample 2560
+        on = disk._lattice_index(boundary, pts)
+        assert on[5] == -1
+        assert boundary.samples[on[on >= 0]].tobytes() == pts[on >= 0].tobytes() and (on >= 0).sum() == 63
+        assert disk._lattice_index(BoundarySamples(boundary.samples), pts).max() == -1
+        section = LejaSection(pts)
+        want, _ = _log_domain_validation(section, boundary)
+        assert validate_leja(section, boundary).max_violation == pytest.approx(want, abs=1e-9)
+
+
 def _validation_case(name):
     """Section and sample set of a named validation case."""
     kind, _, arg = name.partition("-")
     if kind == "canonical":
         return canonical_disk_leja(int(arg)), circle_samples(4096)
     if kind == "greedy":  # the nodes are samples, so some samples reach -inf
-        axes = {"1.2x0.8": (1.2, 0.8), "30x1": (30.0, 1.0), "1e300": (1e300, 1e299), "1e-300": (1e-300, 1e-300)}
-        boundary = circle_samples(2048) if arg == "circle" else boundary_samples(ellipse_exterior_map(*axes[arg]), 2048)
+        boundary = _lattice_boundary(arg, 2048)
         return greedy_leja(boundary, 200, seed_index=3), boundary
     if kind == "pair":  # |i - 1| = sqrt(2), against max |z - 1| = 2
         return LejaSection(np.array([1.0 + 0j, 1j])), circle_samples(2048)
@@ -227,6 +333,12 @@ class TestValidateAgainstLogDomainLoop:
         assert report.max_violation == pytest.approx(want, abs=1e-9)
         if want > 1e-6:
             assert report.worst_k == want_k
+        # the same section on a lattice-free copy of the samples: every row direct
+        assert boundary.lattice is not None
+        free = validate_leja(section, BoundarySamples(boundary.samples.copy()))
+        assert free.max_violation == pytest.approx(report.max_violation, abs=1e-9)
+        if max(free.max_violation, report.max_violation) > 1e-6:
+            assert free.worst_k == report.worst_k
         if name in ("pair", "swapped", "rotated"):
             assert not report.max_violation <= 1e-6
         if name.startswith("canonical") or name.startswith("greedy-1"):
