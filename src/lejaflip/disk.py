@@ -28,7 +28,7 @@ _BLOCK = 16
 #: A product below this may have passed through subnormals and lost bits.
 _TINY = 1e-280
 
-#: Samples per chunk of :func:`_lattice_samples`: 64 KB complex temporaries.
+#: Samples per chunk of :class:`BoundarySamples`: 64 KB complex temporaries.
 _CHUNK = 1 << 12
 
 #: Unit roundoff of float64.
@@ -62,22 +62,32 @@ class LejaSection:
 
 @dataclass(frozen=True)
 class BoundarySamples:
-    """Discretization of a compact's boundary used for sup/argmax scans.
+    """The lattice of ``count`` boundary samples: sample j is Phi(exp(2*pi*1j*j/M)), M = count.
 
-    ``lattice`` is (c1, c2) when sample j is the image of exp(2*pi*1j*j/M),
-    M = len(samples), under Phi(z) = c1*z + c2/z, c1 > c2 >= 0, as evaluated
-    in double precision.  Only :func:`circle_samples` and
-    :func:`lejaflip.transport.boundary_samples` set it; a sample set built
-    from literal points has None.
+    Phi(z) = c1*z + c2/z with c1 > c2 >= 0 maps the unit circle onto the
+    ellipse with semi-axes c1 +- c2; (1, 0) is the circle itself.  The
+    samples are built ``_CHUNK`` at a time, each the same arithmetic on the
+    same angle as one whole-array call, so bit for bit the same.  Refused: a
+    count below 1, a (c1, c2) that is not finite with c1 > c2 >= 0, and
+    samples that overflow or coincide in double precision.
     """
 
-    samples: np.ndarray
-    lattice: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
+    count: int
+    c1: float = 1.0
+    c2: float = 0.0
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.samples, dtype=complex)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("boundary needs at least one sample")
+        n, c1, c2 = self.count, self.c1, self.c2
+        if n < 1:
+            raise ValueError("count must be positive")
+        if not (math.isfinite(c1) and math.isfinite(c2) and c1 > c2 >= 0.0):
+            raise ValueError(f"the lattice needs finite c1 > c2 >= 0, got c1={c1}, c2={c2}")
+        pts = np.empty(n, dtype=complex)
+        with np.errstate(over="ignore"):  # refused below as not finite
+            for lo in range(0, n, _CHUNK):
+                z = np.exp(1j * (2.0 * np.pi * np.arange(lo, min(lo + _CHUNK, n)) / n))
+                pts[lo : lo + _CHUNK] = c1 * z + c2 / z
         if not np.all(np.isfinite(pts)):
             raise ValueError("boundary samples must be finite")
         ordered = np.sort(pts)  # equal samples sit side by side; a sort takes far less memory than np.unique
@@ -87,30 +97,12 @@ class BoundarySamples:
         object.__setattr__(self, "samples", pts)
 
     def __len__(self) -> int:
-        return self.samples.size
-
-
-def _lattice_samples(count: int, c1: float, c2: float, image) -> BoundarySamples:
-    """``image(t)`` at t = 2*pi*j/count, with the lattice (c1, c2) attached.
-
-    ``image`` must be the map t -> Phi(exp(it)), Phi(z) = c1*z + c2/z, as the
-    caller evaluates it.  The samples are built ``_CHUNK`` at a time into one
-    array; each is the same arithmetic on the same angle as one whole-array
-    call, so bit for bit the same.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    pts = np.empty(count, dtype=complex)
-    for lo in range(0, count, _CHUNK):
-        pts[lo : lo + _CHUNK] = image(2.0 * np.pi * np.arange(lo, min(lo + _CHUNK, count)) / count)
-    boundary = BoundarySamples(pts)
-    object.__setattr__(boundary, "lattice", (float(c1), float(c2)))
-    return boundary
+        return self.count
 
 
 def circle_samples(count: int) -> BoundarySamples:
     """``count`` equispaced points on the unit circle, starting at 1."""
-    return _lattice_samples(count, 1.0, 0.0, lambda t: np.exp(1j * t))
+    return BoundarySamples(count)
 
 
 def _lattice_tables(boundary: BoundarySamples):
@@ -121,8 +113,7 @@ def _lattice_tables(boundary: BoundarySamples):
     The sines are taken at angles up to pi/2 and mirrored, which keeps their
     relative accuracy near k = M.
     """
-    c1, c2 = boundary.lattice
-    n = len(boundary)
+    c1, c2, n = boundary.c1, boundary.c2, boundary.count
     half = np.sin(np.pi * np.arange(n // 2 + 1) / n)
     a = np.empty(n)
     a[: half.size] = half
@@ -153,11 +144,8 @@ def _lattice_index(boundary: BoundarySamples, pts: np.ndarray) -> np.ndarray:
     The index is read off the point's angle in the circle parameter and kept
     only where that sample is the point itself.
     """
+    c1, c2, n = boundary.c1, boundary.c2, boundary.count
     out = np.full(pts.size, -1, dtype=np.int64)
-    if boundary.lattice is None:
-        return out
-    c1, c2 = boundary.lattice
-    n = len(boundary)
     with np.errstate(over="ignore"):
         t = np.arctan2(pts.imag / (c1 - c2), pts.real / (c1 + c2))
     m = np.rint(t * (n / (2.0 * np.pi))).astype(np.int64) % n
@@ -194,11 +182,8 @@ def canonical_disk_leja(n_points: int, origin: complex = 1.0 + 0.0j) -> LejaSect
 
 
 def _window(boundary: BoundarySamples) -> tuple[float, float]:
-    """(a, b) of the greedy score window eps_k = a*k + b*k**2, see :func:`greedy_leja`; (0, 0) without a lattice."""
-    if boundary.lattice is None:
-        return 0.0, 0.0
-    c1, c2 = boundary.lattice
-    n = len(boundary)
+    """(a, b) of the greedy score window eps_k = a*k + b*k**2, see :func:`greedy_leja`."""
+    c1, c2, n = boundary.c1, boundary.c2, boundary.count
     sigma = 64.0 * _U * (c1 + c2)
     dmin = 2.0 * (c1 - c2) * math.sin(math.pi / n)
     lam = 1.0 + max(abs(math.log(dmin)), abs(math.log(2.0 * (c1 + c2))))
@@ -214,9 +199,9 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
     picks are those of the running sum of log|s - eta_j|, each term a complex
     abs and a log of the samples' difference, summed in pick order.
 
-    Samples score by that sum itself when they have no lattice.  On a lattice
-    (c1, c2) of M samples they score by sum_j la[(i - m_j) % M] + lb[(i + m_j) % M],
-    la = log(A)/2 and lb = log(B)/2 from :func:`_lattice_tables`: the sum
+    The M samples of the lattice (c1, c2) score by
+    sum_j la[(i - m_j) % M] + lb[(i + m_j) % M], la = log(A)/2 and
+    lb = log(B)/2 from :func:`_lattice_tables` instead: the sum
     less k*log c1 with no logarithm per sample and node.  After k picks the
     sum and the score (plus k*log c1) each lie within eps_k of the exact
     lattice value, so the sum's argmax scores within 2*eps_k of the top
@@ -233,8 +218,7 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
     lam_t = ln M + (1 - q)**-2, q = c2/c1, the tables'.  The k terms are the
     coordinates' rounding over D (valid while 2*sigma <= D/2, so for M up to
     about 2e14*(c1 - c2)/(c1 + c2)) and the rounding of the tables and of
-    each log; the k**2 terms are the two k-term accumulations.  Without a
-    lattice the window is 0 and only exact ties are re-evaluated.
+    each log; the k**2 terms are the two k-term accumulations.
     """
     samples = boundary.samples
     if n_points < 1:
@@ -247,21 +231,14 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
     chosen[0] = seed_index
     a, b = _window(boundary)
     score = np.zeros(samples.size)  # chosen samples drop to -inf
+    la, lb = _lattice_tables(boundary)
     with np.errstate(divide="ignore"):
-        if boundary.lattice is None:
-            diff, term = np.empty_like(samples), np.empty(samples.size)
-        else:
-            la, lb = _lattice_tables(boundary)
-            for t in (la, lb):
-                if t is not None:
-                    np.log(t, out=t)
-                    t *= 0.5
+        for t in (la, lb):
+            if t is not None:
+                np.log(t, out=t)
+                t *= 0.5
         for k in range(1, n_points):
-            m = int(chosen[k - 1])
-            if boundary.lattice is None:
-                score += np.log(np.abs(np.subtract(samples, samples[m], out=diff), out=term), out=term)
-            else:
-                _shifted(np.add, score, m, la, lb)
+            _shifted(np.add, score, int(chosen[k - 1]), la, lb)
             idx = int(np.argmax(score))
             near = np.flatnonzero(score >= score[idx] - 2.0 * k * (a + b * k))
             if near.size > 1:
@@ -310,7 +287,7 @@ def validate_leja(section: LejaSection, boundary: BoundarySamples) -> LejaValida
     on = _lattice_index(boundary, pts[:-1])
     if (on >= 0).any():
         ta, tb = _lattice_tables(boundary)
-        ta *= math.ldexp(boundary.lattice[0], -e) ** 2
+        ta *= math.ldexp(boundary.c1, -e) ** 2
     if (on < 0).any():
         sx, sy = np.ldexp(samples.real, -e), np.ldexp(samples.imag, -e)
         dx, dy = np.empty(samples.size), np.empty(samples.size)

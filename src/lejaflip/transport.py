@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import UNIT_DISK, BoundarySamples, LejaSection, _lattice_samples
+from .disk import UNIT_DISK, BoundarySamples, LejaSection
 from .flip import LebesgueReport, _boundary_stats
 
 
@@ -89,8 +89,8 @@ def transport_sequence(mp: ExteriorMap, section: LejaSection) -> TransportedSect
 
 
 def boundary_samples(mp: ExteriorMap, count: int) -> BoundarySamples:
-    """Images of ``count`` equispaced circle points, on their lattice; feeds :func:`greedy_leja`."""
-    return _lattice_samples(count, mp.c1, mp.c2, mp.on_circle)
+    """``count`` equispaced circle points mapped by ``mp``, the lattice (count, c1, c2); feeds :func:`greedy_leja`."""
+    return BoundarySamples(count, mp.c1, mp.c2)
 
 
 def _capacity_scaled(mp: ExteriorMap) -> ExteriorMap:

@@ -1,10 +1,12 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from lejaflip import (
     BoundarySamples,
+    ExteriorMap,
     LejaSection,
     boundary_samples,
     canonical_disk_leja,
@@ -101,11 +103,15 @@ class TestGreedy:
             greedy_leja(circle_samples(8), 9)
 
     def test_tie_break_lowest_index(self):
-        # +/-i tie exactly after [1, -1] on these literal samples; the lower
-        # sample index must win
-        boundary = BoundarySamples(np.array([1 + 0j, -1 + 0j, 1j, -1j]))
-        section = greedy_leja(boundary, 3, seed_index=0)
-        assert section.points[2] == 1j
+        # on 16 circle samples from seed 0, samples 2 and 10 tie exactly in the running log sum
+        # at the seventh pick; the lower sample index must win
+        boundary = circle_samples(16)
+        s = boundary.samples
+        section = greedy_leja(boundary, 7, seed_index=0)
+        picks = [int(np.flatnonzero(s == z)[0]) for z in section.points]
+        assert picks == [0, 8, 12, 4, 14, 6, 2]
+        running = np.cumsum(np.log(np.abs(s[[2, 10], None] - s[picks[:6]])), axis=1)[:, -1]
+        assert running[0] == running[1]
 
     def test_picks_match_the_recorded_indices(self):
         # sha256 of the int64 sample indices picked before the running log
@@ -153,21 +159,42 @@ class TestBoundarySamples:
         pts = canonical_disk_leja(8).points.copy()
         pts[[2, 5]] = pts[[5, 2]]
         section = LejaSection(pts)
-        samples = circle_samples(256).samples.copy()
-        assert validate_leja(section, BoundarySamples(samples)).max_violation > 0.3
-        for bad in (np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.0)):
-            samples[17] = bad
-            with pytest.raises(ValueError, match="finite"):
-                BoundarySamples(samples)
+        assert validate_leja(section, circle_samples(256)).max_violation > 0.3
+        for c1, c2 in ((np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (np.inf, np.inf), (2.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite c1 > c2 >= 0"):
+                BoundarySamples(64, c1, c2)
+        # finite (c1, c2) whose samples overflow: refused, and the overflow warns nothing
+        for c1, c2 in ((1.7e308, 1e308), (1e308, 9e307)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="samples must be finite"):
+                    BoundarySamples(64, c1, c2)
 
     def test_rejects_duplicates_anywhere(self):
-        samples = circle_samples(256).samples.copy()  # conjugate pairs share a real part and stay distinct
-        assert len(BoundarySamples(samples)) == 256
-        for i, j in ((0, 1), (3, 200), (255, 128)):
-            dup = samples.copy()
-            dup[j] = dup[i]
+        assert len(circle_samples(256)) == 256  # conjugate pairs share a real part and stay distinct
+        # subnormal lattices round samples together; at (16, 5e-324) samples 0, 1 and 15 coincide,
+        # so equal samples also sit at opposite ends of the array
+        s = np.exp(1j * (2.0 * np.pi * np.arange(16) / 16)) * 5e-324
+        assert s[0] == s[15]
+        for count, c1, c2 in ((16, 5e-324, 0.0), (64, 2e-323, 0.0), (256, 1e-322, 0.0), (64, 2e-323, 1e-323)):
             with pytest.raises(ValueError, match="distinct"):
-                BoundarySamples(dup)
+                BoundarySamples(count, c1, c2)
+
+    @pytest.mark.parametrize("c1, c2", [(1.0, 1.0), (1.0, 2.0), (0.0, 0.0), (1.0, -0.5), (-1.0, -2.0)])
+    def test_refuses_lattices_off_c1_above_c2_at_least_0(self, c1, c2):
+        # at c1 < c2 the least lattice distance 2(c1 - c2) sin(pi/M) is negative: greedy_leja met it as a
+        # math domain error
+        with pytest.raises(ValueError, match="c1 > c2 >= 0"):
+            BoundarySamples(64, c1, c2)
+        with pytest.raises(ValueError, match="c1 > c2 >= 0"):
+            boundary_samples(ExteriorMap(c1, c2), 64)
+
+    def test_refuses_counts_below_1(self):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be positive"):
+                BoundarySamples(count)
+            with pytest.raises(ValueError, match="count must be positive"):
+                boundary_samples(ellipse_exterior_map(1.2, 0.8), count)
 
 
 def _log_domain_validation(section, boundary):
@@ -221,18 +248,10 @@ class TestGreedyAgainstLogDomainLoop:
     @pytest.mark.parametrize("size", ["1", "2", "M/8"])
     def test_same_picks(self, name, count, size):
         boundary = _lattice_boundary(name, count)
-        assert boundary.lattice is not None
         n = count // 8 if size == "M/8" else int(size)
         for seed in (0, 1, 5, count // 3):
             want = boundary.samples[_log_domain_greedy(boundary, n, seed)]
             assert greedy_leja(boundary, n, seed).points.tobytes() == want.tobytes(), seed
-
-    @pytest.mark.parametrize("name", ["1.2x0.8", "30x1"])
-    def test_literal_copy_picks_the_same(self, name):
-        boundary = _lattice_boundary(name, 4096)
-        free = BoundarySamples(boundary.samples.copy())
-        assert free.lattice is None
-        assert greedy_leja(free, 300, 7).points.tobytes() == greedy_leja(boundary, 300, 7).points.tobytes()
 
     def test_zero_window_changes_a_pick(self, monkeypatch):
         # on 512 circle samples from seed 0 the seventh pick, sample 64 (angle pi/4), ties sample 320
@@ -257,14 +276,17 @@ class TestLattice:
             mp = ellipse_exterior_map(a, b)
             boundary = boundary_samples(mp, count)
             assert boundary.samples.tobytes() == mp.on_circle(ang).tobytes()
-            assert boundary.lattice == (mp.c1, mp.c2)
-        assert circle_samples(count).lattice == (1.0, 0.0)
 
-    def test_only_the_constructors_set_it(self):
-        samples = circle_samples(64).samples
-        assert BoundarySamples(samples).lattice is None
+    def test_a_sample_set_is_its_lattice(self):
+        # (count, c1, c2) is the whole state: equality and hash follow it, and the samples are not an argument
+        mp = ellipse_exterior_map(1.2, 0.8)
+        assert circle_samples(64) == BoundarySamples(64, 1.0, 0.0) != BoundarySamples(65)
+        assert boundary_samples(mp, 64) == BoundarySamples(64, mp.c1, mp.c2)
+        assert hash(circle_samples(64)) == hash(BoundarySamples(64))
+        assert "samples" not in repr(circle_samples(64))
+        assert not circle_samples(64).samples.flags.writeable
         with pytest.raises(TypeError):
-            BoundarySamples(samples, lattice=(1.0, 0.0))
+            BoundarySamples(64, samples=circle_samples(64).samples)
 
     @pytest.mark.parametrize("name", ["1.2x0.8", "30x1"])
     def test_table_identity_on_random_pairs(self, name):
@@ -272,7 +294,7 @@ class TestLattice:
         # greedy_leja's per-term rounding bound in log (the k = 1 term of its window)
         boundary = _lattice_boundary(name, 65536)
         s, count = boundary.samples, len(boundary)
-        c1 = boundary.lattice[0]
+        c1 = boundary.c1
         a, b = disk._lattice_tables(boundary)
         i, m = np.random.default_rng(5).integers(0, count, (2, 4000))
         i, m = i[i != m], m[i != m]
@@ -288,7 +310,6 @@ class TestLattice:
         on = disk._lattice_index(boundary, pts)
         assert on[5] == -1
         assert boundary.samples[on[on >= 0]].tobytes() == pts[on >= 0].tobytes() and (on >= 0).sum() == 63
-        assert disk._lattice_index(BoundarySamples(boundary.samples), pts).max() == -1
         section = LejaSection(pts)
         want, _ = _log_domain_validation(section, boundary)
         assert validate_leja(section, boundary).max_violation == pytest.approx(want, abs=1e-9)
@@ -326,16 +347,16 @@ class TestValidateAgainstLogDomainLoop:
             "near",
         ],
     )
-    def test_matches_the_log_domain_loop(self, name):
+    def test_matches_the_log_domain_loop(self, name, monkeypatch):
         section, boundary = _validation_case(name)
         want, want_k = _log_domain_validation(section, boundary)
         report = validate_leja(section, boundary)
         assert report.max_violation == pytest.approx(want, abs=1e-9)
         if want > 1e-6:
             assert report.worst_k == want_k
-        # the same section on a lattice-free copy of the samples: every row direct
-        assert boundary.lattice is not None
-        free = validate_leja(section, BoundarySamples(boundary.samples.copy()))
+        # the same section with no node found on the lattice: every row direct
+        monkeypatch.setattr(disk, "_lattice_index", lambda boundary, pts: np.full(pts.size, -1, dtype=np.int64))
+        free = validate_leja(section, boundary)
         assert free.max_violation == pytest.approx(report.max_violation, abs=1e-9)
         if max(free.max_violation, report.max_violation) > 1e-6:
             assert free.worst_k == report.worst_k
