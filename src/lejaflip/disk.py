@@ -229,7 +229,8 @@ def greedy_leja(boundary: BoundarySamples, n_points: int, seed_index: int = 0) -
         raise ValueError("seed_index out of range")
     chosen = np.empty(n_points, dtype=np.int64)
     chosen[0] = seed_index
-    a, b = _window(boundary)
+    # only picks read the window: a one-point section makes none, and a one-sample lattice has no least distance
+    a, b = _window(boundary) if n_points > 1 else (0.0, 0.0)
     score = np.zeros(samples.size)  # chosen samples drop to -inf
     la, lb = _lattice_tables(boundary)
     with np.errstate(divide="ignore"):

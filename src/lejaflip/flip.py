@@ -5,14 +5,23 @@ estimated on the unit circle only (the maximum modulus principle makes that
 exact) by a uniform angle scan followed by golden-section refinement.
 
 One scan engine serves every boundary curve t -> z(t): exp(it) here and
-Phi(exp(it)) in :mod:`lejaflip.transport`.  It sweeps the grid in node-major
-tiles sized for the L2 cache, in chunks of about 2**13 points, keeping only
-per-node maxima and the Lebesgue maximum (a 64-node circle scan's traced peak
-is 0.75 MB at 2**14 angles and at 2**18), and finds node hits by one
-searchsorted.  The per-node probes run on the same tile kernel unless the
-node set is dyadic (below), and the one-point Lebesgue probe takes the
-distances |b - eta_k| by complex abs, so one linear-domain formula gives every
-|l_k| on a boundary; input outside its double range, non-finite input
+Phi(exp(it)) in :mod:`lejaflip.transport`.  It runs coarse to fine
+(:func:`_scan`): node-major tiles sized for the L2 cache take every r-th grid
+angle (r = 4 on default grids, 1 below 2**18 grid x node elements), in chunks
+of about 2**13 points, keeping the node and Lebesgue maxima and the coarse
+points near them.  A Bernstein bound on the degree N - 1 trigonometric
+polynomials behind |l_k| (Ehlich & Zeller 1964) rules out each cell between
+coarse points whose ends lie below (1 - 2e)/(1 - e) of the coarse maximum,
+e = (pi*(N-1)*r/grid)**2/2, less a 1e-6 margin for rounding; only the points
+inside the other cells are taken, and every reported number is the whole
+grid's, bit for bit.  On default grids the scans of the capacity-scaled 30x1
+ellipse at N = 1024 and of 1.2x0.8 at N = 512 ran 2.0-2.6x faster (0.46 to
+0.18 s and 0.087 to 0.042 s, one BLAS thread).  A 64-node scan's traced peak
+is at most 0.84 MB at 2**14 angles and at 2**18, and node hits come from one
+searchsorted per point set.  The per-node probes run on the same tile kernel
+unless the node set is dyadic (below), and the one-point Lebesgue probe takes
+the distances |b - eta_k| by complex abs, so one linear-domain formula gives
+every |l_k| on a boundary; input outside its double range, non-finite input
 included, raises ValueError.  Grids of at most pi*(N-1) angles are refused.
 
 The tile kernel takes the distances |b - eta_k| on every boundary from one
@@ -166,6 +175,9 @@ _TABLE = 1 << 18
 
 #: Points per chunk of a scan, rounded down to whole runs: a scan holds its curve points one chunk at a time.
 _CHUNK = 1 << 13
+
+#: Relative slack of the coarse pass's cell test, for the rounding of the values it compares (see :func:`_scan`).
+_MARGIN = 1e-6
 
 #: Why a tile is refused: its moduli cannot be formed in double precision.
 _OUT_OF_RANGE = "FLIP moduli leave double range: the nodes or the boundary are too far from unit scale"
@@ -332,20 +344,23 @@ class _Flips:
         product over k (1 in a hit column, whose distances are 1), and ``free``
         a spare plane of dist's shape.
         """
-        cols = planes.shape[-1]
-        views = self._views.get(cols)
-        if views is None:
-            if not self._views:  # the first tile makes the work planes every tile reuses
-                self._d = np.empty(3 * self.n * self.width)
-            d = self._d[: 3 * self.n * cols].reshape(3, self.n, cols)
-            views = self._views[cols] = (d[:2], d[0], d[1], d[2])
-        d, dx, dy, dist = views
+        d, dx, dy, dist = self._work(planes.shape[-1])
         np.matmul(self.coords, planes, out=d)
         np.multiply(d, d, out=d)
         np.add(dx, dy, out=dist)
         if hit_j.size:
             dist[:, hit_j] = 1.0  # the back halves write the Kronecker columns
         return dist, dx, np.multiply.reduce(dist, axis=0)  # w squared, like the distances
+
+    def _work(self, cols: int):
+        """The work planes ``(d, dx, dy, dist)`` of a ``cols``-point tile; dx, the values' plane, starts at one address."""
+        views = self._views.get(cols)
+        if views is None:
+            if not self._views:  # the first tile makes the work planes every tile reuses
+                self._d = np.empty(3 * self.n * self.width)
+            d = self._d[: 3 * self.n * cols].reshape(3, self.n, cols)
+            views = self._views[cols] = (d[:2], d[0], d[1], d[2])
+        return views
 
     def tile(self, planes: np.ndarray, hit_j: np.ndarray):
         """``(vals, sums)`` at the points of ``planes`` (cols <= width).
@@ -381,6 +396,23 @@ class _Flips:
             raise ValueError(_OUT_OF_RANGE)
         out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
         return out
+
+    def run_sums(self, planes: np.ndarray, hit_j: np.ndarray, at: np.ndarray, cols: int) -> np.ndarray:
+        """:meth:`tile`'s sums at the points of ``planes``, bit for bit as at positions ``at`` of a ``cols``-point run.
+
+        A BLAS gemv may round a column differently by its position and by the
+        product's width (trailing columns take other code), but not by the
+        other columns' entries.  So the entries go to their positions in the
+        values' plane of a ``cols``-point tile, zeros elsewhere, and one gemv
+        of that run's shape takes the sums.
+        """
+        vals = self.tile(planes, hit_j)[0].copy()  # refusals as the tile's
+        plane = self._work(cols)[1]
+        plane.fill(0.0)
+        plane[:, at] = vals
+        sums = (self.inv_w @ plane)[at]
+        sums[hit_j] = 1.0
+        return sums
 
     def _runs(self, ts):
         """``(hit_k, hit_j, runs)``: the exact hits curve(ts[hit_j]) == nodes[hit_k], in increasing j, and the runs.
@@ -422,42 +454,201 @@ class _Flips:
         return total
 
 
+def _stride(n: int, grid: int) -> int:
+    """The coarse stride r of :func:`_scan` for ``n`` nodes: isqrt(grid/4n), 1 below 2**18 grid x node elements.
+
+    In tile columns of N entries, the coarse pass takes grid/r and each node's
+    fine pass about 2(r - 1) (its one or two candidates' cells), so the cost
+    grid/r + 2(r - 1)*N is least near r = sqrt(grid/2N).  Timed against fixed
+    strides 1..12 on the capacity-scaled 30x1 and 1.2x0.8 ellipses (N = 16..1024),
+    a rotated canonical and a random circle set, isqrt(grid/4N) was the fastest
+    or within 9% of it (run-to-run noise), on default grids (r = 4) and on 4x
+    default grids (r = 8); it is 1 on grids below 16N.  Below 2**18 elements the
+    extra passes cost what they save.
+    """
+    return max(1, math.isqrt(grid // (4 * n))) if n * grid >= 1 << 18 else 1
+
+
+def _cell_points(cs: np.ndarray, r: int, grid: int):
+    """Chunks ``(owner, js)`` of the grid points inside cells ``cs`` of stride ``r``: js[i] lies in cell cs[owner[i]].
+
+    Whole cells, at most ``_CHUNK`` points a chunk unless one cell has more.
+    """
+    count = np.minimum(r, grid - r * cs) - 1  # the last cell ends at grid and may be short
+    per = max(1, _CHUNK // (r - 1))
+    for a in range(0, cs.size, per):
+        c = count[a : a + per]
+        owner = np.repeat(np.arange(a, a + c.size), c)
+        if owner.size:
+            yield owner, np.arange(owner.size) + np.repeat(r * cs[a : a + per] + 1 - (np.cumsum(c) - c), c)
+
+
 def _scan(flips: _Flips, grid: int):
-    """One pass of |l_k(flips.curve(t))| over the uniform grid t_j = 2*pi*j/grid.
+    """One pass of |l_k(flips.curve(t))| over the uniform grid t_j = 2*pi*j/grid, coarse to fine.
 
     Returns per-node grid maxima with their parameters, and the grid maximum
     of the Lebesgue function with its parameter; ties go to smaller
-    parameters.  One chunk of whole runs is held at a time: each tile updates
-    the running node maxima, and their parameters and the Lebesgue maximum
-    are taken once per chunk, so the chunk size changes no result.
+    parameters, but within a run of ``width`` points the tile's argmax
+    compares a node's unweighted values, so of moduli that round equal the
+    larger unweighted one wins there.  Every number is the one the tile gives
+    at every grid point, bit for bit, but cells that cannot hold a maximum
+    are never taken.
+
+    1. Coarse pass: the tile at every r-th grid point (r from :func:`_stride`;
+       r = 1 is the whole scan), one chunk of whole runs at a time, keeping the
+       running node maxima and Lebesgue maximum and, after every tile, the
+       coarse points at or above fac times them (a node's own hit counts as 1).
+    2. Cell bound: with n = N - 1, F(t) = Re(c*l_k(curve(t))) is a real
+       trigonometric polynomial of degree n on the circle and on every ellipse
+       (Phi(e^{it})**j has frequencies -j..j), and so is Re sum_k c_k*l_k.  At
+       the largest |l_k| in a cell of r steps, take |c| = 1 with F equal to it
+       there; then F' = 0 there and Bernstein's |F''| <= n**2*S (S the sup of
+       |l_k|) puts the nearer cell end at most e*S lower, e =
+       (pi*n*r/grid)**2/2.  So inside the cell |l_k| <= max(ends) + e*S, and
+       S <= g/(1 - e) for the coarse maximum g (Ehlich & Zeller, Math. Z. 86
+       (1964)); the Lebesgue function obeys the same through sum_k c_k*l_k.  A
+       cell with both ends below fac*g, fac = (1 - 2e)/(1 - e)*(1 - _MARGIN),
+       holds no value up to g and is skipped.
+    3. Fine pass: every point inside the other cells, in chunks of whole
+       cells of at most ``_CHUNK`` points: node values by
+       :meth:`_Flips._own_tile`, the tile's own, and Lebesgue sums by the tile.
+       Their gemv rounds a column by its place in the run, so the points whose
+       sums come within 8*N*eps of the largest (two orders of one sum of N
+       positive terms differ by less) take their run's sums
+       (:meth:`_Flips.run_sums`).  Hits go to :func:`_floor_hits`.
+
+    The margin covers rounding.  Let eps bound, relative to S, how far any
+    value lies from the function it samples.  The tile's arithmetic (N
+    distances of 4 roundings, their product, quotient, root and sum) gives
+    (3N + 8)u, u = 2**-53; the node weights' error scales a node's values, or
+    one term of every sum, alike, and leaves a polynomial of the same degree.
+    A curve point off by 4u(c1 + c2) moves |l_k| by at most 4nu*S*(a/b)
+    (Bernstein again, |curve'| >= c1 - c2).  The test is then sound for
+    _MARGIN >= 4*eps while e <= 1/12, which :func:`_stride` keeps: 1e-6 covers
+    N*(3 + 4a/b) up to 2e9, so N up to 5e5 on the thinnest ellipse the map
+    accepts (a/b near 1e3).  Points in skipped cells are not evaluated, so
+    their refusals are not raised.
     """
-    rows = np.arange(flips.n)
-    node_max, node_arg = np.zeros(flips.n), np.zeros(flips.n)
-    leb_max, leb_arg = 0.0, 0.0
-    step = max(1, _CHUNK // flips.width) * flips.width
-    edges = [*range(0, grid, step), grid]
-    hits = []
+    n, width, inv_w = flips.n, flips.width, flips.inv_w
+    r = _stride(n, grid)
+    cells = -(-grid // r)  # coarse points r*i, i < cells; cell i runs from r*i to the next, the last to grid (t = 2*pi)
+    e = (np.pi * (n - 1) * r / grid) ** 2 / 2.0
+    fac = (1.0 - 2.0 * e) / (1.0 - e) * (1.0 - _MARGIN)
+    rows = np.arange(n)
+    node_max, node_at, floor = np.zeros(n), np.zeros(n, np.intp), np.zeros(n)
+    leb_max, leb_at = 0.0, 0
+    cand_k, cand_i, cand_v = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)  # node k's coarse points i
+    leb_i, leb_v = np.empty(0, np.intp), np.empty(0)  # the Lebesgue function's coarse points
+    step, hits, upd = max(1, _CHUNK // width) * width, [], np.empty(n, bool)
     with np.errstate(all="ignore"):
-        for lo, hi in zip(edges, edges[1:]):
-            ang = 2.0 * np.pi * np.arange(lo, hi) / grid
-            hit_k, hit_j, runs = flips._runs(ang)
-            hits.append((hit_k, ang[hit_j]))
-            at = np.full(flips.n, -1, np.intp)  # where in the chunk each node's maximum moved, -1 if it did not
-            upd, sums = np.empty(flips.n, bool), np.empty(ang.size)
+        for lo in range(0, cells, step):
+            idx = r * np.arange(lo, min(lo + step, cells))
+            hit_k, hit_j, runs = flips._runs(2.0 * np.pi * idx / grid)
+            hits.append((hit_k, idx[hit_j]))
+            floor[hit_k] = 1.0
             for start, planes, _, run_hit_j in runs:
-                vals, sums[start : start + planes.shape[-1]] = flips.tile(planes, run_hit_j)
+                vals, sums = flips.tile(planes, run_hit_j)
                 arg = vals.argmax(axis=1)
-                cand = vals[rows, arg] * flips.inv_w
+                cand = vals[rows, arg] * inv_w
                 np.greater(cand, node_max, out=upd)  # strict: the first of equal maxima stays
                 np.copyto(node_max, cand, where=upd)
-                np.copyto(at, arg + start, where=upd)
-            moved = at >= 0
-            node_arg[moved] = ang[at[moved]]
-            i = int(np.argmax(sums))
-            if sums[i] > leb_max:
-                leb_max, leb_arg = float(sums[i]), float(ang[i])
-    _floor_hits(node_max, node_arg, *(np.concatenate(h) for h in zip(*hits)))
-    return node_max, node_arg, leb_max, leb_arg
+                np.copyto(node_at, idx[start + arg], where=upd)
+                i = int(np.argmax(sums))
+                if sums[i] > leb_max:
+                    leb_max, leb_at = float(sums[i]), int(idx[start + i])
+                if r > 1:
+                    thr = fac * np.maximum(node_max, floor)
+                    ks = np.flatnonzero(cand >= thr)  # the nodes with candidates in this tile
+                    k, j = np.nonzero((vals >= (thr / inv_w)[:, None])[ks])
+                    k = ks[k]
+                    cand_k, cand_i = np.concatenate((cand_k, k)), np.concatenate((cand_i, lo + start + j))
+                    cand_v = np.concatenate((cand_v, vals[k, j] * inv_w[k]))
+                    keep = cand_v >= thr[cand_k]
+                    cand_k, cand_i, cand_v = cand_k[keep], cand_i[keep], cand_v[keep]
+                    j = np.flatnonzero(sums >= fac * leb_max)
+                    leb_i, leb_v = np.concatenate((leb_i, lo + start + j)), np.concatenate((leb_v, sums[j]))
+                    keep = leb_v >= fac * leb_max
+                    leb_i, leb_v = leb_i[keep], leb_v[keep]
+        if r > 1:
+            del runs, planes, idx  # the last coarse chunk
+            thr = fac * np.maximum(node_max, floor)
+            _fine_nodes(flips, grid, r, thr, node_max, node_at, (cand_k, cand_i, cand_v), hits)
+            leb_max, leb_at = _fine_lebesgue(flips, grid, r, leb_i, leb_v)
+    hit_j, first = np.unique(np.concatenate([j for _, j in hits]), return_index=True)
+    node_arg = 2.0 * np.pi * node_at / grid
+    _floor_hits(node_max, node_arg, np.concatenate([k for k, _ in hits])[first], 2.0 * np.pi * hit_j / grid)
+    return node_max, node_arg, leb_max, 2.0 * np.pi * leb_at / grid
+
+
+def _fine_nodes(flips: _Flips, grid: int, r: int, thr, node_max, node_at, cand, hits: list):
+    """:func:`_scan`'s fine pass for the node maxima, in place, from candidates ``cand`` (node, coarse index, value).
+
+    Every point inside the cells beside a candidate, or beside a node's own
+    coarse hit where ``thr`` (fac times the coarse maximum) is at most 1, takes
+    :meth:`_Flips._own_tile`; its hits join ``hits``.  The tile's order among
+    equal maxima is kept: the first run (``width`` points) holding one, in it
+    the largest unweighted value (the tile's argmax), then the first point.
+    """
+    width, cells = flips.width, -(-grid // r)
+    hit_k, hit_j = (np.concatenate(h) for h in zip(*hits))
+    own = 1.0 >= thr[hit_k]  # a node's own hit counts as 1
+    ck, ci = np.concatenate((cand[0], hit_k[own])), np.concatenate((cand[1], hit_j[own] // r))
+    pairs = np.unique(np.concatenate((ck * cells + ci, ck * cells + (ci - 1) % cells)))
+    ks, cs = np.divmod(pairs, cells)
+    tie_k, tie_j, tie_v = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)  # fine points at their maximum
+    for owner, js in _cell_points(cs, r, grid):
+        kk = ks[owner]
+        hit_k, hit_j, runs = flips._runs(2.0 * np.pi * js / grid)
+        hits.append((hit_k, js[hit_j]))
+        v = np.concatenate([flips._own_tile(p, rk, rj, kk[s : s + p.shape[-1]]) for s, p, rk, rj in runs])
+        v[hit_j] = 0.0  # as in the tile's hit columns: _floor_hits raises a node's own hit to 1
+        first = np.flatnonzero(np.diff(kk, prepend=-1))
+        k = kk[first]
+        node_max[k] = np.maximum(node_max[k], np.maximum.reduceat(v, first))
+        tie_k, tie_j, tie_v = np.concatenate((tie_k, kk)), np.concatenate((tie_j, js)), np.concatenate((tie_v, v))
+        keep = tie_v >= node_max[tie_k]
+        tie_k, tie_j, tie_v = tie_k[keep], tie_j[keep], tie_v[keep]
+    at_max = cand[2] == node_max[cand[0]]
+    tk, tj = np.concatenate((cand[0][at_max], tie_k)), np.concatenate((r * cand[1][at_max], tie_j))
+    order = np.lexsort((tj, tk))
+    tk, tj = tk[order], tj[order]
+    first = np.flatnonzero(np.diff(tk, prepend=-1))
+    node_at[tk[first]] = tj[first]
+    run = tj // width
+    second = np.minimum(first + 1, tk.size - 1)
+    for a in first[(tk[second] == tk[first]) & (run[second] == run[first]) & (second > first)].tolist():
+        js = tj[(tk == tk[a]) & (run == run[a])]  # more than one point at the maximum in the first run
+        _, _, ((_, planes, _, hj),) = flips._runs(2.0 * np.pi * js / grid)
+        node_at[tk[a]] = js[int(np.argmax(flips.tile(planes, hj)[0][tk[a]]))]
+
+
+def _fine_lebesgue(flips: _Flips, grid: int, r: int, leb_i: np.ndarray, leb_v: np.ndarray) -> tuple[float, int]:
+    """:func:`_scan`'s fine pass for the Lebesgue maximum and its grid index, from its coarse candidates.
+
+    Sums at every point inside the cells beside a candidate, by the tile; then,
+    at the points within 8*N*eps of the largest, the sums of their own runs
+    (:meth:`_Flips.run_sums`), of which the first largest wins.
+    """
+    n, width, cells = flips.n, flips.width, -(-grid // r)
+    near_j, near_v, top = r * leb_i, leb_v, float(leb_v.max())
+    tol = 1.0 - 8.0 * n * np.finfo(float).eps
+    for _, js in _cell_points(np.unique(np.concatenate((leb_i, (leb_i - 1) % cells))), r, grid):
+        _, _, runs = flips._runs(2.0 * np.pi * js / grid)
+        sums = np.concatenate([flips.tile(p, rj)[1] for _, p, _, rj in runs])
+        top = max(top, float(sums.max()))
+        near_j, near_v = np.concatenate((near_j, js)), np.concatenate((near_v, sums))
+        keep = near_v >= tol * top
+        near_j, near_v = near_j[keep], near_v[keep]
+    near = np.unique(near_j[near_v >= tol * top])
+    leb_max, leb_at = 0.0, 0
+    for lo in np.unique(near - near % width).tolist():  # the runs' first points
+        js = near[(near >= lo) & (near < lo + width)]
+        _, _, ((_, planes, _, run_hit_j),) = flips._runs(2.0 * np.pi * js / grid)
+        sums = flips.run_sums(planes, run_hit_j, js - lo, min(width, grid - lo))
+        i = int(np.argmax(sums))
+        if sums[i] > leb_max:
+            leb_max, leb_at = float(sums[i]), int(js[i])
+    return leb_max, leb_at
 
 
 def _floor_hits(node_max: np.ndarray, node_arg: np.ndarray, hit_k: np.ndarray, hit_t: np.ndarray):

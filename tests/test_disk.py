@@ -98,6 +98,12 @@ class TestGreedy:
             section = greedy_leja(boundary, n, seed_index=3)
             assert validate_leja(section, boundary).max_violation <= 10.0 / (64 * n)
 
+    def test_one_point_section_of_a_one_sample_lattice(self):
+        # D = 2*c1*sin(pi) underflows to 0 here, but a one-point section picks nothing and needs no window
+        boundary = BoundarySamples(1, 1e-310)
+        section = greedy_leja(boundary, 1)
+        assert section.points.tolist() == boundary.samples.tolist() == [1e-310 + 0j]
+
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             greedy_leja(circle_samples(8), 9)

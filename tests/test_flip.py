@@ -583,6 +583,21 @@ def _stream_case(name):
         return _scan_case(name)
     if name == "scaled-ellipse-30x1-1024":  # 64-point runs, two chunks
         return (*_scan_case(name)[:3], 1 << 14)
+    if name == "mid-cell-ellipse-30x1-65":
+        # twin Lebesgue maxima at t and -t, on 4174 = 2 mod 4 angles: one lies mid-cell, the
+        # other on a coarse point; a cell bound four times too small (degree (N - 1)/2, which
+        # holds on the circle but not on an ellipse) skips the first one's cell
+        section = canonical_disk_leja(65)
+        return (*_scaled_boundary(transport_sequence(ellipse_exterior_map(30.0, 1.0), section)), 4174)
+    if name.startswith("default-"):  # default grids and more: the scan samples every r-th point first, r > 1
+        if name == "default-rotated-256":
+            nodes = canonical_disk_leja(256, np.exp(0.3j)).points
+            return nodes, _unit_circle, np.angle(nodes), default_grid(256)
+        if name == "default-random-100-4x":
+            nodes = _scan_case("random-100")[0]
+            return nodes, _unit_circle, np.angle(nodes), 4 * default_grid(100)
+        a, b, n = {"default-ellipse-30x1-256": (30.0, 1.0, 256), "default-ellipse-1.2x0.8-128": (1.2, 0.8, 128)}[name]
+        return (*_scaled_boundary(transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(n))), default_grid(n))
     if name == "late-off-circle":  # a custom curve, on the circle in the first chunks only
         nodes = _scan_case("random-100")[0]
         return nodes, lambda t: _unit_circle(t) * np.where(t > 5.0, 1.0 + 1e-9, 1.0), np.angle(nodes), 1 << 14
@@ -590,6 +605,20 @@ def _stream_case(name):
     # of its own, at 9217 it ends the second chunk
     nodes = canonical_disk_leja(64).points
     return nodes, _unit_circle, np.angle(nodes), int(name.split("-")[1])
+
+
+def _count_columns(monkeypatch):
+    """Record the points (N-entry columns) of every :meth:`_Flips.tile` and :meth:`_Flips._own_tile` call."""
+    columns = []
+    for name in ("tile", "_own_tile"):
+        real = getattr(_Flips, name)
+
+        def spy(self, planes, *rest, _real=real):
+            columns.append(planes.shape[-1])
+            return _real(self, planes, *rest)
+
+        monkeypatch.setattr(_Flips, name, spy)
+    return columns
 
 
 class TestStreamedScan:
@@ -606,6 +635,11 @@ class TestStreamedScan:
             "grid-8193",
             "grid-9217",
             "late-off-circle",
+            "default-ellipse-30x1-256",
+            "default-ellipse-1.2x0.8-128",
+            "default-rotated-256",
+            "default-random-100-4x",
+            "mid-cell-ellipse-30x1-65",
         ],
     )
     def test_matches_the_whole_set_scan(self, name, monkeypatch):
@@ -620,8 +654,15 @@ class TestStreamedScan:
             for w, g in zip(want, got):
                 assert np.array_equal(w, g)
         ang = 2.0 * np.pi * np.arange(grid) / grid
-        hits = {"canonical-256": 256, "scaled-ellipse-30x1-1024": 1024}
+        hits = {"canonical-256": 256, "scaled-ellipse-30x1-1024": 1024, "default-ellipse-30x1-256": 256}
+        hits.update({"default-ellipse-1.2x0.8-128": 128, "mid-cell-ellipse-30x1-65": 2})  # t = 0 and pi
         assert np.isin(curve(ang), nodes).sum() == hits.get(name, 1 if name.startswith("grid") else 0)
+        # every N-entry column the tile and the own tile take: below one per grid point, the
+        # whole scan, wherever the grid has more than 16 points per node and 2**18 elements
+        columns = _count_columns(monkeypatch)
+        monkeypatch.setattr(flip_module, "_CHUNK", 1 << 13)
+        _scan(flips, grid)
+        assert (sum(columns) < grid) == (name != "single-node"), sum(columns)
 
     @pytest.mark.parametrize("name", ["circle", "scaled-ellipse-30x1"])
     def test_peak_memory_does_not_grow_with_the_grid(self, name):

@@ -18,6 +18,8 @@ from lejaflip import (
     sup_norm_on_circle,
     transport_sequence,
 )
+from lejaflip import cli
+from lejaflip import flip as flip_module
 from lejaflip.flip import _log_node_weights
 from lejaflip.transport import ExteriorMap, _capacity_scaled, _scaled_boundary
 
@@ -309,3 +311,19 @@ class TestGreedyOnEllipse:
         # images live on the ellipse
         pts = section.points
         assert np.max(np.abs((pts.real / 1.2) ** 2 + (pts.imag / 0.8) ** 2 - 1)) <= 1e-10
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("axes, max_n", [(("30", "1"), "1024"), (("1.2", "0.8"), "512")])
+def test_sweep_equals_the_whole_grid_scan_byte_for_byte(axes, max_n, tmp_path, monkeypatch):
+    # the coarse-to-fine scan against every grid point of every scan (stride 1), through
+    # refinement and output: the written rows agree byte for byte
+    argv = ["transport", "--ellipse", *axes, "--max-n", max_n, "--format", "json", "-o"]
+    strides = []
+    real = flip_module._stride
+    monkeypatch.setattr(flip_module, "_stride", lambda n, grid: strides.append(real(n, grid)) or strides[-1])
+    assert cli.main([*argv, str(tmp_path / "coarse.json")]) == 0
+    assert max(strides) == 4  # the default grids from N = 64 on
+    monkeypatch.setattr(flip_module, "_stride", lambda n, grid: 1)
+    assert cli.main([*argv, str(tmp_path / "whole.json")]) == 0
+    assert (tmp_path / "coarse.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
