@@ -24,6 +24,14 @@ the distances |b - eta_k| by complex abs, so one linear-domain formula gives
 every |l_k| on a boundary; input outside its double range, non-finite input
 included, raises ValueError.  Grids of at most pi*(N-1) angles are refused.
 
+Every scan takes one rule for node maxima: node k's grid argmax is the first
+grid point of its largest unweighted modulus prod_{i != k} |b - eta_i|, which
+is then weighted by 1/|w'(eta_k)|; rounding is monotone, so that is the largest
+|l_k| bit for bit.  Neither depends on the tile width or the chunk size.  The
+Lebesgue grid maximum, the first largest sum, does not depend on the chunk
+size, but its last bits follow the tile width's gemv layout (78 random unit
+nodes on 1986 angles: 349206896.65007895 in 64-point tiles, ...791 by default).
+
 The tile kernel takes the distances |b - eta_k| on every boundary from one
 matmul of per-node coefficients with per-point planes: coordinate differences
 1*x + (-x_k)*1, the bits of a subtraction.
@@ -382,19 +390,18 @@ class _Flips:
             sums[hit_j] = 1.0
         return vals, sums
 
-    def _own_tile(self, planes: np.ndarray, hit_k: np.ndarray, hit_j: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """|l_{ks[j]}(b_j)| at the points of ``planes``: :meth:`tile`'s entries (ks[j], j) and no others.
+    def _own_tile(self, planes: np.ndarray, hit_j: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """:meth:`tile`'s values-plane entries (ks[j], j) at the points of ``planes`` and no others: 0 at hits.
 
         The same operations on the same operands as :meth:`tile`, so the
         values agree bit for bit; it refuses what :meth:`tile` refuses, with
-        the finiteness checked on the entries computed.
+        the finiteness checked on the weighted entries computed.
         """
         dist, _, w = self._front(planes, hit_j)
         out = np.sqrt(w / dist[ks, np.arange(ks.size)])
-        out *= self.inv_w[ks]
-        if not (w.min() > 1e-280 and math.isfinite(out.sum())):
+        if not (w.min() > 1e-280 and math.isfinite(out.dot(self.inv_w[ks]))):
             raise ValueError(_OUT_OF_RANGE)
-        out[hit_j] = np.where(hit_k == ks[hit_j], 1.0, 0.0)
+        out[hit_j] = 0.0
         return out
 
     def run_sums(self, planes: np.ndarray, hit_j: np.ndarray, at: np.ndarray, cols: int) -> np.ndarray:
@@ -438,8 +445,11 @@ class _Flips:
 
     def own(self, ts, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[i]}(curve(ts[i]))| for paired parameters and 0-based node indices."""
-        runs = self._runs(ts)[2]
-        return np.concatenate([self._own_tile(*run, ks[start : start + run[0].shape[-1]]) for start, *run in runs])
+        hit_k, hit_j, runs = self._runs(ts)
+        out = np.concatenate([self._own_tile(p, rj, ks[s : s + p.shape[-1]]) for s, p, _, rj in runs])
+        out *= self.inv_w[ks]
+        out[hit_j] = hit_k == ks[hit_j]  # l_k is 1 at its own node and 0 at the others
+        return out
 
     def lebesgue_at(self, t: float) -> float:
         """sum_k |l_k(curve(t))| at one parameter, O(N), from the distances |curve(t) - eta_k| by complex abs."""
@@ -486,18 +496,17 @@ def _cell_points(cs: np.ndarray, r: int, grid: int):
 def _scan(flips: _Flips, grid: int):
     """One pass of |l_k(flips.curve(t))| over the uniform grid t_j = 2*pi*j/grid, coarse to fine.
 
-    Returns per-node grid maxima with their parameters, and the grid maximum
-    of the Lebesgue function with its parameter; ties go to smaller
-    parameters, but within a run of ``width`` points the tile's argmax
-    compares a node's unweighted values, so of moduli that round equal the
-    larger unweighted one wins there.  Every number is the one the tile gives
-    at every grid point, bit for bit, but cells that cannot hold a maximum
-    are never taken.
+    Returns per-node grid maxima with their parameters, by the module's node
+    rule (the tile's values-plane entries compared, then weighted once), and
+    the grid maximum of the Lebesgue function with its parameter, the first
+    of equal sums.  Every number is the one the tile gives at every grid
+    point, bit for bit, but cells that cannot hold a maximum are never taken.
 
     1. Coarse pass: the tile at every r-th grid point (r from :func:`_stride`;
        r = 1 is the whole scan), one chunk of whole runs at a time, keeping the
-       running node maxima and Lebesgue maximum and, after every tile, the
-       coarse points at or above fac times them (a node's own hit counts as 1).
+       running unweighted node maxima and Lebesgue maximum and, after every
+       tile, the coarse points at or above fac times them, weighted for that
+       test (a node's own hit counts as 1).
     2. Cell bound: with n = N - 1, F(t) = Re(c*l_k(curve(t))) is a real
        trigonometric polynomial of degree n on the circle and on every ellipse
        (Phi(e^{it})**j has frequencies -j..j), and so is Re sum_k c_k*l_k.  At
@@ -510,8 +519,8 @@ def _scan(flips: _Flips, grid: int):
        cell with both ends below fac*g, fac = (1 - 2e)/(1 - e)*(1 - _MARGIN),
        holds no value up to g and is skipped.
     3. Fine pass: every point inside the other cells, in chunks of whole
-       cells of at most ``_CHUNK`` points: node values by
-       :meth:`_Flips._own_tile`, the tile's own, and Lebesgue sums by the tile.
+       cells of at most ``_CHUNK`` points: unweighted node values by
+       :meth:`_Flips._own_tile`, the tile's entries, and Lebesgue sums by the tile.
        Their gemv rounds a column by its place in the run, so the points whose
        sums come within 8*N*eps of the largest (two orders of one sum of N
        positive terms differ by less) take their run's sums
@@ -535,7 +544,7 @@ def _scan(flips: _Flips, grid: int):
     e = (np.pi * (n - 1) * r / grid) ** 2 / 2.0
     fac = (1.0 - 2.0 * e) / (1.0 - e) * (1.0 - _MARGIN)
     rows = np.arange(n)
-    node_max, node_at, floor = np.zeros(n), np.zeros(n, np.intp), np.zeros(n)
+    node_top, node_at, floor = np.zeros(n), np.zeros(n, np.intp), np.zeros(n)  # unweighted maxima
     leb_max, leb_at = 0.0, 0
     cand_k, cand_i, cand_v = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)  # node k's coarse points i
     leb_i, leb_v = np.empty(0, np.intp), np.empty(0)  # the Lebesgue function's coarse points
@@ -549,21 +558,21 @@ def _scan(flips: _Flips, grid: int):
             for start, planes, _, run_hit_j in runs:
                 vals, sums = flips.tile(planes, run_hit_j)
                 arg = vals.argmax(axis=1)
-                cand = vals[rows, arg] * inv_w
-                np.greater(cand, node_max, out=upd)  # strict: the first of equal maxima stays
-                np.copyto(node_max, cand, where=upd)
+                top = vals[rows, arg]
+                np.greater(top, node_top, out=upd)  # strict: the first of equal maxima stays
+                np.copyto(node_top, top, where=upd)
                 np.copyto(node_at, idx[start + arg], where=upd)
                 i = int(np.argmax(sums))
                 if sums[i] > leb_max:
                     leb_max, leb_at = float(sums[i]), int(idx[start + i])
                 if r > 1:
-                    thr = fac * np.maximum(node_max, floor)
-                    ks = np.flatnonzero(cand >= thr)  # the nodes with candidates in this tile
-                    k, j = np.nonzero((vals >= (thr / inv_w)[:, None])[ks])
+                    lim = fac * np.maximum(node_top * inv_w, floor) / inv_w  # the cell threshold, unweighted
+                    ks = np.flatnonzero(top >= lim)  # the nodes with candidates in this tile
+                    k, j = np.nonzero((vals >= lim[:, None])[ks])
                     k = ks[k]
                     cand_k, cand_i = np.concatenate((cand_k, k)), np.concatenate((cand_i, lo + start + j))
-                    cand_v = np.concatenate((cand_v, vals[k, j] * inv_w[k]))
-                    keep = cand_v >= thr[cand_k]
+                    cand_v = np.concatenate((cand_v, vals[k, j]))
+                    keep = cand_v >= lim[cand_k]
                     cand_k, cand_i, cand_v = cand_k[keep], cand_i[keep], cand_v[keep]
                     j = np.flatnonzero(sums >= fac * leb_max)
                     leb_i, leb_v = np.concatenate((leb_i, lo + start + j)), np.concatenate((leb_v, sums[j]))
@@ -571,55 +580,41 @@ def _scan(flips: _Flips, grid: int):
                     leb_i, leb_v = leb_i[keep], leb_v[keep]
         if r > 1:
             del runs, planes, idx  # the last coarse chunk
-            thr = fac * np.maximum(node_max, floor)
-            _fine_nodes(flips, grid, r, thr, node_max, node_at, (cand_k, cand_i, cand_v), hits)
+            thr = fac * np.maximum(node_top * inv_w, floor)
+            _fine_nodes(flips, grid, r, thr, node_top, node_at, (cand_k, cand_i), hits)
             leb_max, leb_at = _fine_lebesgue(flips, grid, r, leb_i, leb_v)
     hit_j, first = np.unique(np.concatenate([j for _, j in hits]), return_index=True)
-    node_arg = 2.0 * np.pi * node_at / grid
+    node_max, node_arg = node_top * inv_w, 2.0 * np.pi * node_at / grid
     _floor_hits(node_max, node_arg, np.concatenate([k for k, _ in hits])[first], 2.0 * np.pi * hit_j / grid)
     return node_max, node_arg, leb_max, 2.0 * np.pi * leb_at / grid
 
 
-def _fine_nodes(flips: _Flips, grid: int, r: int, thr, node_max, node_at, cand, hits: list):
-    """:func:`_scan`'s fine pass for the node maxima, in place, from candidates ``cand`` (node, coarse index, value).
+def _fine_nodes(flips: _Flips, grid: int, r: int, thr, node_top, node_at, cand, hits: list):
+    """:func:`_scan`'s fine pass for the unweighted node maxima, in place, from candidates ``cand`` (node, coarse index).
 
     Every point inside the cells beside a candidate, or beside a node's own
     coarse hit where ``thr`` (fac times the coarse maximum) is at most 1, takes
-    :meth:`_Flips._own_tile`; its hits join ``hits``.  The tile's order among
-    equal maxima is kept: the first run (``width`` points) holding one, in it
-    the largest unweighted value (the tile's argmax), then the first point.
+    :meth:`_Flips._own_tile`; its hits join ``hits``.  A chunk's largest
+    value of a node and the first point attaining it replace the running ones
+    when larger, or equal at a smaller grid index.
     """
-    width, cells = flips.width, -(-grid // r)
+    cells = -(-grid // r)
     hit_k, hit_j = (np.concatenate(h) for h in zip(*hits))
     own = 1.0 >= thr[hit_k]  # a node's own hit counts as 1
     ck, ci = np.concatenate((cand[0], hit_k[own])), np.concatenate((cand[1], hit_j[own] // r))
     pairs = np.unique(np.concatenate((ck * cells + ci, ck * cells + (ci - 1) % cells)))
     ks, cs = np.divmod(pairs, cells)
-    tie_k, tie_j, tie_v = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)  # fine points at their maximum
     for owner, js in _cell_points(cs, r, grid):
         kk = ks[owner]
         hit_k, hit_j, runs = flips._runs(2.0 * np.pi * js / grid)
         hits.append((hit_k, js[hit_j]))
-        v = np.concatenate([flips._own_tile(p, rk, rj, kk[s : s + p.shape[-1]]) for s, p, rk, rj in runs])
-        v[hit_j] = 0.0  # as in the tile's hit columns: _floor_hits raises a node's own hit to 1
+        v = np.concatenate([flips._own_tile(p, rj, kk[s : s + p.shape[-1]]) for s, p, _, rj in runs])
         first = np.flatnonzero(np.diff(kk, prepend=-1))
-        k = kk[first]
-        node_max[k] = np.maximum(node_max[k], np.maximum.reduceat(v, first))
-        tie_k, tie_j, tie_v = np.concatenate((tie_k, kk)), np.concatenate((tie_j, js)), np.concatenate((tie_v, v))
-        keep = tie_v >= node_max[tie_k]
-        tie_k, tie_j, tie_v = tie_k[keep], tie_j[keep], tie_v[keep]
-    at_max = cand[2] == node_max[cand[0]]
-    tk, tj = np.concatenate((cand[0][at_max], tie_k)), np.concatenate((r * cand[1][at_max], tie_j))
-    order = np.lexsort((tj, tk))
-    tk, tj = tk[order], tj[order]
-    first = np.flatnonzero(np.diff(tk, prepend=-1))
-    node_at[tk[first]] = tj[first]
-    run = tj // width
-    second = np.minimum(first + 1, tk.size - 1)
-    for a in first[(tk[second] == tk[first]) & (run[second] == run[first]) & (second > first)].tolist():
-        js = tj[(tk == tk[a]) & (run == run[a])]  # more than one point at the maximum in the first run
-        _, _, ((_, planes, _, hj),) = flips._runs(2.0 * np.pi * js / grid)
-        node_at[tk[a]] = js[int(np.argmax(flips.tile(planes, hj)[0][tk[a]]))]
+        k, top = kk[first], np.maximum.reduceat(v, first)
+        pos = np.where(v == np.repeat(top, np.diff(first, append=v.size)), js, grid)
+        at = np.minimum.reduceat(pos, first)  # the first point at the chunk's maximum
+        upd = (top > node_top[k]) | ((top == node_top[k]) & (at < node_at[k]))
+        node_top[k[upd]], node_at[k[upd]] = top[upd], at[upd]
 
 
 def _fine_lebesgue(flips: _Flips, grid: int, r: int, leb_i: np.ndarray, leb_v: np.ndarray) -> tuple[float, int]:
@@ -687,7 +682,9 @@ def _dyadic_scan(flips: _Flips, grid: int):
     (-n_k) mod grid of class r_k's row (:func:`_class_rows`, in ascending groups
     of classes that fit ``_TABLE``).  The Lebesgue function is w times
     sum_k inv_w[k] * window_k (:func:`_add_windows`).  Hits are the nodes with
-    r_k = 0, at j = n_k.  Results, ties and refusals are :func:`_scan`'s.
+    r_k = 0, at j = n_k.  Node maxima follow the module's rule on w times the
+    window, whose roundings are not the tile's; the Lebesgue maximum is the
+    first largest sum, and refusals are :func:`_scan`'s.
     """
     dy, d_cls = flips.dyadic, flips.dyadic.classes(grid)
     a_num, period = grid * d_cls >> dy.s, grid * d_cls

@@ -458,6 +458,29 @@ def _assert_refused(nodes):
         _Flips(nodes)
 
 
+def _conjugate_symmetric(rng, n):
+    """n unit nodes in conjugate pairs, with 1 or -1 when n is odd: each |l_k| has a mirror twin."""
+    ang = rng.uniform(0.05, np.pi - 0.05, n // 2)
+    nodes = np.concatenate([np.exp(1j * ang), np.exp(-1j * ang)])
+    return np.append(nodes, 1.0 if rng.random() < 0.5 else -1.0) if n % 2 else nodes
+
+
+def _conjugate_tie_case():
+    """The 2228th conjugate-symmetric draw from seed 0: N = 63 on 2768 angles.
+
+    Node 62 (-1) attains 592.1634307521864 at the mirror points 824 and 1944,
+    which lie in different runs of the default tile.  Its unweighted entry is
+    larger at 1944, while the weighted moduli round equal.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(2228):
+        nodes = _conjugate_symmetric(rng, int(rng.integers(8, 80)))
+        grid = int(rng.integers(max(64, 16 * nodes.size), 64 * nodes.size + 1))
+        if rng.random() < 0.5:
+            grid -= grid % 2
+    return nodes, grid
+
+
 def _scan_case(name):
     """Nodes, boundary curve, node parameters and scan grid of a named case."""
     if name == "canonical-256":  # every node lies on the grid
@@ -476,6 +499,9 @@ def _scan_case(name):
     if name == "ellipse-30x1-128":  # unscaled: node log-weights near 350, which the kernel refuses
         ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(128))
         return ts.images, ts.map.on_circle, np.angle(ts.source.points), default_grid(128)
+    if name == "conjugate-tie-63":
+        nodes, grid = _conjugate_tie_case()
+        return nodes, _unit_circle, np.angle(nodes), grid
     # scaled to capacity about 1; a grid above pi*(N-1)
     # keeps the one-tile scan small
     return (*_scaled_boundary(transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(1024))), 4096)
@@ -491,6 +517,7 @@ class TestScanEngine:
             "random-100",
             "ellipse-30x1-128",
             "scaled-ellipse-30x1-1024",
+            "conjugate-tie-63",
         ],
     )
     def test_independent_of_tile_width(self, name, monkeypatch):
@@ -498,11 +525,16 @@ class TestScanEngine:
         if name == "ellipse-30x1-128":
             return _assert_refused(nodes)
         base = _scan(_Flips(nodes, curve), grid)
+        refined = sup_norm_on_circle(nodes, nodes.size, grid).argmax_angle if curve is _unit_circle else None
         for tile in (64, 1 << 16, grid * nodes.size):  # 64-point tiles; the default; one tile for the whole grid
             monkeypatch.setattr(flip_module, "_TILE", tile)
             got = _scan(_Flips(nodes, curve), grid)
             for want, have in zip(base, got):
                 assert np.array_equal(want, have)
+            if refined is not None:  # the golden refinement starts from the grid argmax
+                assert sup_norm_on_circle(nodes, nodes.size, grid).argmax_angle == refined
+        if name == "conjugate-tie-63":  # the first grid point of the largest unweighted entry
+            assert base[0][62] == 592.1634307521864 and base[1][62] == 2.0 * np.pi * 1944 / grid
         if name == "canonical-256":
             # roots of unity: each FLIP peaks at its own node, a hit column
             assert np.all(base[0] == 1.0)
@@ -548,7 +580,9 @@ class TestScanEngine:
 def _whole_set_scan(flips, grid):
     """The scan as it was before it streamed its grid in chunks: the planes of the
     whole grid at once, its hits by brute force, and the running maxima with their
-    angles and the Lebesgue maximum updated after every tile."""
+    angles and the Lebesgue maximum updated after every tile.  A node's maximum
+    is taken unweighted, the tile's values-plane entry, so its angle is the first
+    grid point of its largest entry, and weighted once at the end."""
     ang = 2.0 * np.pi * np.arange(grid) / grid
     bpts = flips.curve(ang)
     cuts = [*range(0, grid, flips.width), grid]
@@ -557,20 +591,21 @@ def _whole_set_scan(flips, grid):
     hit_j, hit_k = np.nonzero(bpts[:, None] == flips.nodes[None, :])
     edges = np.searchsorted(hit_j, cuts)
     rows = np.arange(flips.n)
-    node_max = np.zeros(flips.n)
+    node_top = np.zeros(flips.n)
     node_arg = np.zeros(flips.n)
     leb_max, leb_arg = 0.0, 0.0
     with np.errstate(all="ignore"):
         for start, stop, i, j in zip(cuts, cuts[1:], edges, edges[1:]):
             vals, sums = flips.tile(planes[..., start:stop], hit_j[i:j] - start)
             arg = vals.argmax(axis=1)
-            cand = vals[rows, arg] * flips.inv_w
-            upd = cand > node_max
-            node_max[upd] = cand[upd]
+            cand = vals[rows, arg]
+            upd = cand > node_top
+            node_top[upd] = cand[upd]
             node_arg[upd] = ang[start + arg[upd]]
             m = int(np.argmax(sums))
             if sums[m] > leb_max:
                 leb_max, leb_arg = float(sums[m]), float(ang[start + m])
+    node_max = node_top * flips.inv_w
     first = (node_max[hit_k] < 1.0) | ((node_max[hit_k] == 1.0) & (ang[hit_j] < node_arg[hit_k]))
     node_max[hit_k[first]] = 1.0
     node_arg[hit_k[first]] = ang[hit_j[first]]
@@ -579,7 +614,7 @@ def _whole_set_scan(flips, grid):
 
 def _stream_case(name):
     """Nodes, curve, node parameters and grid of a streamed-scan case."""
-    if name in ("canonical-256", "random-100", "ellipse-30x1-128", "single-node"):
+    if name in ("canonical-256", "random-100", "ellipse-30x1-128", "single-node", "conjugate-tie-63"):
         return _scan_case(name)
     if name == "scaled-ellipse-30x1-1024":  # 64-point runs, two chunks
         return (*_scan_case(name)[:3], 1 << 14)
@@ -640,6 +675,7 @@ class TestStreamedScan:
             "default-rotated-256",
             "default-random-100-4x",
             "mid-cell-ellipse-30x1-65",
+            "conjugate-tie-63",
         ],
     )
     def test_matches_the_whole_set_scan(self, name, monkeypatch):
@@ -653,6 +689,8 @@ class TestStreamedScan:
             got = _scan(flips, grid)
             for w, g in zip(want, got):
                 assert np.array_equal(w, g)
+            if name == "conjugate-tie-63":  # a tie across runs: the larger unweighted entry's point
+                assert got[1][62] == 2.0 * np.pi * 1944 / grid
         ang = 2.0 * np.pi * np.arange(grid) / grid
         hits = {"canonical-256": 256, "scaled-ellipse-30x1-1024": 1024, "default-ellipse-30x1-256": 256}
         hits.update({"default-ellipse-1.2x0.8-128": 128, "mid-cell-ellipse-30x1-65": 2})  # t = 0 and pi
@@ -662,7 +700,7 @@ class TestStreamedScan:
         columns = _count_columns(monkeypatch)
         monkeypatch.setattr(flip_module, "_CHUNK", 1 << 13)
         _scan(flips, grid)
-        assert (sum(columns) < grid) == (name != "single-node"), sum(columns)
+        assert (sum(columns) < grid) == (name not in ("single-node", "conjugate-tie-63")), sum(columns)
 
     @pytest.mark.parametrize("name", ["circle", "scaled-ellipse-30x1"])
     def test_peak_memory_does_not_grow_with_the_grid(self, name):
@@ -681,6 +719,44 @@ class TestStreamedScan:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 1e6
+
+
+def _fuzz_case(rng):
+    """Random unit, conjugate-symmetric or scaled-ellipse nodes (N = 8..32), their curve and a grid.
+
+    The grid has 4N..96N angles, or in a quarter of the draws lies just past
+    2**18 grid x node elements, where the scan runs coarse to fine.
+    """
+    n, kind = int(rng.integers(8, 33)), int(rng.integers(3))
+    lo, hi = ((1 << 18) // n + 1, (1 << 18) // n + 32 * n) if rng.random() < 0.25 else (4 * n, 96 * n)
+    grid = int(rng.integers(lo, hi + 1))
+    if kind == 0:
+        return unit_rng_points(rng, n), _unit_circle, grid
+    if kind == 1:
+        return _conjugate_symmetric(rng, n), _unit_circle, grid
+    mp = ellipse_exterior_map(1.0, float(rng.uniform(0.2, 0.98)))
+    return *_scaled_boundary(transport_sequence(mp, LejaSection(unit_rng_points(rng, n))))[:2], grid
+
+
+class TestScanLayouts:
+    """Seeded draws: node maxima and their angles do not depend on the tile width or the chunk size."""
+
+    @pytest.mark.parametrize("draws", [200, pytest.param(20000, marks=pytest.mark.slow)])
+    def test_random_scans_agree_across_layouts(self, draws, monkeypatch):
+        rng = np.random.default_rng(29)
+        for _ in range(draws):
+            nodes, curve, grid = _fuzz_case(rng)
+            first = None
+            for tile in (64, 1 << 16):
+                monkeypatch.setattr(flip_module, "_TILE", tile)
+                flips = _Flips(nodes, curve)
+                want = _whole_set_scan(flips, grid)
+                first = first or want[:2]
+                assert np.array_equal(want[0], first[0]) and np.array_equal(want[1], first[1])
+                for chunk in (1, 1 << 13):  # the Lebesgue maximum follows the tile width's gemv layout only
+                    monkeypatch.setattr(flip_module, "_CHUNK", chunk)
+                    for w, g in zip(want, _scan(flips, grid)):
+                        assert np.array_equal(w, g)
 
 
 def _hit_cases():
