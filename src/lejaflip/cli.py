@@ -271,7 +271,7 @@ def _cmd_transport(args) -> int:
         n_values = [n for n in (2**k for k in range(1, 30)) if n <= args.max_n]
         for n_points in n_values:
             ts = tp.transport_sequence(emap, canonical_disk_leja(n_points))
-            node_sups, leb = tp.compact_flip_stats(ts, args.grid, args.refine)
+            node_sups, leb = tp.compact_flip_stats(ts, args.grid, args.refine, per_node_refine=False)
             max_sup = float(np.max(node_sups))
             rows.append({"N": n_points, "max_sup": max_sup, "lebesgue": leb.constant})
         if len(rows) > 2:

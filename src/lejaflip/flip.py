@@ -9,32 +9,25 @@ Phi(exp(it)) in :mod:`lejaflip.transport`.  It runs coarse to fine
 (:func:`_scan`): node-major tiles sized for the L2 cache take every r-th grid
 angle (r = 4 on default grids, 1 below 2**18 grid x node elements), in chunks
 of about 2**13 points, keeping the node and Lebesgue maxima and the coarse
-points near them.  A Bernstein bound on the degree N - 1 trigonometric
-polynomials behind |l_k| (Ehlich & Zeller 1964) rules out each cell between
-coarse points whose ends lie below (1 - 2e)/(1 - e) of the coarse maximum,
-e = (pi*(N-1)*r/grid)**2/2, less a 1e-6 margin for rounding; only the points
-inside the other cells are taken, and every reported number is the whole
-grid's, bit for bit.  On default grids the scans of the capacity-scaled 30x1
-ellipse at N = 1024 and of 1.2x0.8 at N = 512 ran 2.0-2.6x faster (0.46 to
-0.18 s and 0.087 to 0.042 s, one BLAS thread).  A 64-node scan's traced peak
-is at most 0.84 MB at 2**14 angles and at 2**18, and node hits come from one
-searchsorted per point set.  The per-node probes run on the same tile kernel
-unless the node set is dyadic (below), and the one-point Lebesgue probe takes
-the distances |b - eta_k| by complex abs, so one linear-domain formula gives
-every |l_k| on a boundary; input outside its double range, non-finite input
-included, raises ValueError.  Grids of at most pi*(N-1) angles are refused.
+points near them.  A Bernstein bound on the functions behind |l_k|, of degree
+n = N - 1 in t on an ellipse and n = (N - 1)/2 on the circle (Ehlich & Zeller
+1964), rules out each cell between coarse points whose ends lie below
+(1 - 2e)/(1 - e) of the coarse maximum, e = (pi*n*r/grid)**2/2, less a 1e-6
+margin for rounding; only the points inside the other cells are taken, and
+every reported number is the whole grid's, bit for bit.  A scan holds one
+chunk of its grid at a time, and node hits come from one searchsorted per
+point set.  The per-node probes run on the same tile kernel unless the node
+set is dyadic (below), and the one-point Lebesgue probe takes the distances
+|b - eta_k| by complex abs, so one linear-domain formula gives every |l_k| on
+a boundary; input outside its double range, non-finite input included, raises
+ValueError.  Grids of at most pi*(N-1) angles are refused.
 
 Every scan takes one rule for node maxima: node k's grid argmax is the first
 grid point of its largest unweighted modulus prod_{i != k} |b - eta_i|, which
 is then weighted by 1/|w'(eta_k)|; rounding is monotone, so that is the largest
 |l_k| bit for bit.  Neither depends on the tile width or the chunk size.  The
 Lebesgue grid maximum, the first largest sum, does not depend on the chunk
-size, but its last bits follow the tile width's gemv layout (78 random unit
-nodes on 1986 angles: 349206896.65007895 in 64-point tiles, ...791 by default).
-
-The tile kernel takes the distances |b - eta_k| on every boundary from one
-matmul of per-node coefficients with per-point planes: coordinate differences
-1*x + (-x_k)*1, the bits of a subtraction.
+size, but its last bits follow the tile width's gemv layout.
 
 A scan on the unit circle of a node set at exact dyadic angles
 exp(2*pi*i*m_k/2**s) whose binary blocks are whole root sets (:class:`_Dyadic`:
@@ -153,22 +146,40 @@ def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return (fc, c) if fc >= fd else (fd, d)
 
 
-def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section maxima over per-element brackets, with their arguments."""
+def _golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int, cut=None) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized golden-section maxima over per-element brackets, with their arguments.
+
+    ``fn(ts, live)`` gives the values at ``ts`` of the elements ``live``.  With
+    ``cut = (run, slope, limit)``, element i leaves the search, with NaN for
+    value and argument, once run_i + slope*((b - a)/2)**2 < limit before a
+    step; run_i is the largest of run[i] and its values so far.  The others
+    step as without ``cut`` if fn's values do not depend on the elements
+    sharing a call.
+    """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
+    live, size = np.arange(a.size), a.size
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = fn(c, live), fn(d, live)
+    run = None if cut is None else cut[0]
     for _ in range(iters):
+        if run is not None:
+            run = np.maximum(run, np.maximum(fc, fd))
+            keep = run + cut[1] * (0.5 * (b - a)) ** 2 >= cut[2]
+            a, b, c, d, fc, fd, run, live = (x[keep] for x in (a, b, c, d, fc, fd, run, live))
+            if not live.size:
+                break
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         span = _GOLDEN * (b - a)
         c, d = np.where(left, b - span, d), np.where(left, c, a + span)
-        fp = fn(np.where(left, c, d))
+        fp = fn(np.where(left, c, d), live)
         fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     take_c = fc >= fd
-    return np.where(take_c, fc, fd), np.where(take_c, c, d)
+    val, arg = np.full(size, np.nan), np.full(size, np.nan)
+    val[live], arg[live] = np.where(take_c, fc, fd), np.where(take_c, c, d)
+    return val, arg
 
 
 #: Grid x node elements per scan tile.  A tile is N x max(64, _TILE // N);
@@ -271,8 +282,8 @@ class _Dyadic:
         u = t/(2*pi), rounded once and exact from then on, so every factor keeps
         its relative accuracy: block j's |z**(2**p_j) - c_j| is 2|sin(pi*r)|, r =
         2**p_j*u - g_j/2**s folded into [-1/2, 1/2] by rint (folding by floor
-        loses all relative accuracy for tiny negative r: 1e-12 before node 1
-        of N = 3 it gave 1 + 3.2e-4), and node k's own block gives the quotient
+        loses all relative accuracy for tiny negative r), and node k's own
+        block gives the quotient
         |z**(2**p_i) - c_i| / |z - eta_k| = 2|sin(pi*2**p_i*d)| / 2|sin(pi*d)|,
         d = u - m_k/2**s folded, with its limit 2**p_i at d = 0.  Non-finite
         angles raise ValueError.
@@ -329,6 +340,7 @@ class _Flips:
         self.node_set = frozenset(nodes.tolist())  # the hit lookup of a one-point probe, one hash away
         self.coords = np.stack((np.ones((2, n)), -np.array((nodes.real, nodes.imag))), axis=2)
         self.dyadic = _Dyadic.of(nodes) if curve is _unit_circle else None
+        self.degree = (n - 1) / 2 if curve is _unit_circle else n - 1  # of |l_k| in t, for Bernstein (:func:`_scan`)
         with np.errstate(all="ignore"):  # infinite nodes give NaN weights, refused below
             log_w = _log_node_weights(nodes) if self.dyadic is None else self.dyadic.log_weights()
         if not np.all(np.abs(log_w) < 280.0):
@@ -424,7 +436,7 @@ class _Flips:
     def _runs(self, ts):
         """``(hit_k, hit_j, runs)``: the exact hits curve(ts[hit_j]) == nodes[hit_k], in increasing j, and the runs.
 
-        A run ``(start, planes, hit_k, hit_j)`` holds at most ``width`` points
+        A run ``(start, planes, hit_j)`` holds at most ``width`` points
         from ``start`` on, their slice of :meth:`_planes` and their hits, j
         counted from ``start``.  Hits are one ``searchsorted`` of all of ``ts``
         in the sorted nodes.  Every product in the matmul is by 1 or -1 and
@@ -440,13 +452,13 @@ class _Flips:
         planes = self._planes(pts)
         edges = np.searchsorted(hit_j, cuts)
         pairs = zip(cuts, cuts[1:], edges, edges[1:])
-        runs = [(a, planes[..., a:b], hit_k[i:j], hit_j[i:j] - a) for a, b, i, j in pairs]
+        runs = [(a, planes[..., a:b], hit_j[i:j] - a) for a, b, i, j in pairs]
         return hit_k, hit_j, runs
 
     def own(self, ts, ks: np.ndarray) -> np.ndarray:
         """|l_{ks[i]}(curve(ts[i]))| for paired parameters and 0-based node indices."""
         hit_k, hit_j, runs = self._runs(ts)
-        out = np.concatenate([self._own_tile(p, rj, ks[s : s + p.shape[-1]]) for s, p, _, rj in runs])
+        out = np.concatenate([self._own_tile(p, rj, ks[s : s + p.shape[-1]]) for s, p, rj in runs])
         out *= self.inv_w[ks]
         out[hit_j] = hit_k == ks[hit_j]  # l_k is 1 at its own node and 0 at the others
         return out
@@ -469,12 +481,9 @@ def _stride(n: int, grid: int) -> int:
 
     In tile columns of N entries, the coarse pass takes grid/r and each node's
     fine pass about 2(r - 1) (its one or two candidates' cells), so the cost
-    grid/r + 2(r - 1)*N is least near r = sqrt(grid/2N).  Timed against fixed
-    strides 1..12 on the capacity-scaled 30x1 and 1.2x0.8 ellipses (N = 16..1024),
-    a rotated canonical and a random circle set, isqrt(grid/4N) was the fastest
-    or within 9% of it (run-to-run noise), on default grids (r = 4) and on 4x
-    default grids (r = 8); it is 1 on grids below 16N.  Below 2**18 elements the
-    extra passes cost what they save.
+    grid/r + 2(r - 1)*N is least near r = sqrt(grid/2N).  isqrt(grid/4N) timed
+    fastest or within 9% of it against strides 1..12 (README); it is 1 on grids
+    below 16N.  Below 2**18 elements the extra passes cost what they save.
     """
     return max(1, math.isqrt(grid // (4 * n))) if n * grid >= 1 << 18 else 1
 
@@ -507,9 +516,12 @@ def _scan(flips: _Flips, grid: int):
        running unweighted node maxima and Lebesgue maximum and, after every
        tile, the coarse points at or above fac times them, weighted for that
        test (a node's own hit counts as 1).
-    2. Cell bound: with n = N - 1, F(t) = Re(c*l_k(curve(t))) is a real
-       trigonometric polynomial of degree n on the circle and on every ellipse
-       (Phi(e^{it})**j has frequencies -j..j), and so is Re sum_k c_k*l_k.  At
+    2. Cell bound: F(t) = Re(c*l_k(curve(t))) is a real trigonometric
+       polynomial of degree n = N - 1 on an ellipse (Phi(e^{it})**j has
+       frequencies -j..j), and so is Re sum_k c_k*l_k.  On the unit circle
+       F(t) = Re(c*e^{-i(N-1)t/2}*l_k(e^{it})) has frequencies in [-n, n] for
+       n = (N - 1)/2 (``flips.degree``), and Bernstein's inequality holds for
+       that exponential type.  At
        the largest |l_k| in a cell of r steps, take |c| = 1 with F equal to it
        there; then F' = 0 there and Bernstein's |F''| <= n**2*S (S the sup of
        |l_k|) puts the nearer cell end at most e*S lower, e =
@@ -541,7 +553,7 @@ def _scan(flips: _Flips, grid: int):
     n, width, inv_w = flips.n, flips.width, flips.inv_w
     r = _stride(n, grid)
     cells = -(-grid // r)  # coarse points r*i, i < cells; cell i runs from r*i to the next, the last to grid (t = 2*pi)
-    e = (np.pi * (n - 1) * r / grid) ** 2 / 2.0
+    e = (np.pi * flips.degree * r / grid) ** 2 / 2.0
     fac = (1.0 - 2.0 * e) / (1.0 - e) * (1.0 - _MARGIN)
     rows = np.arange(n)
     node_top, node_at, floor = np.zeros(n), np.zeros(n, np.intp), np.zeros(n)  # unweighted maxima
@@ -555,7 +567,7 @@ def _scan(flips: _Flips, grid: int):
             hit_k, hit_j, runs = flips._runs(2.0 * np.pi * idx / grid)
             hits.append((hit_k, idx[hit_j]))
             floor[hit_k] = 1.0
-            for start, planes, _, run_hit_j in runs:
+            for start, planes, run_hit_j in runs:
                 vals, sums = flips.tile(planes, run_hit_j)
                 arg = vals.argmax(axis=1)
                 top = vals[rows, arg]
@@ -608,7 +620,7 @@ def _fine_nodes(flips: _Flips, grid: int, r: int, thr, node_top, node_at, cand, 
         kk = ks[owner]
         hit_k, hit_j, runs = flips._runs(2.0 * np.pi * js / grid)
         hits.append((hit_k, js[hit_j]))
-        v = np.concatenate([flips._own_tile(p, rj, kk[s : s + p.shape[-1]]) for s, p, _, rj in runs])
+        v = np.concatenate([flips._own_tile(p, rj, kk[s : s + p.shape[-1]]) for s, p, rj in runs])
         first = np.flatnonzero(np.diff(kk, prepend=-1))
         k, top = kk[first], np.maximum.reduceat(v, first)
         pos = np.where(v == np.repeat(top, np.diff(first, append=v.size)), js, grid)
@@ -629,7 +641,7 @@ def _fine_lebesgue(flips: _Flips, grid: int, r: int, leb_i: np.ndarray, leb_v: n
     tol = 1.0 - 8.0 * n * np.finfo(float).eps
     for _, js in _cell_points(np.unique(np.concatenate((leb_i, (leb_i - 1) % cells))), r, grid):
         _, _, runs = flips._runs(2.0 * np.pi * js / grid)
-        sums = np.concatenate([flips.tile(p, rj)[1] for _, p, _, rj in runs])
+        sums = np.concatenate([flips.tile(p, rj)[1] for _, p, rj in runs])
         top = max(top, float(sums.max()))
         near_j, near_v = np.concatenate((near_j, js)), np.concatenate((near_v, sums))
         keep = near_v >= tol * top
@@ -638,7 +650,7 @@ def _fine_lebesgue(flips: _Flips, grid: int, r: int, leb_i: np.ndarray, leb_v: n
     leb_max, leb_at = 0.0, 0
     for lo in np.unique(near - near % width).tolist():  # the runs' first points
         js = near[(near >= lo) & (near < lo + width)]
-        _, _, ((_, planes, _, run_hit_j),) = flips._runs(2.0 * np.pi * js / grid)
+        _, _, ((_, planes, run_hit_j),) = flips._runs(2.0 * np.pi * js / grid)
         sums = flips.run_sums(planes, run_hit_j, js - lo, min(width, grid - lo))
         i = int(np.argmax(sums))
         if sums[i] > leb_max:
@@ -784,7 +796,7 @@ def _add_windows(sums: np.ndarray, table: np.ndarray, weights: np.ndarray, start
 
 
 def _boundary_stats(
-    nodes, curve, node_ts, grid: int | None, refine_iters: int, ks: np.ndarray
+    nodes, curve, node_ts, grid: int | None, refine_iters: int, ks: np.ndarray, max_only: bool = False
 ) -> tuple[np.ndarray, np.ndarray, LebesgueReport]:
     """Per-node sups with their parameters and the Lebesgue constant on curve(t), from one shared scan.
 
@@ -793,6 +805,10 @@ def _boundary_stats(
     nodes ``ks`` (0-based), then of the Lebesgue maximum; then each node's
     floor, 1 at ``node_ts[k]``.  Returns ``(node_max, node_arg, report)``.
     Refuses grids and refine counts that skip checking.
+
+    With ``max_only`` a node leaves its search once it cannot end above the
+    largest grid maximum (the drop rule of
+    :func:`lejaflip.transport.compact_flip_stats`).
     """
     n_points = nodes.size
     if refine_iters < 0:
@@ -806,9 +822,12 @@ def _boundary_stats(
         h = 2.0 * np.pi / grid
         with np.errstate(all="ignore"):
             if ks.size:
-                mid, dy = node_arg[ks], flips.dyadic
-                probe = (lambda ts: flips.own(ts, ks)) if dy is None else (lambda ts: dy.own(ts, ks, flips.inv_w))
-                val, ang = _golden_max_vec(probe, mid - h, mid + h, refine_iters)
+                mid, dy, cut = node_arg[ks], flips.dyadic, None
+                own = flips.own if dy is None else (lambda ts, k: dy.own(ts, k, flips.inv_w))
+                if max_only:
+                    top, e = max(float(node_max.max()), 1.0), (np.pi * flips.degree / grid) ** 2 / 2.0
+                    cut = node_max[ks], flips.degree**2 * top / (1.0 - e) / 2.0, top * (1.0 - _MARGIN)
+                val, ang = _golden_max_vec(lambda ts, live: own(ts, ks[live]), mid - h, mid + h, refine_iters, cut)
                 up = val > node_max[ks]
                 node_max[ks[up]], node_arg[ks[up]] = val[up], ang[up]
             val, ang = _golden_max(flips.lebesgue_at, leb_arg - h, leb_arg + h, refine_iters)

@@ -621,9 +621,14 @@ def _stream_case(name):
     if name == "mid-cell-ellipse-30x1-65":
         # twin Lebesgue maxima at t and -t, on 4174 = 2 mod 4 angles: one lies mid-cell, the
         # other on a coarse point; a cell bound four times too small (degree (N - 1)/2, which
-        # holds on the circle but not on an ellipse) skips the first one's cell
+        # holds on the circle but not on an ellipse) skips cells that hold node maxima
         section = canonical_disk_leja(65)
         return (*_scaled_boundary(transport_sequence(ellipse_exterior_map(30.0, 1.0), section)), 4174)
+    if name == "mid-cell-rotated-140":
+        # on the circle the cell bound takes degree (N - 1)/2; planted at (N - 1)/4, four
+        # times too small, it skips cells that hold node maxima and the Lebesgue maximum
+        nodes = canonical_disk_leja(140, np.exp(0.3j)).points
+        return nodes, _unit_circle, np.angle(nodes), 4174
     if name.startswith("default-"):  # default grids and more: the scan samples every r-th point first, r > 1
         if name == "default-rotated-256":
             nodes = canonical_disk_leja(256, np.exp(0.3j)).points
@@ -675,6 +680,7 @@ class TestStreamedScan:
             "default-rotated-256",
             "default-random-100-4x",
             "mid-cell-ellipse-30x1-65",
+            "mid-cell-rotated-140",
             "conjugate-tie-63",
         ],
     )
@@ -701,6 +707,20 @@ class TestStreamedScan:
         monkeypatch.setattr(flip_module, "_CHUNK", 1 << 13)
         _scan(flips, grid)
         assert (sum(columns) < grid) == (name not in ("single-node", "conjugate-tie-63")), sum(columns)
+
+    @pytest.mark.parametrize("name, degree", [("mid-cell-ellipse-30x1-65", 64), ("mid-cell-rotated-140", 139 / 2)])
+    def test_a_degree_half_too_small_misses_a_maximum(self, name, degree):
+        # the cell bound's degree: N - 1 on an ellipse, (N - 1)/2 on the circle; halved, it
+        # takes e four times too small, and the scan loses the whole grid's numbers
+        nodes, curve, _, grid = _stream_case(name)
+        flips = _Flips(nodes, curve)
+        assert flips.degree == degree
+        want = _whole_set_scan(flips, grid)
+        flips.degree /= 2
+        got = _scan(flips, grid)
+        assert np.all(got[0] <= want[0]) and np.any(got[0] < want[0])  # cells holding node maxima are skipped
+        if name == "mid-cell-rotated-140":  # and the Lebesgue maximum's
+            assert got[2] < want[2]
 
     @pytest.mark.parametrize("name", ["circle", "scaled-ellipse-30x1"])
     def test_peak_memory_does_not_grow_with_the_grid(self, name):
@@ -787,10 +807,10 @@ class TestHitLookup:
         want_j, want_k = np.nonzero(pts[:, None] == flips.nodes[None, :])  # brute force, in increasing j
         hit_k, hit_j, runs = flips._runs(ts)
         assert np.array_equal(hit_j, want_j) and np.array_equal(hit_k, want_k)
-        run_k = np.concatenate([run_hit_k for _, _, run_hit_k, _ in runs])
-        run_j = np.concatenate([start + run_hit_j for start, _, _, run_hit_j in runs])
-        assert np.array_equal(run_j, want_j) and np.array_equal(run_k, want_k)
-        for start, _, run_hit_k, run_hit_j in runs:
+        run_j = np.concatenate([start + run_hit_j for start, _, run_hit_j in runs])
+        assert np.array_equal(run_j, want_j)
+        for start, _, run_hit_j in runs:  # each run's hits, their nodes from the whole lookup's hit_k
+            run_hit_k = hit_k[np.searchsorted(hit_j, start + run_hit_j)]
             assert np.all(pts[start + run_hit_j] == flips.nodes[run_hit_k])
         return hit_j.size
 
@@ -989,11 +1009,12 @@ def _full_tile_entries(flips, ts, ks):
     """|l_{ks[i]}(curve(ts[i]))| gathered from full tiles, as the probes read them
     before they got a back half of their own."""
     out = np.empty(ks.size)
-    for start, planes, hit_k, hit_j in flips._runs(ts)[2]:
-        vals, _ = flips.tile(planes, hit_j)
+    hit_k, hit_j, runs = flips._runs(ts)
+    for start, planes, run_hit_j in runs:
+        vals, _ = flips.tile(planes, run_hit_j)
         k = ks[start : start + vals.shape[1]]
         out[start : start + k.size] = vals[k, np.arange(k.size)] * flips.inv_w[k]
-        out[start + hit_j[hit_k == k[hit_j]]] = 1.0
+    out[hit_j[hit_k == ks[hit_j]]] = 1.0
     return out
 
 
@@ -1057,9 +1078,34 @@ class TestProbes:
         flips = _Flips(nodes, curve)
         ts = np.random.default_rng(nodes.size).uniform(0.0, 2.0 * np.pi, 200)
         with np.errstate(all="ignore"):
-            want = np.concatenate([flips.tile(planes, hit_j)[1] for _, planes, _, hit_j in flips._runs(ts)[2]])
+            want = np.concatenate([flips.tile(planes, hit_j)[1] for _, planes, hit_j in flips._runs(ts)[2]])
             got = np.array([flips.lebesgue_at(t) for t in ts])
         assert np.allclose(got, want, rtol=2e-14, atol=0.0)
+
+
+    @pytest.mark.parametrize("name", ["rotated-256", "ellipse-1.2x0.8-128", "ellipse-30x1-256", "dyadic-255"])
+    def test_own_does_not_depend_on_the_points_sharing_a_call(self, name):
+        # random subsets in random order, with hits on the probed nodes and on others: the drop
+        # rule of the per-node refinement probes only the nodes still searched
+        if name == "rotated-256":
+            nodes, curve = canonical_disk_leja(256, np.exp(0.3j)).points, _unit_circle
+        elif name == "dyadic-255":
+            nodes, curve = canonical_disk_leja(255).points, _unit_circle
+        else:
+            a, b, n = (1.2, 0.8, 128) if "1.2x0.8" in name else (30.0, 1.0, 256)
+            nodes, curve, _ = _scaled_boundary(transport_sequence(ellipse_exterior_map(a, b), canonical_disk_leja(n)))
+        n, flips, rng = nodes.size, _Flips(nodes, curve), np.random.default_rng(len(name))
+        own = flips.own if name != "dyadic-255" else (lambda ts, ks: flips.dyadic.own(ts, ks, flips.inv_w))
+        ang = 2.0 * np.pi * np.arange(64 * n) / (64 * n)
+        on_grid = np.flatnonzero(np.isin(curve(ang), nodes))
+        ts, ks = rng.uniform(0.0, 2.0 * np.pi, 3000), rng.integers(0, n, 3000)
+        ts[:20] = ang[rng.choice(on_grid, 20)] if on_grid.size else ts[:20]
+        with np.errstate(all="ignore"):
+            whole = own(ts, ks)
+            for size in (1, 2, 63, 64, 65, 700, 2999, 3000):
+                sel = rng.permutation(3000)[:size]
+                assert np.array_equal(own(ts[sel], ks[sel]).view(np.int64), whole[sel].view(np.int64)), size
+        assert (on_grid.size > 0) == (name != "rotated-256")  # no node of the rotated set lies on the grid
 
 
 class TestGoldenSection:
@@ -1074,10 +1120,37 @@ class TestGoldenSection:
         fn = self._fns()[which]
         lo = np.array([-2.0, 0.0, 0.25, 1.0, -0.5, 3.0, 0.4])
         hi = np.array([3.0, 0.5, 0.35, 2.5, 0.1, 3.0 + 1e-9, 0.6])
-        vals, args = flip_module._golden_max_vec(fn, lo, hi, iters)
+        vals, args = flip_module._golden_max_vec(lambda ts, _: fn(ts), lo, hi, iters)
         want = [flip_module._golden_max(fn, float(a), float(b), iters) for a, b in zip(lo, hi)]
         assert np.array([v for v, _ in want]).view(np.int64).tolist() == vals.view(np.int64).tolist()
         assert np.array([t for _, t in want]).view(np.int64).tolist() == args.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_cut_drops_elements_and_keeps_the_others_bit_for_bit(self, which):
+        # run + slope*((b - a)/2)**2 < limit drops an element before a step; fn sees only the live ones
+        fn = self._fns()[which]
+        rng = np.random.default_rng(which)
+        lo = rng.uniform(-2.0, 2.0, 200)
+        hi = lo + rng.uniform(1e-9, 2.0, 200)
+        seen = []
+
+        def probe(ts, live):
+            seen.append(live)
+            return fn(ts)
+
+        plain = flip_module._golden_max_vec(probe, lo, hi, 40)
+        run, slope, limit = rng.uniform(-1.0, 1.0, 200), 0.3, float(np.median(plain[0]))
+        seen.clear()
+        vals, args = flip_module._golden_max_vec(probe, lo, hi, 40, (run, slope, limit))
+        kept = np.flatnonzero(~np.isnan(vals))
+        assert 0 < kept.size < 200 and np.array_equal(np.isnan(args), np.isnan(vals))
+        assert np.array_equal(vals[kept].view(np.int64), plain[0][kept].view(np.int64))
+        assert np.array_equal(args[kept].view(np.int64), plain[1][kept].view(np.int64))
+        assert np.array_equal(seen[-1], kept) and len(seen) == 42
+        assert all(np.all(np.isin(b, a)) for a, b in zip(seen, seen[1:]))  # the live set only shrinks
+        width = hi - lo  # an element is dropped first where its largest value so far falls below the cut
+        first = np.maximum(run, np.maximum(fn(hi - flip_module._GOLDEN * width), fn(lo + flip_module._GOLDEN * width)))
+        assert np.array_equal(seen[2], np.flatnonzero(first + slope * (width / 2.0) ** 2 >= limit))
 
 
 class _SubtractFlips(_Flips):
@@ -1116,7 +1189,7 @@ class TestCoordinateFront:
     @staticmethod
     def _tiles(flips, pts):
         out = []
-        for _, planes, _, hit_j in flips._runs(pts)[2]:
+        for _, planes, hit_j in flips._runs(pts)[2]:
             out.extend(a.copy() for a in flips.tile(planes, hit_j))  # vals may be a work plane
         return out
 

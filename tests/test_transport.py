@@ -1,4 +1,5 @@
 import cmath
+import math
 import warnings
 
 import mpmath
@@ -18,7 +19,8 @@ from lejaflip import (
     sup_norm_on_circle,
     transport_sequence,
 )
-from lejaflip import cli
+from lejaflip import LejaSection, cli
+from lejaflip import transport as tp
 from lejaflip import flip as flip_module
 from lejaflip.flip import _log_node_weights
 from lejaflip.transport import ExteriorMap, _capacity_scaled, _scaled_boundary
@@ -155,6 +157,75 @@ class TestSupOnCompact:
             worst.append(sups.max())
         slope = np.polyfit(np.log(sizes), np.log(worst), 1)[0]
         assert slope < 1.0
+
+
+def _drop_case(rng):
+    """A transported section and a scan grid for the drop rule.
+
+    The ellipse a x 1 has a in [1, 30] and the section N in 2..300 nodes,
+    both log-uniform; half the sections are canonical, half have their angles
+    perturbed by about 0.3/N.  The grid lies between the smallest resolving
+    one, the first above pi*(N - 1), and 64N, log-uniform.
+    """
+    n = int(np.exp(rng.uniform(np.log(2.0), np.log(301.0))))
+    mp = ellipse_exterior_map(float(np.exp(rng.uniform(0.0, np.log(30.0)))), 1.0)
+    points = canonical_disk_leja(n).points
+    if rng.random() < 0.5:
+        points = points * np.exp(1j * rng.normal(0.0, 0.3 / n, n))
+    lo = math.floor(math.pi * (n - 1)) + 1
+    return transport_sequence(mp, LejaSection(points)), int(np.exp(rng.uniform(np.log(lo), np.log(64 * n))))
+
+
+def _planted_cut(monkeypatch, factor):
+    """Make the drop rule's bracket term ``factor`` times too small."""
+    real = flip_module._golden_max_vec
+
+    def planted(fn, lo, hi, iters, cut=None):
+        return real(fn, lo, hi, iters, cut and (cut[0], cut[1] / factor, cut[2]))
+
+    monkeypatch.setattr(flip_module, "_golden_max_vec", planted)
+
+
+class TestDropRule:
+    """``per_node_refine=False`` refines only the nodes that can still carry the largest sup."""
+
+    def test_random_sections_keep_the_largest_sup_and_the_report_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        dropped = 0
+        for _ in range(200):
+            ts, grid = _drop_case(rng)
+            every, every_report = compact_flip_stats(ts, grid)
+            some, report = compact_flip_stats(ts, grid, per_node_refine=False)
+            on_grid, _ = compact_flip_stats(ts, grid, refine_iters=0)
+            assert some.max().hex() == every.max().hex()
+            assert (report.constant, report.argmax_angle) == (every_report.constant, every_report.argmax_angle)
+            assert np.all((some == every) | (some == on_grid))  # each node's refined value or its grid maximum
+            dropped += np.count_nonzero(some != every)
+        assert dropped > 1000
+
+    def test_a_bracket_term_64_times_too_small_moves_the_largest_sup(self, monkeypatch):
+        # canonical N = 6 on the 10 x 1 ellipse, 29 angles.  The golden bracket's samples
+        # a < c < d < b leave gaps of at most 0.382*(b - a), so every point lies within
+        # 0.191*(b - a) of one, and delta = (b - a)/4 (the term 4 times too small) still
+        # bounds; delta = (b - a)/16 drops the node that ends highest
+        ts = transport_sequence(ellipse_exterior_map(10.0, 1.0), canonical_disk_leja(6))
+        every, _ = compact_flip_stats(ts, 29)
+        assert compact_flip_stats(ts, 29, per_node_refine=False)[0].max() == every.max() == 1.4210892245346938
+        _planted_cut(monkeypatch, 4.0)
+        assert compact_flip_stats(ts, 29, per_node_refine=False)[0].max() == every.max()
+        _planted_cut(monkeypatch, 16.0)  # on top of the 4: 64 in all
+        assert compact_flip_stats(ts, 29, per_node_refine=False)[0].max() == 1.4210892245346936
+
+    def test_probe_count_on_the_thin_ellipse(self, monkeypatch):
+        # canonical N = 256 on 30 x 1, default grid: 940 probe points where every node takes 42
+        ts = transport_sequence(ellipse_exterior_map(30.0, 1.0), canonical_disk_leja(256))
+        points, real = [], flip_module._Flips.own
+        monkeypatch.setattr(flip_module._Flips, "own", lambda self, t, ks: points.append(t.size) or real(self, t, ks))
+        compact_flip_stats(ts, per_node_refine=False)
+        assert sum(points) == 940
+        points.clear()
+        compact_flip_stats(ts)
+        assert sum(points) == 256 * 42
 
 
 class TestCapacityScaling:
@@ -327,3 +398,29 @@ def test_sweep_equals_the_whole_grid_scan_byte_for_byte(axes, max_n, tmp_path, m
     monkeypatch.setattr(flip_module, "_stride", lambda n, grid: 1)
     assert cli.main([*argv, str(tmp_path / "whole.json")]) == 0
     assert (tmp_path / "coarse.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "axes, max_n",
+    [
+        (("30", "1"), "128"),
+        pytest.param(("30", "1"), "1024", marks=pytest.mark.slow),
+        pytest.param(("1.2", "0.8"), "512", marks=pytest.mark.slow),
+    ],
+)
+def test_sweep_rows_equal_every_node_refined_byte_for_byte(axes, max_n, tmp_path, monkeypatch):
+    # the sweep refines only the nodes that can carry max_sup; forced to refine every node,
+    # it writes the same rows byte for byte
+    argv = ["transport", "--ellipse", *axes, "--max-n", max_n, "--format", "json", "-o"]
+    flags, real = [], tp.compact_flip_stats
+
+    def spy(ts, grid, refine, per_node_refine):
+        flags.append(per_node_refine)
+        return real(ts, grid, refine, per_node_refine)
+
+    monkeypatch.setattr(tp, "compact_flip_stats", spy)
+    assert cli.main([*argv, str(tmp_path / "drop.json")]) == 0
+    assert flags == [False] * (int(max_n).bit_length() - 1)  # N = 2, 4, .., max_n
+    monkeypatch.setattr(tp, "compact_flip_stats", lambda ts, grid, refine, per_node_refine: real(ts, grid, refine))
+    assert cli.main([*argv, str(tmp_path / "every.json")]) == 0
+    assert (tmp_path / "drop.json").read_bytes() == (tmp_path / "every.json").read_bytes()
